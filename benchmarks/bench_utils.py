@@ -6,11 +6,21 @@ directory.  Benchmarks are run with::
     pytest benchmarks/ --benchmark-only
 
 Each experiment prints the rows/series the corresponding paper frame shows
-and also writes them to ``benchmarks/results/<experiment>.txt`` so the output
+and also writes them to ``benchmarks/out/<experiment>.txt`` so the output
 survives pytest's capture.  Set the environment variable ``REPRO_BENCH_FULL=1``
 to run the full-size dataset catalogue instead of the reduced one (the
 reduced catalogue keeps the default run within a few minutes while preserving
 every dataset family and therefore the shape of the results).
+
+Runs write only to the git-ignored ``benchmarks/out/``, so running the test
+suite never touches a tracked file.  The committed results in
+``benchmarks/results/`` change only when someone blesses a run by copying
+files across by hand, e.g. after checking a fresh E13 run::
+
+    cp benchmarks/out/hotpaths.json benchmarks/results/hotpaths.json
+
+``benchmarks/results/hotpaths.json`` is the baseline the CI perf-smoke job
+compares ``benchmarks/out/hotpaths.json`` against.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ from typing import Dict
 from repro.datasets.catalogue import DatasetCatalogue, DatasetSpec, default_catalogue
 from repro.datasets import synthetic
 
-RESULTS_DIR = Path(__file__).parent / "results"
+RESULTS_DIR = Path(__file__).parent / "out"
 
 
 def full_mode() -> bool:
@@ -68,7 +78,7 @@ def bench_catalogue() -> DatasetCatalogue:
 
 
 def report(experiment: str, text: str) -> None:
-    """Print an experiment report and persist it under benchmarks/results/."""
+    """Print an experiment report and persist it under benchmarks/out/."""
     banner = f"\n{'=' * 78}\n{experiment}\n{'=' * 78}\n"
     print(banner + text)
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)

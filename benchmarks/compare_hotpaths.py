@@ -6,8 +6,9 @@ Usage::
     python benchmarks/compare_hotpaths.py BASELINE.json CURRENT.json \
         [--max-slowdown 2.0]
 
-Both files are ``benchmarks/results/hotpaths.json`` payloads written by
-``benchmarks/test_bench_hotpaths.py`` (E13).  Comparing raw seconds across
+Both files are hotpaths payloads written by
+``benchmarks/test_bench_hotpaths.py`` (E13): the committed baseline
+``benchmarks/results/hotpaths.json`` and a fresh ``benchmarks/out/hotpaths.json``.  Comparing raw seconds across
 machines is meaningless — a laptop baseline would fail every CI runner — so
 the regression signal is the *speedup* of each vectorized hot path over its
 retained reference implementation, which both runs measure on their own

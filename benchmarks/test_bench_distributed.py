@@ -14,7 +14,7 @@ ports (the same subprocess + HTTP path a multi-host deployment uses), then:
   asserted: on one machine two loopback workers mostly measure HTTP
   overhead, the sharding win appears with real hosts).
 
-Results are persisted to ``benchmarks/results/distributed.json``.
+Results are persisted to ``benchmarks/out/distributed.json``.
 """
 
 from __future__ import annotations

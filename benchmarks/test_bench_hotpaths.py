@@ -30,9 +30,10 @@ result segments.  Both are transfer-bound by construction, so their
 speedups hold even on single-core runners where compute cannot
 parallelize.
 
-and persists everything to ``benchmarks/results/hotpaths.json``.  That file
-is the committed baseline the CI perf-smoke job compares fresh runs
-against (see ``benchmarks/compare_hotpaths.py``): speedups are
+and persists everything to ``benchmarks/out/hotpaths.json``.  The CI
+perf-smoke job compares that fresh run against the committed baseline
+``benchmarks/results/hotpaths.json`` (see ``benchmarks/compare_hotpaths.py``),
+which changes only when a run is copied over it by hand: speedups are
 machine-normalized (reference and vectorized run on the same box), so the
 comparison is robust across runner generations.
 """

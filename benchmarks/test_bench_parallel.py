@@ -9,7 +9,7 @@ machine's CPU count (the speedup is only expected to materialise on
 multi-core hardware; on a single-core machine the parallel backends simply
 must not regress results).
 
-Results are persisted as JSON under ``benchmarks/results/`` so speedups can
+Results are persisted as JSON under ``benchmarks/out/`` so speedups can
 be compared across machines.
 """
 

@@ -14,7 +14,7 @@ predict requests, under three serving modes:
   (``max_batch_size=32``), coalescing whatever requests are pending.
 
 Throughput (requests/s) and client-side latency (p50/p95) are recorded to
-``benchmarks/results/serve_latency.json``.  Predictions are asserted to be
+``benchmarks/out/serve_latency.json``.  Predictions are asserted to be
 identical across all modes — micro-batching must never change results —
 and the batched mode must beat unbatched per-request dispatch on
 throughput (the whole point of the engine).

@@ -8,8 +8,9 @@ The package splits the fan-out contract of
   table, ``GET /healthz``/``/metrics``, ``POST /shutdown``.
 * :mod:`repro.distributed.backend` — :class:`DistributedBackend`, the
   coordinator: ordered results, per-job error capture, quarantine/bisect
-  crash recovery and ``WorkerPoolExhausted`` demotion, all mirroring the
-  process backend so retry policies and fallback chains transfer as-is.
+  crash recovery and ``WorkerPoolExhausted`` demotion, all from the process
+  backend's chunk scheduler, so retry policies and fallback chains
+  transfer as-is.
 * :mod:`repro.distributed.registry` — the safe dispatch table (names over
   the wire, never pickled callables).
 * :mod:`repro.distributed.stagecache` — :class:`StageDataPlane`, the

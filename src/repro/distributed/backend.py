@@ -8,9 +8,11 @@ callable), and outcomes come back through the JSON wire codec of
 :mod:`repro.parallel.wire` — bit-identical ndarrays, reconstructed
 exception types, fault fields intact.
 
-Fault tolerance deliberately mirrors :class:`ProcessBackend.map_jobs
-<repro.parallel.backends.ProcessBackend>` so every policy written for
-process pools transfers unchanged:
+Fault tolerance is the process backend's: both run the same chunk
+scheduler (``repro.parallel.backends._ChunkScheduler``), and this class
+only moves chunks — it POSTs each to a round-robin live worker, classifies
+the answer and rebuilds by probing.  Every policy written for process pools
+therefore transfers unchanged:
 
 * an unreachable worker is a crashed worker: its in-flight chunks are
   *quarantined*, re-dispatched alone and bisected until a genuinely
@@ -18,7 +20,7 @@ process pools transfers unchanged:
   while innocent chunk-mates recover;
 * a request that exceeds its attempt budget settles ``timed_out``
   outcomes carrying :class:`~repro.parallel.retry.JobTimeoutError` and
-  marks the worker dead (it may be hung);
+  marks only that worker dead (it may be hung);
 * when every worker is dead, a ``/healthz`` probe sweep plays the role of
   a pool rebuild — bounded by the policy's ``max_pool_rebuilds``, after
   which remaining jobs drain as
@@ -43,40 +45,25 @@ import base64
 import json
 import pickle
 import socket
-import time
 import urllib.error
 import urllib.request
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import (
-    Any,
-    Callable,
-    Deque,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
-from collections import deque
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.distributed.registry import worker_function_name
-from repro.distributed.stagecache import PlaneMissError, StageDataPlane
+from repro.distributed.stagecache import StageDataPlane
 from repro.exceptions import ParallelExecutionError, ValidationError
 from repro.parallel.backends import (
     ExecutionBackend,
     JobOutcome,
     OnResult,
-    _timeout_outcome,
+    _Chunk,
+    _ChunkScheduler,
+    _failed,
 )
 from repro.parallel.chaos import _ChaosRunner
-from repro.parallel.retry import (
-    DEFAULT_MAX_POOL_REBUILDS,
-    RetryPolicy,
-    WorkerCrashError,
-    WorkerPoolExhausted,
-)
+from repro.parallel.retry import RetryPolicy, WorkerCrashError
 
 __all__ = ["DistributedBackend", "DEFAULT_REQUEST_TIMEOUT", "DEFAULT_PROBE_TIMEOUT"]
 
@@ -239,9 +226,7 @@ class DistributedBackend(ExecutionBackend):
             return worker_function_name(fn.fn), True
         return worker_function_name(fn), False
 
-    def _encode_chunk(
-        self, function_name: str, chunk: List[Tuple[int, Any]], chaos: bool
-    ) -> bytes:
+    def _encode_chunk(self, function_name: str, chunk: _Chunk, chaos: bool) -> bytes:
         jobs = chunk
         if self.data_plane is not None:
             jobs = [(index, self.data_plane.stash(job)) for index, job in chunk]
@@ -266,6 +251,7 @@ class DistributedBackend(ExecutionBackend):
         ``"rejected"`` (HTTP 4xx — the request itself is invalid, final),
         ``"error"`` (HTTP 5xx / undecodable — worker alive, retryable) or
         ``"crash"`` (connection-level failure — worker presumed dead).
+        Runs on a dispatch thread, so it touches no shared state.
         """
         request = urllib.request.Request(
             f"{worker.url}/jobs",
@@ -282,14 +268,11 @@ class DistributedBackend(ExecutionBackend):
             except Exception:  # noqa: BLE001 - non-JSON error body
                 detail = str(exc)
             if 400 <= exc.code < 500:
-                return (
-                    "rejected",
-                    f"worker {worker.url} rejected the chunk "
-                    f"(HTTP {exc.code}): {detail}",
+                return "rejected", ValidationError(
+                    f"worker {worker.url} rejected the chunk (HTTP {exc.code}): {detail}"
                 )
-            return (
-                "error",
-                f"worker {worker.url} failed the chunk (HTTP {exc.code}): {detail}",
+            return "error", ParallelExecutionError(
+                f"worker {worker.url} failed the chunk (HTTP {exc.code}): {detail}"
             )
         except Exception as exc:  # noqa: BLE001 - classify, never raise
             if _is_timeout(exc):
@@ -298,18 +281,17 @@ class DistributedBackend(ExecutionBackend):
                     f"worker {worker.url} did not answer within its "
                     f"{budget:.3f} s attempt budget",
                 )
-            return ("crash", f"worker {worker.url} is unreachable: {exc}")
+            return "crash", f"worker {worker.url} is unreachable: {exc}"
         try:
             payload = json.loads(text.decode("utf-8"))
             outcomes = [
                 JobOutcome.from_payload(node) for node in payload["outcomes"]
             ]
         except Exception as exc:  # noqa: BLE001 - truncated/garbled body
-            return (
-                "error",
-                f"worker {worker.url} returned an undecodable response: {exc}",
+            return "error", ParallelExecutionError(
+                f"worker {worker.url} returned an undecodable response: {exc}"
             )
-        return ("outcomes", (outcomes, len(text)))
+        return "outcomes", (outcomes, len(text))
 
     # ------------------------------------------------------------------ #
     def map_jobs(
@@ -323,250 +305,74 @@ class DistributedBackend(ExecutionBackend):
         jobs = list(jobs)
         if not jobs:
             return []
-        function_name, chaos = self._function_spec(fn)
-        policy = self._effective_retry(retry)
-        timeout = None if policy is None else policy.timeout
-        deadline_at = (
-            time.monotonic() + policy.deadline
-            if policy is not None and policy.deadline is not None
-            else None
+        return _ChunkScheduler(
+            self,
+            self._function_spec(fn),
+            jobs,
+            on_result,
+            retry,
+            resolve=None if self.data_plane is None else self.data_plane.resolve,
+            request_timeout=self.request_timeout,
+        ).run()
+
+    # Transport hooks driven by the shared scheduler.
+    def _submit(
+        self, spec: Tuple[str, bool], chunk: _Chunk, position: int, budget: float
+    ) -> Any:
+        """POST ``chunk`` to a live worker, round-robin; ``None`` if none is."""
+        alive = [worker for worker in self.workers if worker.alive]
+        if not alive:
+            return None
+        worker = alive[position % len(alive)]
+        function_name, chaos = spec
+        body = self._encode_chunk(function_name, chunk, chaos)
+        self.bytes_shipped += len(body)
+        worker.dispatches += 1
+        budget = max(0.001, budget)
+        return self._pool().submit(
+            lambda: (worker, self._dispatch_chunk(worker, body, budget))
         )
-        max_rebuilds = (
-            DEFAULT_MAX_POOL_REBUILDS
-            if policy is None
-            else int(policy.max_pool_rebuilds)
-        )
 
-        outcomes: List[Optional[JobOutcome]] = [None] * len(jobs)
-        attempts = [0] * len(jobs)
-        indexed = list(enumerate(jobs))
-        #: Chunks awaiting a normal (spread-across-workers) dispatch.
-        normal: Deque[List[Tuple[int, Any]]] = deque(
-            indexed[start : start + self.chunk_size]
-            for start in range(0, len(indexed), self.chunk_size)
-        )
-        #: Chunks implicated in a worker crash: dispatched one at a time so
-        #: repeat crashes unambiguously convict the dispatched chunk.
-        quarantined: Deque[List[Tuple[int, Any]]] = deque()
-        rebuilds = 0
-        next_round_delay = 0.0
-
-        def record(outcome: JobOutcome) -> None:
-            outcome.attempts = attempts[outcome.index]
-            outcome.retried = attempts[outcome.index] > 1
-            if outcome.timed_out:
-                self.timeouts += 1
-            outcomes[outcome.index] = outcome
-            if on_result is not None:
-                on_result(outcome)
-
-        def settle(outcome: JobOutcome) -> None:
-            nonlocal next_round_delay
-            index = outcome.index
-            if outcome.ok or policy is None:
-                record(outcome)
-                return
-            past_deadline = (
-                deadline_at is not None and time.monotonic() >= deadline_at
-            )
-            if past_deadline or not policy.should_retry(
-                outcome.exception, attempts[index]
-            ):
-                record(outcome)
-                return
-            next_round_delay = max(
-                next_round_delay, policy.backoff_seconds(attempts[index] + 1, index)
-            )
-            normal.append([(index, jobs[index])])
-
-        def drain(outcome_for: Callable[[int], JobOutcome]) -> None:
-            while normal or quarantined:
-                chunk = (normal if normal else quarantined).popleft()
-                for index, _ in chunk:
-                    record(outcome_for(index))
-
-        while normal or quarantined:
-            if deadline_at is not None and time.monotonic() >= deadline_at:
-                drain(
-                    lambda index: _timeout_outcome(
-                        index,
-                        f"fan-out deadline of {policy.deadline} s expired "
-                        f"before job {index} finished",
-                    )
+    def _classify(self, future: Any, chunk: _Chunk) -> Tuple[str, Any]:
+        worker, (kind, payload) = future.result()
+        if kind == "outcomes":
+            outcomes, response_nbytes = payload
+            self.bytes_received += response_nbytes
+            by_index = {outcome.index: outcome for outcome in outcomes}
+            # A 200 with a missing outcome: the worker dropped the result
+            # (chaos, or a protocol bug) — retryable as a crash-class failure.
+            return "outcomes", [
+                by_index.get(index)
+                or _failed(
+                    index,
+                    WorkerCrashError(
+                        f"worker {worker.url} returned no outcome for job {index}"
+                    ),
                 )
-                break
-            if rebuilds > max_rebuilds:
-                def _exhausted(index: int) -> JobOutcome:
-                    exc = WorkerPoolExhausted(
-                        f"all {len(self.workers)} distributed workers are "
-                        f"unreachable after {rebuilds} probe sweeps "
-                        f"(max_pool_rebuilds={max_rebuilds}); job {index} "
-                        "abandoned"
-                    )
-                    return JobOutcome(
-                        index=index,
-                        error=f"{type(exc).__name__}: {exc}",
-                        exception=exc,
-                    )
+                for index, _ in chunk
+            ]
+        worker.failures += 1
+        if kind in ("timeout", "crash"):
+            # The worker may be hung or gone: stop routing to it until a
+            # probe sweep sees /healthz answer again.
+            worker.alive = False
+        return kind, payload
 
-                drain(_exhausted)
-                break
+    def _recover(self, lost: Optional[str]) -> bool:
+        if any(worker.alive for worker in self.workers):
+            return False
+        # The distributed analogue of a pool rebuild: one bounded /healthz
+        # sweep over every worker, hoping supervision (or the operator)
+        # brought some back.
+        for worker in self.workers:
+            self._probe(worker)
+        return True
 
-            alive = [worker for worker in self.workers if worker.alive]
-            if not alive:
-                # The distributed analogue of a pool rebuild: one bounded
-                # /healthz sweep over every worker, hoping supervision (or
-                # the operator) brought some back.
-                rebuilds += 1
-                self.pool_rebuilds += 1
-                for worker in self.workers:
-                    self._probe(worker)
-                continue
-
-            if next_round_delay > 0:
-                delay = next_round_delay
-                if deadline_at is not None:
-                    delay = min(delay, max(0.0, deadline_at - time.monotonic()))
-                if delay > 0:
-                    time.sleep(delay)
-                next_round_delay = 0.0
-
-            isolated = not normal
-            if isolated:
-                batch = [quarantined.popleft()]
-            else:
-                batch = list(normal)
-                normal.clear()
-
-            pool = self._pool()
-            submitted: Dict[Any, Tuple[_Worker, List[Tuple[int, Any]]]] = {}
-            for position, chunk in enumerate(batch):
-                worker = alive[position % len(alive)]
-                for index, _ in chunk:
-                    attempts[index] += 1
-                    self.attempts += 1
-                body = self._encode_chunk(function_name, chunk, chaos)
-                self.bytes_shipped += len(body)
-                budget = (
-                    self.request_timeout
-                    if timeout is None
-                    else float(timeout) * len(chunk)
-                )
-                if deadline_at is not None:
-                    budget = min(
-                        budget, max(0.001, deadline_at - time.monotonic())
-                    )
-                worker.dispatches += 1
-                future = pool.submit(self._dispatch_chunk, worker, body, budget)
-                submitted[future] = (worker, chunk)
-
-            pending = set(submitted)
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    worker, chunk = submitted[future]
-                    kind, payload = future.result()
-                    if kind == "outcomes":
-                        chunk_outcomes, response_nbytes = payload
-                        self.bytes_received += response_nbytes
-                        by_index = {
-                            outcome.index: outcome for outcome in chunk_outcomes
-                        }
-                        for index, _ in chunk:
-                            outcome = by_index.get(index)
-                            if outcome is None:
-                                # 200 with a missing outcome: the worker
-                                # dropped the result (chaos, or a protocol
-                                # bug) — retryable as a crash-class failure.
-                                crash = WorkerCrashError(
-                                    f"worker {worker.url} returned no outcome "
-                                    f"for job {index}"
-                                )
-                                settle(
-                                    JobOutcome(
-                                        index=index,
-                                        error=f"{type(crash).__name__}: {crash}",
-                                        exception=crash,
-                                    )
-                                )
-                                continue
-                            if (
-                                self.data_plane is not None
-                                and outcome.ok
-                            ):
-                                try:
-                                    outcome.value = self.data_plane.resolve(
-                                        outcome.value
-                                    )
-                                except PlaneMissError as exc:
-                                    outcome.value = None
-                                    outcome.error = (
-                                        f"{type(exc).__name__}: {exc}"
-                                    )
-                                    outcome.exception = exc
-                            settle(outcome)
-                        continue
-                    worker.failures += 1
-                    if kind == "timeout":
-                        # The worker may be hung mid-job; stop routing to it
-                        # until a probe sweep sees /healthz answer again.
-                        worker.alive = False
-                        for index, _ in chunk:
-                            settle(
-                                _timeout_outcome(
-                                    index,
-                                    f"job {index} exceeded its attempt budget "
-                                    f"on {worker.url} (attempt "
-                                    f"{attempts[index]})",
-                                )
-                            )
-                        continue
-                    if kind == "rejected":
-                        # The request itself is invalid (unknown function,
-                        # oversized chunk, bad plane): retrying cannot help.
-                        for index, _ in chunk:
-                            exc = ValidationError(str(payload))
-                            record(
-                                JobOutcome(
-                                    index=index,
-                                    error=f"{type(exc).__name__}: {exc}",
-                                    exception=exc,
-                                )
-                            )
-                        continue
-                    if kind == "error":
-                        for index, _ in chunk:
-                            exc = ParallelExecutionError(str(payload))
-                            settle(
-                                JobOutcome(
-                                    index=index,
-                                    error=f"{type(exc).__name__}: {exc}",
-                                    exception=exc,
-                                )
-                            )
-                        continue
-                    # kind == "crash": connection-level failure.
-                    worker.alive = False
-                    if not isolated:
-                        quarantined.append(chunk)
-                    elif len(chunk) > 1:
-                        middle = len(chunk) // 2
-                        quarantined.append(chunk[:middle])
-                        quarantined.append(chunk[middle:])
-                    else:
-                        index = chunk[0][0]
-                        crash = WorkerCrashError(
-                            f"job {index} lost its worker (attempt "
-                            f"{attempts[index]}): {payload}"
-                        )
-                        record(
-                            JobOutcome(
-                                index=index,
-                                error=f"{type(crash).__name__}: {crash}",
-                                exception=crash,
-                            )
-                        )
-        return self._collect(outcomes)
+    def _exhausted(self, rebuilds: int) -> str:
+        return (
+            f"all {len(self.workers)} distributed workers are unreachable "
+            f"after {rebuilds} probe sweeps"
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         urls = [worker.url for worker in self.workers]

@@ -21,29 +21,27 @@ Properties this buys:
   reader never observes a half-written file (the
   :class:`~repro.pipeline.cache.DiskStageCache` idiom).
 
-The payload walk mirrors :func:`repro.parallel.shared._swap_leaves` — the
-same traversal that substitutes shared-memory refs — one level deeper, so
-chaos-wrapped jobs (``_ChaosJob(job=...)``) still reach their arrays.  One
-difference: dataclass containers are rebuilt by shallow copy instead of
-``dataclasses.replace``, because replace re-runs ``__post_init__`` and a
-validating payload type (``TimeSeriesDataset`` checks its ``data`` array)
-must not see the transport representation — the symmetric ``resolve`` on
-the other side restores the validated original.
+Stash and resolve run the execution layer's one payload walk,
+:func:`repro.parallel.shared._swap_leaves` — the traversal that substitutes
+shared-memory refs — one level deeper, so chaos-wrapped jobs
+(``_ChaosJob(job=...)``) still reach their arrays.  The walk rebuilds
+dataclasses without re-running ``__post_init__``, so a validating payload
+type (``TimeSeriesDataset`` checks its ``data`` array) never sees the
+transport representation; the symmetric ``resolve`` on the other side
+restores the validated original.
 """
 
 from __future__ import annotations
 
-import copy
-import dataclasses
 import os
 import threading
 from pathlib import Path
-from typing import Any, Callable, Dict, Tuple, Union
+from typing import Any, Dict, Tuple, Union
 
 import numpy as np
 
 from repro.exceptions import ParallelExecutionError, ValidationError
-from repro.parallel.shared import _PAYLOAD_DEPTH
+from repro.parallel.shared import _PAYLOAD_DEPTH, _swap_leaves
 from repro.pipeline.fingerprint import fingerprint
 
 #: Arrays smaller than this ship inline — a ref + a file round-trip costs
@@ -53,54 +51,6 @@ DEFAULT_MIN_PLANE_BYTES = 32 * 1024
 #: One level deeper than the shared-memory walk: payloads may arrive
 #: wrapped in a chaos ``_ChaosJob`` whose ``job`` field holds the real one.
 _PLANE_DEPTH = _PAYLOAD_DEPTH + 1
-
-
-def _swap_payload_leaves(
-    value: Any, swap: Callable[[Any], Any], _depth: int
-) -> Any:
-    """Rebuild ``value`` with ``swap`` applied to every non-container leaf.
-
-    The :func:`repro.parallel.shared._swap_leaves` traversal, except that a
-    changed dataclass is rebuilt by shallow copy + ``object.__setattr__``
-    (works on frozen instances, and — unlike ``dataclasses.replace`` —
-    never re-runs a validating ``__post_init__`` against a swapped-in
-    transport ref).
-    """
-    if not isinstance(value, (dict, tuple, list)) and not (
-        dataclasses.is_dataclass(value) and not isinstance(value, type)
-    ):
-        return swap(value)
-    if _depth <= 0:
-        return value
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        changes = {}
-        for field in dataclasses.fields(value):
-            item = getattr(value, field.name)
-            replaced = _swap_payload_leaves(item, swap, _depth - 1)
-            if replaced is not item:
-                changes[field.name] = replaced
-        if not changes:
-            return value
-        clone = copy.copy(value)
-        for name, replaced in changes.items():
-            object.__setattr__(clone, name, replaced)
-        return clone
-    if isinstance(value, dict):
-        replaced_items = {
-            key: _swap_payload_leaves(item, swap, _depth - 1)
-            for key, item in value.items()
-        }
-        if all(replaced_items[key] is value[key] for key in value):
-            return value
-        return replaced_items
-    replaced_seq = [_swap_payload_leaves(item, swap, _depth - 1) for item in value]
-    if all(new is old for new, old in zip(replaced_seq, value)):
-        return value
-    if isinstance(value, tuple):
-        # Preserve namedtuples (their constructor takes positional args).
-        cls = type(value)
-        return cls(*replaced_seq) if hasattr(cls, "_fields") else tuple(replaced_seq)
-    return replaced_seq
 
 
 class PlaneMissError(ParallelExecutionError):
@@ -251,7 +201,7 @@ class StageDataPlane:
                 return self.stash_array(leaf)
             return leaf
 
-        return _swap_payload_leaves(value, swap, _PLANE_DEPTH)
+        return _swap_leaves(value, swap, _PLANE_DEPTH)
 
     def resolve(self, value: Any) -> Any:
         """Inverse of :meth:`stash`: load every ref back into an array."""
@@ -261,7 +211,7 @@ class StageDataPlane:
                 return self.load_array(leaf)
             return leaf
 
-        return _swap_payload_leaves(value, swap, _PLANE_DEPTH)
+        return _swap_leaves(value, swap, _PLANE_DEPTH)
 
     # ------------------------------------------------------------------ #
     @property

@@ -16,8 +16,8 @@ listing what the worker actually serves.
 
 The worker deliberately owns **no retry policy**: it runs each job once
 (attempt accounting and timeout budgets live in the coordinator's
-:class:`~repro.distributed.backend.DistributedBackend`, which reuses the
-``RetryPolicy``/bisection machinery of the process backend).  Chaos
+:class:`~repro.distributed.backend.DistributedBackend`, which runs the
+process backend's chunk scheduler).  Chaos
 semantics cross the wire too: a chunk flagged ``"chaos": true`` is run
 through :class:`repro.parallel.chaos._ChaosRunner`, so an armed ``kill``
 fault takes the whole service down mid-request (the coordinator sees a

@@ -14,7 +14,7 @@ interpretability scores — dispatch through one abstraction:
     :class:`JobOutcome` per job, **in submission order**, with per-job error
     capture and per-job wall-clock durations.
 
-Three backends ship today:
+Five backends ship today:
 
 * :class:`SerialBackend` — the default; zero overhead, identical behaviour
   to the pre-parallel code path.
@@ -49,9 +49,10 @@ backends — parallelism changes wall-clock time, never results.
 Fault tolerance: every backend accepts a :class:`RetryPolicy`
 (``map_jobs(..., retry=...)`` or ``resolve_backend(..., retry=...)``) for
 bounded retries with deterministic backoff, per-attempt timeouts and a
-whole-fan-out deadline; the process backends recover killed workers by
-rebuilding the pool and bisecting the implicated chunk until the poison
-job is isolated; :class:`FallbackBackend`
+whole-fan-out deadline; the process and distributed backends share one
+chunk scheduler, which recovers killed workers by rebuilding the pool and
+bisecting the implicated chunk until the poison job is isolated;
+:class:`FallbackBackend`
 (``resolve_backend(fallback=("shared", "process", "thread"))``) demotes to
 the next backend when a pool's rebuild budget is exhausted, with
 bit-identical results.  :class:`ChaosBackend` injects seeded faults

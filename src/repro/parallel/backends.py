@@ -179,6 +179,13 @@ def pickled_nbytes(obj: Any) -> int:
     return len(data) + sum(buffer.raw().nbytes for buffer in buffers)
 
 
+def _failed(index: int, exc: BaseException, **fields: Any) -> JobOutcome:
+    """A failure outcome for job ``index`` that carries ``exc``."""
+    return JobOutcome(
+        index=index, error=f"{type(exc).__name__}: {exc}", exception=exc, **fields
+    )
+
+
 def _execute_one(fn: Callable[[Any], Any], index: int, job: Any) -> JobOutcome:
     """Run one job, capturing any exception into the outcome."""
     start = time.perf_counter()
@@ -187,10 +194,9 @@ def _execute_one(fn: Callable[[Any], Any], index: int, job: Any) -> JobOutcome:
     except Exception as exc:  # noqa: BLE001 - per-job isolation is the contract
         # KeyboardInterrupt/SystemExit intentionally propagate: aborting the
         # whole fan-out must stay possible from the keyboard.
-        return JobOutcome(
-            index=index,
-            error=f"{type(exc).__name__}: {exc}",
-            exception=exc,
+        return _failed(
+            index,
+            exc,
             traceback=traceback_module.format_exc(),
             duration_seconds=time.perf_counter() - start,
         )
@@ -199,22 +205,18 @@ def _execute_one(fn: Callable[[Any], Any], index: int, job: Any) -> JobOutcome:
     )
 
 
-def _execute_chunk(
-    fn: Callable[[Any], Any], chunk: Sequence[Tuple[int, Any]]
-) -> List[JobOutcome]:
+#: A chunk of ``(index, job)`` pairs dispatched as one unit.
+_Chunk = List[Tuple[int, Any]]
+
+
+def _execute_chunk(fn: Callable[[Any], Any], chunk: _Chunk) -> List[JobOutcome]:
     """Run a chunk of (index, job) pairs serially inside one worker."""
     return [_execute_one(fn, index, job) for index, job in chunk]
 
 
 def _timeout_outcome(index: int, message: str) -> JobOutcome:
     """A ``timed_out`` failure outcome carrying a :class:`JobTimeoutError`."""
-    exc = JobTimeoutError(message)
-    return JobOutcome(
-        index=index,
-        error=f"{type(exc).__name__}: {message}",
-        exception=exc,
-        timed_out=True,
-    )
+    return _failed(index, JobTimeoutError(message), timed_out=True)
 
 
 def _execute_with_budget(
@@ -512,6 +514,289 @@ class ThreadBackend(ExecutionBackend):
         return f"ThreadBackend(n_workers={self.n_workers})"
 
 
+class _ChunkScheduler:
+    """The fault-tolerant chunk state machine of one ``map_jobs`` call.
+
+    Shared by :class:`ProcessBackend` and
+    :class:`~repro.distributed.DistributedBackend`, which only move chunks.
+    The scheduler owns chunking, the normal and quarantined queues,
+    per-job attempt counts, retries with backoff, the fan-out deadline and
+    the rebuild budget.  A chunk in flight when a worker died is
+    quarantined (re-dispatched alone), bisected if it loses its worker
+    again, and a single-job chunk that still does records a
+    :class:`WorkerCrashError` while its innocent chunk-mates recover.
+
+    The backend is the transport.  It supplies four hooks:
+
+    * ``_submit(fn, chunk, position, budget)`` sends a chunk (``position``
+      is its place in the round, ``budget`` its seconds or ``None``) and
+      returns a future, or ``None`` when the pool cannot take work — that
+      chunk and the rest of the round then wait for the rebuilt pool;
+    * ``_classify(future, chunk)`` reads a finished future as
+      ``("outcomes", [JobOutcome, ...])``, ``("error", exc)`` (retryable),
+      ``("rejected", exc)`` (final), ``("crash", detail)`` (the worker
+      died) or ``("timeout", detail)`` (the request ran out of budget);
+    * ``_recover(lost)`` rebuilds what a round lost (``"broken"``,
+      ``"hung"`` or ``None``) and says whether that was a rebuild;
+    * ``_exhausted(rebuilds)`` says why jobs are abandoned once the
+      rebuild budget is spent.
+
+    Timeouts follow the transport.  With ``request_timeout=None`` (process
+    pools) the scheduler watches each chunk's budget: a chunk that outlives
+    it has a hung worker, so it settles ``timed_out``, its in-flight
+    siblings are requeued and the whole pool is abandoned.  A transport
+    that bounds each request itself passes ``request_timeout`` (its budget
+    when the policy sets no per-attempt timeout) and classifies an expired
+    request as ``"timeout"``.
+
+    ``resolve`` maps every successful outcome's value on the calling thread
+    before the retry decision; if it raises, only that job fails (and may
+    be retried), like a raising job.
+    """
+
+    def __init__(
+        self,
+        backend: ExecutionBackend,
+        fn: Any,
+        jobs: Sequence[Any],
+        on_result: OnResult,
+        retry: Optional[RetryPolicy],
+        *,
+        resolve: Optional[Callable[[Any], Any]] = None,
+        request_timeout: Optional[float] = None,
+    ) -> None:
+        self.backend = backend
+        self.fn = fn
+        self.jobs = list(jobs)
+        self.on_result = on_result
+        self.policy = policy = backend._effective_retry(retry)
+        self.resolve = resolve
+        self.request_timeout = request_timeout
+        self.deadline_at = (
+            time.monotonic() + policy.deadline
+            if policy is not None and policy.deadline is not None
+            else None
+        )
+        self.max_rebuilds = (
+            DEFAULT_MAX_POOL_REBUILDS
+            if policy is None
+            else int(policy.max_pool_rebuilds)
+        )
+        self.outcomes: List[Optional[JobOutcome]] = [None] * len(self.jobs)
+        self.attempts = [0] * len(self.jobs)
+        indexed = list(enumerate(self.jobs))
+        size = backend.chunk_size
+        #: Chunks awaiting a normal (parallel) dispatch.
+        self.normal: Deque[_Chunk] = deque(
+            indexed[start : start + size] for start in range(0, len(indexed), size)
+        )
+        #: Chunks implicated in a worker loss: dispatched one at a time so a
+        #: repeat loss unambiguously convicts the dispatched chunk.
+        self.quarantined: Deque[_Chunk] = deque()
+        self.rebuilds = 0
+        self.next_round_delay = 0.0
+
+    def run(self) -> List[JobOutcome]:
+        """Dispatch rounds until every job has a final outcome."""
+        policy = self.policy
+        while self.normal or self.quarantined:
+            if self.deadline_at is not None and time.monotonic() >= self.deadline_at:
+                self._drain(
+                    lambda index: _timeout_outcome(
+                        index,
+                        f"fan-out deadline of {policy.deadline} s expired "
+                        f"before job {index} finished",
+                    )
+                )
+                break
+            if self.rebuilds > self.max_rebuilds:
+                reason = self.backend._exhausted(self.rebuilds)
+                self._drain(
+                    lambda index: _failed(
+                        index,
+                        WorkerPoolExhausted(
+                            f"{reason} (max_pool_rebuilds={self.max_rebuilds}); "
+                            f"job {index} abandoned"
+                        ),
+                    )
+                )
+                break
+            if self.next_round_delay > 0:
+                delay = self.next_round_delay
+                if self.deadline_at is not None:
+                    delay = min(delay, max(0.0, self.deadline_at - time.monotonic()))
+                if delay > 0:
+                    time.sleep(delay)
+                self.next_round_delay = 0.0
+
+            isolated = not self.normal
+            if isolated:
+                batch = [self.quarantined.popleft()]
+            else:
+                batch = list(self.normal)
+                self.normal.clear()
+            if self.backend._recover(self._round(batch, isolated)):
+                self.rebuilds += 1
+                self.backend.pool_rebuilds += 1
+        return self.backend._collect(self.outcomes)
+
+    def _round(self, batch: List[_Chunk], isolated: bool) -> Optional[str]:
+        """Dispatch one batch and settle it; return how the pool was lost."""
+        requeue = self.quarantined.append if isolated else self.normal.append
+        submitted: Dict[Any, _Chunk] = {}
+        expiry: Dict[Any, float] = {}
+        lost: Optional[str] = None
+        for position, chunk in enumerate(batch):
+            budget = self._budget(chunk)
+            future = self.backend._submit(self.fn, chunk, position, budget)
+            if future is None:
+                for left in batch[position:]:
+                    requeue(left)
+                lost = "broken"
+                break
+            self._count_attempt(chunk, 1)
+            submitted[future] = chunk
+            if self.request_timeout is None and budget is not None:
+                expiry[future] = time.monotonic() + budget
+
+        pending = set(submitted)
+        while pending:
+            expiries = [expiry[future] for future in pending if future in expiry]
+            done, pending = wait(
+                pending,
+                timeout=(
+                    max(0.0, min(expiries) - time.monotonic()) if expiries else None
+                ),
+                return_when=FIRST_COMPLETED,
+            )
+            for future in done:
+                chunk = submitted[future]
+                kind, payload = self.backend._classify(future, chunk)
+                if kind == "outcomes":
+                    for outcome in payload:
+                        self._settle(outcome)
+                elif kind == "error":
+                    for index, _ in chunk:
+                        self._settle(_failed(index, payload))
+                elif kind == "rejected":
+                    # The request itself is invalid: retrying cannot help.
+                    for index, _ in chunk:
+                        self._record(_failed(index, payload))
+                elif kind == "timeout":
+                    self._expire(chunk, payload)
+                else:
+                    lost = "broken"
+                    self._crashed(chunk, payload, isolated)
+            if done:
+                continue
+            now = time.monotonic()
+            expired = {
+                future for future in pending if future in expiry and expiry[future] <= now
+            }
+            if not expired:
+                continue
+            # Nothing finished within the shortest budget: the expired
+            # chunks' workers are hung.  In-flight innocents are requeued (a
+            # chunk cancelled before it started gets its attempt back).
+            for future in expired:
+                self._expire(submitted[future], "its worker is hung")
+            for future in pending - expired:
+                if future.cancel():
+                    self._count_attempt(submitted[future], -1)
+                requeue(submitted[future])
+            return "hung"
+        return lost
+
+    def _budget(self, chunk: _Chunk) -> Optional[float]:
+        """Seconds one attempt of ``chunk`` may take, or ``None``."""
+        timeout = None if self.policy is None else self.policy.timeout
+        budget = self.request_timeout if timeout is None else float(timeout) * len(chunk)
+        if self.deadline_at is not None:
+            remaining = self.deadline_at - time.monotonic()
+            budget = remaining if budget is None else min(budget, remaining)
+        return budget
+
+    def _count_attempt(self, chunk: _Chunk, delta: int) -> None:
+        for index, _ in chunk:
+            self.attempts[index] += delta
+            self.backend.attempts += delta
+
+    def _record(self, outcome: JobOutcome) -> None:
+        """Settle one job's final outcome and stream it to the caller."""
+        attempts = self.attempts[outcome.index]
+        outcome.attempts = attempts
+        outcome.retried = attempts > 1
+        if outcome.timed_out:
+            self.backend.timeouts += 1
+        self.outcomes[outcome.index] = outcome
+        if self.on_result is not None:
+            self.on_result(outcome)
+
+    def _settle(self, outcome: JobOutcome) -> None:
+        """Resolve an outcome, then retry it if the policy allows, else record it."""
+        if outcome.ok and self.resolve is not None:
+            try:
+                outcome.value = self.resolve(outcome.value)
+            except Exception as exc:  # noqa: BLE001 - fails only its own job
+                outcome.value = None
+                outcome.error = f"{type(exc).__name__}: {exc}"
+                outcome.exception = exc
+                outcome.traceback = traceback_module.format_exc()
+        index, policy = outcome.index, self.policy
+        if (
+            outcome.ok
+            or policy is None
+            or (self.deadline_at is not None and time.monotonic() >= self.deadline_at)
+            or not policy.should_retry(outcome.exception, self.attempts[index])
+        ):
+            self._record(outcome)
+            return
+        self.next_round_delay = max(
+            self.next_round_delay, policy.backoff_seconds(self.attempts[index] + 1, index)
+        )
+        self.normal.append([(index, self.jobs[index])])
+
+    def _expire(self, chunk: _Chunk, detail: str) -> None:
+        """Settle every job of a chunk that ran out of budget as ``timed_out``."""
+        for index, _ in chunk:
+            self._settle(
+                _timeout_outcome(
+                    index,
+                    f"job {index} exceeded its attempt budget (attempt "
+                    f"{self.attempts[index]}): {detail}",
+                )
+            )
+
+    def _crashed(self, chunk: _Chunk, detail: str, isolated: bool) -> None:
+        """Quarantine, bisect or convict a chunk whose worker died."""
+        if not isolated:
+            # Any in-flight chunk may be the killer: each re-runs alone.
+            self.quarantined.append(chunk)
+        elif len(chunk) > 1:
+            # This chunk, dispatched alone, lost its worker again: bisect
+            # to pin the poison job down.
+            middle = len(chunk) // 2
+            self.quarantined.extend((chunk[:middle], chunk[middle:]))
+        else:
+            index = chunk[0][0]
+            self._record(
+                _failed(
+                    index,
+                    WorkerCrashError(
+                        f"job {index} killed its worker (attempt "
+                        f"{self.attempts[index]}): {detail}"
+                    ),
+                )
+            )
+
+    def _drain(self, outcome_for: Callable[[int], JobOutcome]) -> None:
+        """Record a synthetic final outcome for every still-queued job."""
+        while self.normal or self.quarantined:
+            chunk = (self.normal if self.normal else self.quarantined).popleft()
+            for index, _ in chunk:
+                self._record(outcome_for(index))
+
+
 class ProcessBackend(ExecutionBackend):
     """Executes jobs on a process pool.
 
@@ -620,272 +905,41 @@ class ProcessBackend(ExecutionBackend):
         *,
         on_result: OnResult = None,
         retry: Optional[RetryPolicy] = None,
-        _finalize: OnResult = None,
     ) -> List[JobOutcome]:
-        # ``_finalize`` is an internal hook (used by SharedMemoryBackend to
-        # resolve worker-published result segments): it runs on the calling
-        # thread, on every completed outcome, *before* the retry decision —
-        # so a lost segment is a retryable per-job failure, not a surprise
-        # after the fan-out settled.
-        jobs = list(jobs)
-        if not jobs:
-            return []
-        policy = self._effective_retry(retry)
-        timeout = None if policy is None else policy.timeout
-        deadline_at = (
-            time.monotonic() + policy.deadline
-            if policy is not None and policy.deadline is not None
-            else None
-        )
-        max_rebuilds = (
-            DEFAULT_MAX_POOL_REBUILDS
-            if policy is None
-            else int(policy.max_pool_rebuilds)
-        )
+        return _ChunkScheduler(self, fn, jobs, on_result, retry).run()
 
-        outcomes: List[Optional[JobOutcome]] = [None] * len(jobs)
-        attempts = [0] * len(jobs)
-        indexed = list(enumerate(jobs))
-        #: Chunks awaiting a normal (parallel) dispatch.
-        normal: Deque[List[Tuple[int, Any]]] = deque(
-            indexed[start : start + self.chunk_size]
-            for start in range(0, len(indexed), self.chunk_size)
-        )
-        #: Chunks implicated in a pool breakage: dispatched one at a time so
-        #: repeat breakage unambiguously convicts the dispatched chunk.
-        quarantined: Deque[List[Tuple[int, Any]]] = deque()
-        rebuilds = 0
-        next_round_delay = 0.0
+    # Transport hooks driven by _ChunkScheduler.
+    def _submit(
+        self, fn: Callable[[Any], Any], chunk: _Chunk, position: int, budget: Optional[float]
+    ) -> Any:
+        pool = self._executor()
+        nbytes = sum(pickled_nbytes(job) for _, job in chunk)
+        try:
+            future = pool.submit(_execute_chunk, fn, chunk)
+        except (RuntimeError, OSError):  # the pool broke between submits
+            return None
+        self.bytes_shipped += nbytes
+        return future
 
-        def record(outcome: JobOutcome) -> None:
-            """Settle one job's final outcome and stream it to the caller."""
-            outcome.attempts = attempts[outcome.index]
-            outcome.retried = attempts[outcome.index] > 1
-            if outcome.timed_out:
-                self.timeouts += 1
-            outcomes[outcome.index] = outcome
-            if on_result is not None:
-                on_result(outcome)
+    def _classify(self, future: Any, chunk: _Chunk) -> Tuple[str, Any]:
+        try:
+            return "outcomes", future.result()
+        except BrokenProcessPool as exc:
+            return "crash", str(exc)
+        except Exception as exc:  # noqa: BLE001 - unpicklable payload etc.
+            return "error", exc
 
-        def settle(outcome: JobOutcome) -> None:
-            """Retry a failed outcome when the policy allows, else record it."""
-            nonlocal next_round_delay
-            index = outcome.index
-            if _finalize is not None:
-                _finalize(outcome)  # may turn an ok outcome into a per-job error
-            if outcome.ok or policy is None:
-                record(outcome)
-                return
-            past_deadline = (
-                deadline_at is not None and time.monotonic() >= deadline_at
-            )
-            if past_deadline or not policy.should_retry(
-                outcome.exception, attempts[index]
-            ):
-                record(outcome)
-                return
-            next_round_delay = max(
-                next_round_delay, policy.backoff_seconds(attempts[index] + 1, index)
-            )
-            normal.append([(index, jobs[index])])
+    def _recover(self, lost: Optional[str]) -> bool:
+        if lost == "hung":
+            self._abandon_pool()
+        elif lost == "broken":
+            # A dead pool cannot be reused; drop it so the next round starts
+            # a fresh one (its workers are dead, so close() cannot block).
+            self.close()
+        return lost is not None
 
-        def drain(outcome_for: Callable[[int], JobOutcome]) -> None:
-            """Record a synthetic final outcome for every still-queued job."""
-            while normal or quarantined:
-                chunk = (normal if normal else quarantined).popleft()
-                for index, _ in chunk:
-                    record(outcome_for(index))
-
-        while normal or quarantined:
-            if deadline_at is not None and time.monotonic() >= deadline_at:
-                drain(
-                    lambda index: _timeout_outcome(
-                        index,
-                        f"fan-out deadline of {policy.deadline} s expired "
-                        f"before job {index} finished",
-                    )
-                )
-                break
-            if rebuilds > max_rebuilds:
-                def _exhausted(index: int) -> JobOutcome:
-                    exc = WorkerPoolExhausted(
-                        f"worker pool broke {rebuilds} times "
-                        f"(max_pool_rebuilds={max_rebuilds}); job {index} "
-                        "abandoned"
-                    )
-                    return JobOutcome(
-                        index=index,
-                        error=f"{type(exc).__name__}: {exc}",
-                        exception=exc,
-                    )
-
-                drain(_exhausted)
-                break
-            if next_round_delay > 0:
-                delay = next_round_delay
-                if deadline_at is not None:
-                    delay = min(delay, max(0.0, deadline_at - time.monotonic()))
-                if delay > 0:
-                    time.sleep(delay)
-                next_round_delay = 0.0
-
-            isolated = not normal
-            if isolated:
-                batch = [quarantined.popleft()]
-            else:
-                batch = list(normal)
-                normal.clear()
-            pool = self._executor()
-            submitted: Dict[Any, List[Tuple[int, Any]]] = {}
-            expiry: Dict[Any, Optional[float]] = {}
-            pool_broken = False
-            pool_hung = False
-            round_start = time.monotonic()
-            for position, chunk in enumerate(batch):
-                for index, _ in chunk:
-                    attempts[index] += 1
-                    self.attempts += 1
-                self.bytes_shipped += sum(
-                    pickled_nbytes(job) for _, job in chunk
-                )
-                try:
-                    future = pool.submit(_execute_chunk, fn, chunk)
-                except Exception:  # noqa: BLE001 - pool broke between submits
-                    pool_broken = True
-                    # Never dispatched: give the attempt (and its bytes,
-                    # approximately) back and requeue everything not yet
-                    # submitted for the next round.
-                    for index, _ in chunk:
-                        attempts[index] -= 1
-                        self.attempts -= 1
-                    self.bytes_shipped -= sum(
-                        pickled_nbytes(job) for _, job in chunk
-                    )
-                    for left in [chunk] + batch[position + 1 :]:
-                        (quarantined if isolated else normal).append(left)
-                    break
-                submitted[future] = chunk
-                chunk_expiry = (
-                    None
-                    if timeout is None
-                    else round_start + float(timeout) * len(chunk)
-                )
-                if deadline_at is not None:
-                    chunk_expiry = (
-                        deadline_at
-                        if chunk_expiry is None
-                        else min(chunk_expiry, deadline_at)
-                    )
-                expiry[future] = chunk_expiry
-
-            pending = set(submitted)
-            while pending:
-                now = time.monotonic()
-                expiries = [
-                    expiry[future]
-                    for future in pending
-                    if expiry[future] is not None
-                ]
-                if expiries:
-                    done, _ = wait(
-                        pending,
-                        timeout=max(0.0, min(expiries) - now),
-                        return_when=FIRST_COMPLETED,
-                    )
-                else:
-                    done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    pending.discard(future)
-                    chunk = submitted[future]
-                    try:
-                        chunk_outcomes = future.result()
-                    except BrokenProcessPool as exc:
-                        pool_broken = True
-                        if not isolated:
-                            # Any in-flight chunk may be the killer:
-                            # quarantine them all, each re-runs alone on the
-                            # rebuilt pool.
-                            quarantined.append(chunk)
-                        elif len(chunk) > 1:
-                            # This chunk, dispatched alone, broke the pool:
-                            # bisect to pin the poison job down.
-                            middle = len(chunk) // 2
-                            quarantined.append(chunk[:middle])
-                            quarantined.append(chunk[middle:])
-                        else:
-                            index = chunk[0][0]
-                            crash = WorkerCrashError(
-                                f"job {index} killed its worker process "
-                                f"(attempt {attempts[index]}): {exc}"
-                            )
-                            record(
-                                JobOutcome(
-                                    index=index,
-                                    error=f"{type(crash).__name__}: {crash}",
-                                    exception=crash,
-                                )
-                            )
-                        continue
-                    except Exception as exc:  # noqa: BLE001 - unpicklable payload etc.
-                        chunk_outcomes = [
-                            JobOutcome(
-                                index=index,
-                                error=f"{type(exc).__name__}: {exc}",
-                                exception=exc,
-                                traceback=traceback_module.format_exc(),
-                            )
-                            for index, _ in chunk
-                        ]
-                    for outcome in chunk_outcomes:
-                        settle(outcome)
-                if done:
-                    continue
-                # Nothing completed within the shortest attempt budget: the
-                # expired chunks' workers are hung.
-                now = time.monotonic()
-                expired = [
-                    future
-                    for future in pending
-                    if expiry[future] is not None and now >= expiry[future]
-                ]
-                if not expired:
-                    continue
-                pool_hung = True
-                for future in expired:
-                    pending.discard(future)
-                    for index, _ in submitted[future]:
-                        settle(
-                            _timeout_outcome(
-                                index,
-                                f"job {index} exceeded its attempt budget "
-                                f"(timeout={timeout}, attempt "
-                                f"{attempts[index]})",
-                            )
-                        )
-                break
-
-            if pool_hung:
-                # The expired chunks' workers are stuck; in-flight innocents
-                # are requeued (a cancelled-before-start chunk gets its
-                # attempt back) and the pool is terminated, not joined.
-                for future in pending:
-                    chunk = submitted[future]
-                    if future.cancel():
-                        for index, _ in chunk:
-                            attempts[index] -= 1
-                            self.attempts -= 1
-                    (quarantined if isolated else normal).append(chunk)
-                self._abandon_pool()
-                rebuilds += 1
-                self.pool_rebuilds += 1
-            elif pool_broken:
-                # A dead pool cannot be reused; drop it so the next round
-                # starts a fresh one (its workers are dead, so the shutdown
-                # in close() cannot block).
-                self.close()
-                rebuilds += 1
-                self.pool_rebuilds += 1
-        return self._collect(outcomes)
+    def _exhausted(self, rebuilds: int) -> str:
+        return f"worker pool broke {rebuilds} times"
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ProcessBackend(n_workers={self.n_workers}, chunk_size={self.chunk_size})"

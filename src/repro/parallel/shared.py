@@ -39,8 +39,8 @@ When shared memory is unavailable (exotic platforms, exhausted
 
 from __future__ import annotations
 
+import copy
 import dataclasses
-import traceback as traceback_module
 from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -52,7 +52,7 @@ except ImportError:  # pragma: no cover
     _shared_memory = None
 
 from repro.exceptions import ParallelExecutionError, ValidationError
-from repro.parallel.backends import JobOutcome, OnResult, ProcessBackend
+from repro.parallel.backends import JobOutcome, OnResult, ProcessBackend, _ChunkScheduler
 from repro.parallel.retry import RetryPolicy
 
 #: Arrays smaller than this travel as plain pickles: a shared-memory
@@ -228,7 +228,7 @@ class SharedArrayPlan:
 
 
 #: Containers are walked to this fixed depth (payload containers, not
-#: arbitrary object graphs) by every array-swapping traversal below.
+#: arbitrary object graphs) by the shared-memory traversals below.
 _PAYLOAD_DEPTH = 3
 
 
@@ -238,10 +238,17 @@ def _swap_leaves(value: Any, swap: Callable[[Any], Any], _depth: int) -> Any:
     Walks dataclass fields, dict values and tuple/list elements up to a
     small fixed depth and rebuilds each container only when something
     actually changed, so payloads without matching leaves pass through
-    untouched (by identity).  Shared by job substitution
-    (ndarray -> :class:`_SharedArrayRef`) and the two result directions
-    (ndarray -> :class:`_SharedResultRef` worker-side, ref -> ndarray
-    coordinator-side).
+    untouched (by identity).  This is the one payload walk of the execution
+    layer: job substitution (ndarray -> :class:`_SharedArrayRef`), both
+    result directions (ndarray -> :class:`_SharedResultRef` worker-side,
+    ref -> ndarray coordinator-side) and the distributed data plane
+    (:class:`repro.distributed.stagecache.StageDataPlane`, one level
+    deeper) all run through it.
+
+    A changed dataclass is rebuilt by shallow copy + ``object.__setattr__``
+    (works on frozen instances and, unlike ``dataclasses.replace``, never
+    re-runs a validating ``__post_init__`` — ``TimeSeriesDataset`` checks
+    its ``data`` array — against a swapped-in transport ref).
     """
     if not isinstance(value, (dict, tuple, list)) and not (
         dataclasses.is_dataclass(value) and not isinstance(value, type)
@@ -256,7 +263,12 @@ def _swap_leaves(value: Any, swap: Callable[[Any], Any], _depth: int) -> Any:
             replaced = _swap_leaves(item, swap, _depth - 1)
             if replaced is not item:
                 changes[field.name] = replaced
-        return dataclasses.replace(value, **changes) if changes else value
+        if not changes:
+            return value
+        clone = copy.copy(value)
+        for name, replaced in changes.items():
+            object.__setattr__(clone, name, replaced)
+        return clone
     if isinstance(value, dict):
         replaced_items = {
             key: _swap_leaves(item, swap, _depth - 1) for key, item in value.items()
@@ -505,23 +517,6 @@ class SharedMemoryBackend(ProcessBackend):
         self.result_segments = 0
         self.result_bytes = 0
 
-    def _resolve_outcome(self, outcome: JobOutcome, plan: SharedResultPlan) -> None:
-        """Swap any published refs in ``outcome.value`` for copied arrays.
-
-        A resolution failure (the segment vanished, attach denied) becomes
-        a per-job error on the outcome — same isolation contract as a
-        raising job.
-        """
-        if not outcome.ok or outcome.value is None:
-            return
-        try:
-            outcome.value = plan.resolve(outcome.value)
-        except Exception as exc:  # noqa: BLE001 - per-job isolation
-            outcome.value = None
-            outcome.error = f"{type(exc).__name__}: {exc}"
-            outcome.exception = exc
-            outcome.traceback = traceback_module.format_exc()
-
     def map_jobs(
         self,
         fn: Callable[[Any], Any],
@@ -531,57 +526,37 @@ class SharedMemoryBackend(ProcessBackend):
         retry: Optional[RetryPolicy] = None,
     ) -> List[JobOutcome]:
         jobs = list(jobs)
-        if not jobs:
-            return []
-        plan = SharedArrayPlan()
         publishing = self.share_results and _shared_memory is not None
-        submit_fn = _PublishingRunner(fn, self.min_result_bytes) if publishing else fn
         result_plan = SharedResultPlan()
-        resolved_ids = set()
-
-        def resolve_refs(outcome: JobOutcome) -> None:
-            # Runs inside ProcessBackend's settle step, *before* its retry
-            # decision and before on_result observes the outcome (still on
-            # the calling thread, per the map_jobs contract) — so a vanished
-            # result segment is a retryable per-job failure, and refs never
-            # leak to the caller.
-            self._resolve_outcome(outcome, result_plan)
-            resolved_ids.add(id(outcome))
-
-        try:
-            try:
-                submitted = [
-                    substitute_shared_arrays(job, plan, self.min_share_bytes)
-                    for job in jobs
-                ]
-            except Exception:
-                # Shared memory unavailable or exhausted: degrade to plain
-                # pickling rather than failing the fan-out.
-                plan.close()
-                plan = SharedArrayPlan()
-                submitted = jobs
-            outcomes = super().map_jobs(
-                submit_fn,
-                submitted,
-                on_result=on_result,
-                retry=retry,
-                _finalize=resolve_refs if publishing else None,
-            )
-            if publishing:
-                # Belt and braces: every settled outcome already passed
-                # through the finalize hook; anything that somehow did not
-                # is resolved here so a ref can never escape.
-                for outcome in outcomes:
-                    if id(outcome) not in resolved_ids:
-                        self._resolve_outcome(outcome, result_plan)
-                self.result_segments += result_plan.segments_resolved
-                self.result_bytes += result_plan.bytes_resolved
-            return outcomes
-        finally:
-            # Results are all in (or the pool broke): the segments have done
-            # their job either way.  Workers that are still attached keep
-            # their mappings; unlinking only removes the name.
-            plan.close()
+        # Once the results are all in (or the pool broke) the segments have
+        # done their job.  Workers that are still attached keep their
+        # mappings; unlinking only removes the name.
+        with SharedArrayPlan() as plan:
+            if _shared_memory is not None:
+                try:
+                    jobs = [
+                        substitute_shared_arrays(job, plan, self.min_share_bytes)
+                        for job in jobs
+                    ]
+                except OSError:
+                    # /dev/shm is exhausted or refused a segment: degrade to
+                    # plain pickling rather than failing the fan-out.
+                    plan.close()
+            # The scheduler resolves published result refs before its retry
+            # decision and before on_result sees the outcome, so a vanished
+            # result segment is a retryable per-job failure and no ref ever
+            # reaches the caller.
+            outcomes = _ChunkScheduler(
+                self,
+                _PublishingRunner(fn, self.min_result_bytes) if publishing else fn,
+                jobs,
+                on_result,
+                retry,
+                resolve=result_plan.resolve if publishing else None,
+            ).run()
+        self.result_segments += result_plan.segments_resolved
+        self.result_bytes += result_plan.bytes_resolved
+        return outcomes
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

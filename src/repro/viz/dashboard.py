@@ -107,6 +107,7 @@ def build_dashboard(
             lambda_threshold=lambda_threshold,
             gamma_threshold=gamma_threshold,
             selected_node=selected_node,
+            random_state=session.random_state,
         )
     )
     frames.append(build_interpretability_frame(session.quizzes, session.quiz_scores))

@@ -1,5 +1,6 @@
 """Tests for the session, dashboard assembly, HTTP server routing and CLI."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -77,6 +78,15 @@ class TestDashboard:
             assert f'id="{frame_id}"' in page
         assert output.exists()
         assert output.read_text(encoding="utf-8") == page
+
+    def test_seeded_session_renders_byte_identical_pages(self, session):
+        # The graph frame's force layout is seeded from the session.  Pages
+        # are compared by digest: pytest's diff of two pages takes minutes.
+        digests = {
+            hashlib.sha256(build_dashboard(session).encode("utf-8")).hexdigest()
+            for _ in range(2)
+        }
+        assert len(digests) == 1
 
     def test_benchmark_frame_included_when_results_given(self, session):
         from tests.test_viz_frames import _fake_results

@@ -8,6 +8,7 @@ SIGKILL path lives in ``tests/test_distributed_chaos.py``).
 
 import json
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -25,10 +26,11 @@ from repro.distributed import (
     serve_worker,
     worker_function_name,
 )
-from repro.distributed.functions import checked_sqrt, scale_array, square
+from repro.distributed.functions import checked_sqrt, scale_array, sleep_echo, square
 from repro.exceptions import ValidationError
 from repro.parallel import (
     FallbackBackend,
+    JobTimeoutError,
     RetryPolicy,
     SerialBackend,
     WorkerPoolExhausted,
@@ -307,6 +309,43 @@ class TestDistributedBackend:
             assert backend.map_jobs(square, []) == []
         finally:
             backend.close()
+
+    def test_attempt_timeout_marks_only_the_hung_worker_dead(self, worker_pool):
+        # Round-robin puts the hung job alone on the second worker.
+        jobs = [(0.0, "a"), (3.0, "hung"), (0.0, "c")]
+        backend = DistributedBackend(worker_pool["urls"])
+        try:
+            outcomes = backend.map_jobs(
+                sleep_echo, jobs, retry=RetryPolicy(max_attempts=1, timeout=0.5)
+            )
+            assert outcomes[0].value == "a" and outcomes[2].value == "c"
+            hung = outcomes[1]
+            assert hung.timed_out
+            assert isinstance(hung.exception, JobTimeoutError)
+            assert [worker.alive for worker in backend.workers] == [True, False]
+            assert backend.timeouts == 1
+        finally:
+            backend.close()
+
+    def test_deadline_drains_queued_jobs(self, worker_pool):
+        # Job 0 fails fast and queues a retry; job 1 holds the round open
+        # until the deadline, so the retry is drained instead of dispatched.
+        jobs = [("not-a-number", "bad"), (3.0, "slow")]
+        backend = DistributedBackend(worker_pool["urls"])
+        start = time.monotonic()
+        try:
+            outcomes = backend.map_jobs(
+                sleep_echo, jobs, retry=RetryPolicy(max_attempts=3, deadline=0.5)
+            )
+        finally:
+            backend.close()
+        assert time.monotonic() - start < 2.0
+        drained = outcomes[0]
+        assert drained.timed_out
+        assert isinstance(drained.exception, JobTimeoutError)
+        assert "fan-out deadline" in drained.error
+        assert drained.attempts == 1
+        assert outcomes[1].timed_out
 
     def test_unreachable_pool_exhausts_and_fallback_demotes(self):
         policy = RetryPolicy(max_attempts=2, max_pool_rebuilds=1)

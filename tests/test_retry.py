@@ -195,7 +195,7 @@ class TestTimeouts:
         assert isinstance(hung.exception, JobTimeoutError)
         assert backend.timeouts >= 1
 
-    @pytest.mark.parametrize("name", ["serial", "thread"])
+    @pytest.mark.parametrize("name", ["serial", "thread", "process"])
     def test_deadline_drains_remaining_jobs(self, name):
         policy = RetryPolicy(max_attempts=1, deadline=0.3)
         jobs = [(index, 0.25) for index in range(8)]

@@ -12,8 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from repro.benchmark.runner import _GridJob
 from repro.core.kgraph import KGraph
 from repro.datasets import generate_dataset
+from repro.datasets.synthetic import make_cylinder_bell_funnel
 from repro.exceptions import ValidationError
 from repro.parallel import (
     ProcessBackend,
@@ -42,6 +44,20 @@ def _job_sum(job: _ArrayJob) -> float:
 def _mutate_job(job: _ArrayJob) -> float:
     job.array[0, 0] = -1.0
     return 0.0
+
+
+def _grid_job(dataset, n_clusters: int = 3) -> _GridJob:
+    return _GridJob(
+        estimator="kgraph",
+        dataset=dataset,
+        base_fields={},
+        combo={"n_clusters": n_clusters},
+        random_state=0,
+    )
+
+
+def _grid_data_sum(job: _GridJob) -> float:
+    return float(job.dataset.data.sum())
 
 
 class TestSharedArrayPlan:
@@ -89,6 +105,26 @@ class TestSubstitution:
             assert isinstance(replaced.array, _SharedArrayRef)
             assert replaced.offset == 2.0
             assert isinstance(job.array, np.ndarray)  # original untouched
+
+    def test_grid_job_dataset_is_shared(self):
+        # A validating dataclass (TimeSeriesDataset checks ``data``) must be
+        # rebuilt without re-running __post_init__ on the transport ref.
+        job = _grid_job(make_cylinder_bell_funnel(200, 256, random_state=0))
+        with SharedArrayPlan() as plan:
+            replaced = substitute_shared_arrays(job, plan)
+            assert isinstance(replaced.dataset.data, _SharedArrayRef)
+            assert replaced.combo == job.combo
+            assert isinstance(job.dataset.data, np.ndarray)  # original untouched
+
+    def test_grid_jobs_ship_the_dataset_once(self):
+        dataset = make_cylinder_bell_funnel(200, 256, random_state=0)
+        jobs = [_grid_job(dataset, n_clusters) for n_clusters in (2, 3, 4, 5)]
+        with SharedMemoryBackend(2) as backend:
+            outcomes = backend.map_jobs(_grid_data_sum, jobs)
+        assert [outcome.value for outcome in outcomes] == [
+            float(dataset.data.sum())
+        ] * len(jobs)
+        assert backend.bytes_shipped < dataset.data.nbytes
 
     def test_small_arrays_pass_through(self):
         job = _ArrayJob(array=np.zeros((2, 2)), offset=0.0)
