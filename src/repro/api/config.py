@@ -471,7 +471,7 @@ class KGraphConfig(EstimatorConfig):
 
         This is the single source the k-Graph stages derive their
         ``config_keys`` from — a field tagged with a stage automatically
-        participates in that stage's content-addressed cache key.
+        participates in that stage's cache key.
         """
         return tuple(
             f.name

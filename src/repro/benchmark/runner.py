@@ -626,39 +626,44 @@ class BenchmarkRunner:
                 cache = MemoryStageCache(max_entries=64)
 
         results: List[BenchmarkResult] = []
-        for combo in combos:
-            label = _combo_label(spec.name, combo)
-            result = BenchmarkResult(
-                method=label,
-                family=spec.family,
-                dataset=dataset.name,
-                dataset_type=dataset.dataset_type,
-                n_series=dataset.n_series,
-                length=dataset.length,
-                n_classes=dataset.n_classes,
-            )
-            start = time.perf_counter()
-            try:
-                estimator = spec.build(
-                    spec.make_config(**_combo_params(combo)),
-                    backend=self.backend,
-                    n_jobs=self.n_jobs,
-                    stage_cache=cache,
+        # One resolved backend serves every combination, so a named pool is
+        # built once per sweep and the runner's retry/fallback reach every
+        # fit, as in run() and the sharded path.
+        with backend_scope(
+            self.backend, self.n_jobs, retry=self.retry, fallback=self.fallback
+        ) as backend:
+            for combo in combos:
+                label = _combo_label(spec.name, combo)
+                result = BenchmarkResult(
+                    method=label,
+                    family=spec.family,
+                    dataset=dataset.name,
+                    dataset_type=dataset.dataset_type,
+                    n_series=dataset.n_series,
+                    length=dataset.length,
+                    n_classes=dataset.n_classes,
                 )
-                labels = estimator.fit_predict(dataset.data)
-                result.runtime_seconds = time.perf_counter() - start
-                if dataset.labels is not None:
-                    result.measures = clustering_report(dataset.labels, labels)
-                report = getattr(estimator, "pipeline_report_", None)
-                if report is not None:
-                    result.measures["stages_cached"] = float(len(report.cached))
-                    result.measures["stages_executed"] = float(len(report.executed))
-            except Exception as exc:  # noqa: BLE001 - one bad combo must not stop the sweep
-                result.runtime_seconds = time.perf_counter() - start
-                result.error = f"{type(exc).__name__}: {exc}"
-            if progress is not None:
-                progress(label, dataset.name, result)
-            results.append(result)
+                start = time.perf_counter()
+                try:
+                    estimator = spec.build(
+                        spec.make_config(**_combo_params(combo)),
+                        backend=backend,
+                        stage_cache=cache,
+                    )
+                    labels = estimator.fit_predict(dataset.data)
+                    result.runtime_seconds = time.perf_counter() - start
+                    if dataset.labels is not None:
+                        result.measures = clustering_report(dataset.labels, labels)
+                    report = getattr(estimator, "pipeline_report_", None)
+                    if report is not None:
+                        result.measures["stages_cached"] = float(len(report.cached))
+                        result.measures["stages_executed"] = float(len(report.executed))
+                except Exception as exc:  # noqa: BLE001 - one bad combo must not stop the sweep
+                    result.runtime_seconds = time.perf_counter() - start
+                    result.error = f"{type(exc).__name__}: {exc}"
+                if progress is not None:
+                    progress(label, dataset.name, result)
+                results.append(result)
         return results
 
     def _run_grid_sharded(

@@ -464,7 +464,7 @@ class KGraph:
         to reuse upstream stages over a parameter grid) or a directory path
         (selects a :class:`~repro.pipeline.DiskStageCache` for
         cross-session resume).  With a cache, a re-fit with one changed
-        parameter replays every stage whose content-addressed key is
+        parameter replays every stage whose cache key is
         unchanged and re-executes only the affected stages — results are
         identical either way.  ``fit`` records what happened on
         ``pipeline_report_``.

@@ -210,12 +210,15 @@ class GraphEmbedding:
     ) -> None:
         """Bulk NumPy graph assembly (bit-identical to the reference loop)."""
         n_nodes = node_positions.shape[0]
-        # Node patterns: grouped mean via a single scatter-add.  np.add.at
-        # accumulates rows in subsequence order, matching the sequential
+        # Node patterns: grouped mean via one weighted bincount per column.
+        # bincount accumulates in subsequence order, matching the sequential
         # row-reduction of members.mean(axis=0) bit for bit.
         counts = np.bincount(assignments, minlength=n_nodes)
-        sums = np.zeros((n_nodes, subsequences.shape[1]))
-        np.add.at(sums, assignments, subsequences)
+        sums = np.empty((n_nodes, subsequences.shape[1]))
+        for column in range(subsequences.shape[1]):
+            sums[:, column] = np.bincount(
+                assignments, weights=subsequences[:, column], minlength=n_nodes
+            )
         patterns = sums / counts[:, None]
         for new_id in range(n_nodes):
             graph.add_node(new_id, node_positions[new_id], patterns[new_id])

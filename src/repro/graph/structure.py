@@ -362,82 +362,6 @@ class TimeSeriesGraph:
             "mean_node_weight": float(np.mean(weights)) if weights else 0.0,
         }
 
-    def __fingerprint_parts__(self) -> tuple:
-        """Compact content representation for :mod:`repro.pipeline` hashing.
-
-        Equal graphs (same nodes, patterns, edges, series multisets and
-        trajectories) produce equal parts regardless of construction or
-        dict insertion order: every mapping is flattened into a sorted
-        integer/float array, so the stage-cache fingerprint is one pass
-        over contiguous bytes instead of a Python-level recursion over
-        thousands of dict entries.
-        """
-        node_ids = sorted(self._nodes)
-        nodes = np.array(
-            [
-                (
-                    node,
-                    self._nodes[node].position[0],
-                    self._nodes[node].position[1],
-                    self._nodes[node].n_subsequences,
-                )
-                for node in node_ids
-            ],
-            dtype=float,
-        ).reshape(-1, 4)
-        patterns = (
-            np.vstack([np.asarray(self._nodes[node].pattern, dtype=float) for node in node_ids])
-            if node_ids
-            else np.empty((0, self.length))
-        )
-        edges = np.array(
-            sorted((source, target, weight) for (source, target), weight in self._edges.items()),
-            dtype=np.int64,
-        ).reshape(-1, 3)
-        node_series = np.array(
-            sorted(
-                (node, series, count)
-                for node, counts in self._node_series.items()
-                for series, count in counts.items()
-            ),
-            dtype=np.int64,
-        ).reshape(-1, 3)
-        edge_series = np.array(
-            sorted(
-                (source, target, series, count)
-                for (source, target), counts in self._edge_series.items()
-                for series, count in counts.items()
-            ),
-            dtype=np.int64,
-        ).reshape(-1, 4)
-        trajectory_series = sorted(self._trajectories)
-        trajectory_lengths = np.array(
-            [len(self._trajectories[series]) for series in trajectory_series],
-            dtype=np.int64,
-        )
-        trajectory_nodes = (
-            np.concatenate(
-                [
-                    np.asarray(self._trajectories[series], dtype=np.int64)
-                    for series in trajectory_series
-                ]
-            )
-            if trajectory_series
-            else np.empty(0, dtype=np.int64)
-        )
-        return (
-            int(self.length),
-            int(self.n_series),
-            nodes,
-            patterns,
-            edges,
-            node_series,
-            edge_series,
-            np.asarray(trajectory_series, dtype=np.int64),
-            trajectory_lengths,
-            trajectory_nodes,
-        )
-
     # ------------------------------------------------------------------ #
     # lossless serialisation (model artifacts, see repro.serve.artifacts)
     # ------------------------------------------------------------------ #

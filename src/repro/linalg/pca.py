@@ -1,4 +1,4 @@
-"""Principal Component Analysis via singular value decomposition.
+"""Principal Component Analysis via the eigendecomposition of the Gram matrix.
 
 Used by the k-Graph embedding to project all subsequences of a given length
 into a low-dimensional space (two or three components) while keeping the
@@ -6,6 +6,12 @@ dominant shape information, exactly as described in Section II-A of the
 paper ("For each graph, PCA is applied, allowing us to project the
 subsequences into a two-dimensional space while retaining their essential
 shapes").
+
+The principal axes are the eigenvectors of the ℓ×ℓ Gram matrix of the
+centred data.  An economy SVD would give the same axes but also builds the
+n×ℓ left singular vectors, which nothing reads; with every subsequence of a
+paper-scale dataset as a row, that matrix is most of the fit's time and
+memory.
 """
 
 from __future__ import annotations
@@ -55,6 +61,11 @@ class PCA:
     # ------------------------------------------------------------------ #
     def fit(self, data) -> "PCA":
         """Estimate the principal axes of ``data`` (shape n_samples x n_features)."""
+        self._fit(data)
+        return self
+
+    def _fit(self, data) -> np.ndarray:
+        """Fit the axes and return the (unwhitened) projection of ``data``."""
         array = check_array(data, name="data", ndim=2, min_rows=2)
         n_samples, n_features = array.shape
         if self.n_components > min(n_samples, n_features):
@@ -64,21 +75,33 @@ class PCA:
             )
         self.mean_ = array.mean(axis=0)
         centered = array - self.mean_
-        # Economy SVD: centered = U S Vt, principal axes are rows of Vt.
-        _, singular_values, vt = np.linalg.svd(centered, full_matrices=False)
-        explained_variance = (singular_values**2) / (n_samples - 1)
-        total_variance = float(explained_variance.sum())
+        gram = centered.T @ centered
+        # eigh sorts eigenvalues ascending: the principal axes are its last
+        # eigenvectors, taken in reverse.
+        _, eigenvectors = np.linalg.eigh(gram)
+        components = np.ascontiguousarray(eigenvectors[:, ::-1][:, : self.n_components].T)
+        # An eigenvector's sign is arbitrary; make each axis's
+        # largest-magnitude entry positive (scikit-learn's svd_flip rule) so
+        # every fit of the same data projects the same way.
+        pivots = np.argmax(np.abs(components), axis=1)
+        components *= np.sign(components[np.arange(self.n_components), pivots])[:, None]
+        projected = centered @ components.T
+        # Singular values are the projections' norms, not square roots of
+        # Gram eigenvalues: squaring loses the small end of the spectrum to
+        # rounding, the norms keep it.
+        singular_values = np.linalg.norm(projected, axis=0)
+        total_variance = float(np.trace(gram)) / (n_samples - 1)
 
-        self.components_ = vt[: self.n_components]
-        self.singular_values_ = singular_values[: self.n_components]
-        self.explained_variance_ = explained_variance[: self.n_components]
+        self.components_ = components
+        self.singular_values_ = singular_values
+        self.explained_variance_ = (singular_values**2) / (n_samples - 1)
         if total_variance > 0:
             self.explained_variance_ratio_ = self.explained_variance_ / total_variance
         else:
             self.explained_variance_ratio_ = np.zeros(self.n_components)
         self.n_samples_ = n_samples
         self.n_features_ = n_features
-        return self
+        return projected
 
     def _check_fitted(self) -> None:
         if self.components_ is None:
@@ -92,7 +115,9 @@ class PCA:
             raise ValidationError(
                 f"data has {array.shape[1]} features, PCA was fitted with {self.n_features_}"
             )
-        projected = (array - self.mean_) @ self.components_.T
+        return self._whiten((array - self.mean_) @ self.components_.T)
+
+    def _whiten(self, projected: np.ndarray) -> np.ndarray:
         if self.whiten:
             scale = np.sqrt(self.explained_variance_)
             scale = np.where(scale < 1e-12, 1.0, scale)
@@ -100,8 +125,12 @@ class PCA:
         return projected
 
     def fit_transform(self, data) -> np.ndarray:
-        """Fit the model on ``data`` and return its projection."""
-        return self.fit(data).transform(data)
+        """Fit the model on ``data`` and return its projection.
+
+        Projects the centred matrix the fit already built, so ``data`` is
+        centred once; the result equals ``fit(data).transform(data)``.
+        """
+        return self._whiten(self._fit(data))
 
     def inverse_transform(self, projected) -> np.ndarray:
         """Map projected coordinates back to the original feature space."""

@@ -72,7 +72,6 @@ from repro.parallel.backends import (
     SerialBackend,
     ThreadBackend,
     backend_scope,
-    pickled_nbytes,
     resolve_backend,
 )
 from repro.parallel.chaos import (
@@ -118,7 +117,6 @@ __all__ = [
     "WorkerCrashError",
     "WorkerPoolExhausted",
     "backend_scope",
-    "pickled_nbytes",
     "publish_result_arrays",
     "resolve_backend",
     "substitute_shared_arrays",

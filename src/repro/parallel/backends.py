@@ -48,6 +48,7 @@ from collections import deque
 from contextlib import contextmanager
 from concurrent.futures import (
     FIRST_COMPLETED,
+    Future,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
     as_completed,
@@ -161,24 +162,6 @@ class JobOutcome:
         return wire.decode_outcome(payload)
 
 
-def pickled_nbytes(obj: Any) -> int:
-    """Bytes ``obj`` occupies on the wire when shipped to a process pool.
-
-    Measured with protocol 5 and an out-of-band ``buffer_callback``, so the
-    raw pages of large NumPy arrays are *counted* (``memoryview.nbytes``)
-    but never copied — the accounting costs metadata pickling only, which
-    is why the process backends can afford it on every dispatch.  Objects
-    that cannot be pickled measure as 0: the submission itself will surface
-    the real error, the accounting must not.
-    """
-    buffers: List[pickle.PickleBuffer] = []
-    try:
-        data = pickle.dumps(obj, protocol=5, buffer_callback=buffers.append)
-    except Exception:  # noqa: BLE001 - unpicklable payloads fail at submit time
-        return 0
-    return len(data) + sum(buffer.raw().nbytes for buffer in buffers)
-
-
 def _failed(index: int, exc: BaseException, **fields: Any) -> JobOutcome:
     """A failure outcome for job ``index`` that carries ``exc``."""
     return JobOutcome(
@@ -212,6 +195,12 @@ _Chunk = List[Tuple[int, Any]]
 def _execute_chunk(fn: Callable[[Any], Any], chunk: _Chunk) -> List[JobOutcome]:
     """Run a chunk of (index, job) pairs serially inside one worker."""
     return [_execute_one(fn, index, job) for index, job in chunk]
+
+
+def _execute_pickled_chunk(blob: bytes) -> List[JobOutcome]:
+    """Worker-side trampoline: unpickle ``(fn, chunk)`` and run the chunk."""
+    fn, chunk = pickle.loads(blob)
+    return _execute_chunk(fn, chunk)
 
 
 def _timeout_outcome(index: int, message: str) -> JobOutcome:
@@ -828,8 +817,8 @@ class ProcessBackend(ExecutionBackend):
             raise ValidationError(f"chunk_size must be >= 1, got {chunk_size}")
         self.n_workers = None if n_workers is None else int(n_workers)
         self.chunk_size = int(chunk_size)
-        #: Cumulative pickled payload bytes submitted across every
-        #: ``map_jobs`` call (jobs only, not results) — callers snapshot it
+        #: Cumulative pickled ``(function, chunk)`` bytes submitted across
+        #: every ``map_jobs`` call (not results) — callers snapshot it
         #: around a dispatch to attribute transfer volume per fan-out.
         #: Counted per *submitted chunk*, so a pool that breaks mid-fan-out
         #: never accounts for bytes that were never shipped.
@@ -913,12 +902,19 @@ class ProcessBackend(ExecutionBackend):
         self, fn: Callable[[Any], Any], chunk: _Chunk, position: int, budget: Optional[float]
     ) -> Any:
         pool = self._executor()
-        nbytes = sum(pickled_nbytes(job) for _, job in chunk)
+        # Pickle the chunk once, here: the blob's length is the shipped
+        # volume, and the executor only has to copy the bytes.
         try:
-            future = pool.submit(_execute_chunk, fn, chunk)
+            blob = pickle.dumps((fn, chunk), protocol=pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:  # noqa: BLE001 - settles as an "error" outcome
+            failed: Future = Future()
+            failed.set_exception(exc)
+            return failed
+        try:
+            future = pool.submit(_execute_pickled_chunk, blob)
         except (RuntimeError, OSError):  # the pool broke between submits
             return None
-        self.bytes_shipped += nbytes
+        self.bytes_shipped += len(blob)
         return future
 
     def _classify(self, future: Any, chunk: _Chunk) -> Tuple[str, Any]:

@@ -7,13 +7,14 @@ orchestratable system:
   ``inputs`` / ``outputs`` / ``config_keys`` (:mod:`repro.pipeline.stage`);
 * :class:`Pipeline` — executes a validated DAG of stages in topological
   order, timing each under ``stage:<name>`` and checkpointing outputs
-  through a content-addressed :class:`StageCache`
+  through a :class:`StageCache` under chained keys — seed inputs hashed
+  by content, stage outputs named by their producer's key
   (:mod:`repro.pipeline.runner`, :mod:`repro.pipeline.cache`);
 * :mod:`repro.pipeline.kgraph_stages` — the paper's five k-Graph steps as
   concrete stages plus :func:`build_kgraph_pipeline`.
 
 A re-run with one changed parameter re-executes only the stages whose
-content-addressed key changed (and everything downstream); per-stage
+key changed (and everything downstream); per-stage
 execution backends are selectable via ``stage_backends=`` /
 ``--stage-backend`` (see :func:`stage_backend_scope`).
 """

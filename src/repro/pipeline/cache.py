@@ -2,10 +2,13 @@
 
 A :class:`~repro.pipeline.Pipeline` asks its cache for each stage's key
 before running it; a hit replays the checkpointed outputs and the stage is
-skipped entirely.  Keys are content-addressed (stage name + version +
-config subset + input fingerprints — see :mod:`repro.pipeline.fingerprint`),
-so a re-run with one changed parameter re-executes only the stages whose
-key actually changed, and everything downstream of them.
+skipped entirely.  Keys are chained (stage name + version + config subset +
+inputs, see :meth:`repro.pipeline.Pipeline.stage_key`): seed inputs enter
+by content fingerprint (:mod:`repro.pipeline.fingerprint`) and a produced
+input enters as its producer's key.  So a re-run with one changed parameter
+re-executes only the stages whose key actually changed, and everything
+downstream of them.  Keys from versions before chaining differ, so an
+existing cache directory misses once and is then rewritten.
 
 Two implementations:
 

@@ -1,7 +1,9 @@
-"""Content fingerprints for pipeline values.
+"""Content fingerprints for pipeline seed values and configuration.
 
-A stage's cache key is derived from the fingerprints of its inputs, so
-fingerprints must be
+Stage cache keys are chained (see :meth:`repro.pipeline.Pipeline.stage_key`):
+a value an earlier stage produced enters its consumer's key as the
+producer's key, so only the seed inputs and config entries are hashed here.
+Fingerprints must therefore be
 
 * **content-addressed** — two equal values hash equally no matter how they
   were produced (an ndarray loaded from disk fingerprints like the freshly
@@ -11,16 +13,10 @@ fingerprints must be
   randomisation, or set iteration order.
 
 NumPy arrays hash their dtype, shape, and raw bytes; generators hash their
-bit-generator state; dataclasses, dicts, and sequences recurse.  An object
-can opt out of the generic recursion by defining
-``__fingerprint_parts__()`` returning a compact, deterministic
-representation (``TimeSeriesGraph`` packs its node/edge/trajectory dicts
-into a handful of sorted arrays this way — one pass over contiguous bytes
-instead of a Python-level walk over thousands of dict entries).  Anything
+bit-generator state; dataclasses, dicts, and sequences recurse.  Anything
 else falls back to its pickle bytes — deterministic for the plain
-array/dict/list compositions this library passes between stages (none of
-them contain sets), and cheap enough that hashing is never the bottleneck
-of the stage it guards.
+array/dict/list compositions passed in as seeds and config (none of them
+contain sets).
 """
 
 from __future__ import annotations
@@ -81,9 +77,6 @@ def _feed(digest: "hashlib._Hash", value: object) -> None:
         digest.update(b"bytes;")
         digest.update(value)
         digest.update(b";")
-    elif hasattr(type(value), "__fingerprint_parts__") and not isinstance(value, type):
-        digest.update(f"parts:{type(value).__qualname__};".encode())
-        _feed(digest, value.__fingerprint_parts__())
     elif is_dataclass(value) and not isinstance(value, type):
         digest.update(f"dataclass:{type(value).__qualname__};".encode())
         for field in fields(value):

@@ -187,8 +187,8 @@ class _FusedLengthFit:
 
     ``post_embed_rng`` is the generator snapshotted *between* the two
     stages — it is what the unfused ``embed`` stage would have emitted as
-    this length's ``cluster_rngs`` entry, so the ``graph_cluster`` cache
-    key (which fingerprints those generators) is identical either way.
+    this length's ``cluster_rngs`` entry, so the checkpointed ``embed``
+    outputs (and every replay of them) are identical either way.
     """
 
     length: int
@@ -267,6 +267,9 @@ class EmbedStage(Stage):
     name = "embed"
     inputs = ("array", "lengths", "per_length_rngs")
     outputs = ("graphs", "cluster_rngs")
+    #: v2: PCA axes carry a fixed sign, so node positions and ids differ
+    #: from v1 graphs.
+    version = 2
     # Derived from the fields KGraphConfig tags with this stage, so the
     # cache-key inputs and the typed config can never drift apart.
     config_keys = KGraphConfig.stage_config_keys("embed")

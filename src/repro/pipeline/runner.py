@@ -4,11 +4,13 @@
 constructor proves is a valid topological order of the declared
 input/output dependencies), timing each stage under ``stage:<name>`` and —
 when a :class:`~repro.pipeline.cache.StageCache` is supplied — replaying
-checkpointed outputs instead of re-executing stages whose content-addressed
-key is unchanged.  The returned :class:`PipelineReport` records, per stage,
-the cache key, whether it executed or replayed, and its wall-clock seconds;
-the report is what tests assert resumability against and what the serving
-manifest embeds (schema v2).
+checkpointed outputs instead of re-executing stages whose key is unchanged.
+Keys are chained: seed inputs are hashed by content, and a value an earlier
+stage produced is named by that stage's key, so graphs, partitions and
+labels are never hashed.  The returned :class:`PipelineReport` records, per
+stage, the cache key, whether it executed or replayed, and its wall-clock
+seconds; the report is what tests assert resumability against and what the
+serving manifest embeds (schema v2).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.exceptions import PipelineError
 from repro.parallel import ProcessBackend
@@ -91,7 +93,7 @@ class PipelineReport:
 
     @property
     def stage_keys(self) -> Dict[str, str]:
-        """Mapping stage name -> content-addressed cache key."""
+        """Mapping stage name -> cache key (see :meth:`Pipeline.stage_key`)."""
         return {record.name: record.key for record in self.records}
 
     @property
@@ -192,12 +194,19 @@ class Pipeline:
 
     # ------------------------------------------------------------------ #
     def stage_key(
-        self,
-        stage: Stage,
-        ctx: PipelineContext,
-        _fingerprint: "Callable[[object], str]" = fingerprint,
+        self, stage: Stage, ctx: PipelineContext, produced_by: Mapping[str, str]
     ) -> str:
-        """Content-addressed cache key of ``stage`` in the current context."""
+        """Cache key of ``stage`` in the current run.
+
+        The key hashes the stage's name and version, its config subset and
+        its inputs.  A seed input enters by its content fingerprint.  An
+        input an earlier stage produced enters as that stage's key plus the
+        output name (``produced_by`` maps each produced value name to its
+        producer's key): equal producer keys mean equal outputs, because a
+        stage is a pure function of what its key hashes.  So stage outputs
+        are never hashed, and a key is stable across processes exactly when
+        the seed inputs and config are.
+        """
         digest = hashlib.sha256()
         digest.update(f"stage:{stage.name}:v{stage.version};".encode())
         for key in stage.config_keys:
@@ -205,7 +214,10 @@ class Pipeline:
             digest.update(fingerprint(ctx.config.get(key)).encode())
         for name in stage.inputs:
             digest.update(f"input:{name}=".encode())
-            digest.update(_fingerprint(ctx.require(name)).encode())
+            if name in produced_by:
+                digest.update(f"from:{produced_by[name]}:{name};".encode())
+            else:
+                digest.update(fingerprint(ctx.require(name)).encode())
         return digest.hexdigest()
 
     def _fusion_partner(
@@ -246,6 +258,11 @@ class Pipeline:
     ) -> PipelineReport:
         """Execute every stage (or replay its checkpoint) and report.
 
+        Each stage's key comes from :meth:`stage_key`: seed inputs are
+        hashed by content, produced inputs are named by their producer's
+        key.  Keys derived before chaining differ, so an on-disk cache
+        written by an older version misses once and is then rewritten.
+
         ``config_hash`` lets the driver stamp the report (and hence serve
         manifests) with a canonical config identity — e.g. the typed
         :meth:`repro.api.EstimatorConfig.config_hash` — instead of the
@@ -270,25 +287,13 @@ class Pipeline:
                 {key: ctx.config.get(key) for stage in self.stages for key in stage.config_keys}
             )
         report = PipelineReport(config_hash=config_hash)
-        # Per-run fingerprint memo: a value consumed by several stages (the
-        # graphs feed graph_cluster, length_selection AND interpretability)
-        # is hashed once, not once per consumer.  Keyed by object identity —
-        # sound because stages treat context values as read-only and the
-        # stored reference pins the id for the run's lifetime.
-        memo: Dict[int, tuple] = {}
-
-        def _memoised_fingerprint(value: object) -> str:
-            entry = memo.get(id(value))
-            if entry is not None and entry[0] is value:
-                return entry[1]
-            digest = fingerprint(value)
-            memo[id(value)] = (value, digest)
-            return digest
-
+        # Value name -> key of the stage that produced it in this run.
+        produced_by: Dict[str, str] = {}
         index = 0
         while index < len(self.stages):
             stage = self.stages[index]
-            key = self.stage_key(stage, ctx, _memoised_fingerprint)
+            key = self.stage_key(stage, ctx, produced_by)
+            produced_by.update(dict.fromkeys(stage.outputs, key))
             start = time.perf_counter()
             cached_outputs = cache.get(key) if cache is not None else None
             if cached_outputs is not None:
@@ -308,7 +313,7 @@ class Pipeline:
             partner = self._fusion_partner(stage, index, ctx, fuse)
             if partner is not None:
                 self._run_fused_pair(
-                    stage, partner, key, ctx, cache, report, _memoised_fingerprint, start
+                    stage, partner, key, ctx, cache, report, produced_by, start
                 )
                 index += 2
                 continue
@@ -366,20 +371,20 @@ class Pipeline:
         ctx: PipelineContext,
         cache: Optional[StageCache],
         report: PipelineReport,
-        _memoised_fingerprint: "Callable[[object], str]",
+        produced_by: Dict[str, str],
         start: float,
     ) -> None:
         """Execute a declared stage pair through one fused dispatch.
 
         The cache layer still sees two independent entries: the first
         stage's outputs are stored under the key computed before running,
-        the partner's under the key computed *after* the first outputs land
-        in the context (its inputs only exist then) — exactly the keys the
-        unfused path would have derived, because the fused job reproduces
-        the stage-boundary state (including generator snapshots)
-        bit-identically.  The combined wall-clock lands in the first
-        stage's ``stage:<name>`` section; the worker-side sections keep the
-        true split.
+        the partner's under a key chained from it — exactly the keys the
+        unfused path derives, because the partner's produced inputs are
+        named by the same producer keys either way (and the fused job
+        reproduces the stage-boundary state, including generator snapshots,
+        bit-identically).  The combined wall-clock lands in the first stage's
+        ``stage:<name>`` section; the worker-side sections keep the true
+        split.
         """
         bytes_before = ctx.bytes_shipped.get(stage.name, 0)
         faults_before = _fault_snapshot(ctx, stage.name)
@@ -405,7 +410,8 @@ class Pipeline:
                 ),
             )
         second_start = time.perf_counter()
-        second_key = self.stage_key(partner, ctx, _memoised_fingerprint)
+        second_key = self.stage_key(partner, ctx, produced_by)
+        produced_by.update(dict.fromkeys(partner.outputs, second_key))
         with ctx.watch.section(f"stage:{partner.name}"):
             ctx.values.update(second_outputs)
         self.run_counts[partner.name] += 1

@@ -4,16 +4,20 @@ A stage is one resumable unit of a :class:`~repro.pipeline.Pipeline`: it
 declares which context values it consumes (``inputs``), which it produces
 (``outputs``), and which configuration entries change its behaviour
 (``config_keys``).  Those declarations are the whole caching contract — a
-stage's cache key is derived from exactly its config subset plus the
-fingerprints of its declared inputs, so a parameter that a stage does not
-list cannot invalidate its checkpoint.
+stage's cache key is derived from exactly its config subset plus its
+declared inputs, so a parameter that a stage does not list cannot
+invalidate its checkpoint.  Seed inputs are hashed by content; an input an
+earlier stage produced is named by its producer's key (keys are chained,
+see :meth:`repro.pipeline.Pipeline.stage_key`), so stage outputs are never
+hashed.
 
 Design rules every stage must follow:
 
 * ``run(ctx)`` must be a pure function of its declared inputs and config
-  subset: same inputs, same outputs (bit-identical).  Randomness must come
-  from a generator passed *through the context*, never from global state,
-  so the generator's stream position participates in the cache key.
+  subset: same inputs, same outputs (bit-identical).  Chained keys rely on
+  it — equal keys must mean equal outputs.  Randomness must come from a
+  generator passed *through the context*, never from global state, so the
+  generator's stream position participates in the cache key.
 * Fan-outs inside a stage go through ``ctx.backend_for(self.name)`` so the
   execution backend stays selectable per stage (``stage_backends=``).
 * Worker-side timings are merged into ``ctx.watch`` — the pipeline adds its

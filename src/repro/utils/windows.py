@@ -77,18 +77,15 @@ def subsequences_of_dataset(
         raise ValidationError(
             f"window ({window}) is larger than the series length ({array.shape[1]})"
         )
-    all_windows: List[np.ndarray] = []
-    series_index: List[np.ndarray] = []
-    position_index: List[np.ndarray] = []
-    for i, row in enumerate(array):
-        windows = sliding_window_matrix(row, window, stride)
-        all_windows.append(windows)
-        series_index.append(np.full(windows.shape[0], i, dtype=int))
-        position_index.append(np.arange(0, windows.shape[0] * stride, stride, dtype=int))
+    stride = check_positive_int(stride, "stride")
+    view = np.lib.stride_tricks.sliding_window_view(array, window, axis=1)[:, ::stride]
+    n_series, n_windows = view.shape[:2]
+    # One copy of the strided (series, window, offset) view, C order, so
+    # rows come out series by series in window order.
     return (
-        np.vstack(all_windows),
-        np.concatenate(series_index),
-        np.concatenate(position_index),
+        view.copy().reshape(n_series * n_windows, window),
+        np.repeat(np.arange(n_series, dtype=int), n_windows),
+        np.tile(np.arange(0, n_windows * stride, stride, dtype=int), n_series),
     )
 
 

@@ -118,6 +118,45 @@ class TestSlidingWindows:
         assert series_idx.tolist() == [0] * 5 + [1] * 5
         assert positions.tolist() == list(range(5)) * 2
 
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_dataset_extraction_matches_per_row_stack(self, rng, stride):
+        # Oracle: one sliding_window_matrix per series, stacked in order.
+        data = rng.normal(size=(7, 40))
+        rows = [sliding_window_matrix(row, 9, stride) for row in data]
+        expected = (
+            np.vstack(rows),
+            np.concatenate([np.full(len(r), i, dtype=int) for i, r in enumerate(rows)]),
+            np.concatenate([np.arange(0, len(r) * stride, stride, dtype=int) for r in rows]),
+        )
+        got = subsequences_of_dataset(data, 9, stride)
+        for ours, theirs in zip(got, expected):
+            assert ours.dtype == theirs.dtype
+            assert np.array_equal(ours, theirs)
+        # A fresh array callers may normalise in place, not a view of data.
+        assert got[0].flags.c_contiguous and got[0].flags.writeable
+        assert not np.shares_memory(got[0], data)
+
+    def test_dataset_extraction_single_point_windows_copy(self):
+        data = np.arange(5.0).reshape(1, 5)
+        windows, _, _ = subsequences_of_dataset(data, 1)
+        windows[0, 0] = -1.0
+        assert data[0, 0] == 0.0
+
+    @pytest.mark.parametrize(
+        ("data", "window", "stride", "message"),
+        [
+            (np.zeros((2, 5)), 6, 1, r"window \(6\) is larger than the series length \(5\)"),
+            (np.zeros((2, 5)), 0, 1, "window must be >= 1, got 0"),
+            (np.zeros((2, 5)), 2, 0, "stride must be >= 1, got 0"),
+            (np.zeros(5), 2, 1, "data must be 2-dimensional, got ndim=1"),
+            (np.zeros((0, 5)), 2, 1, "data must have at least 1 rows, got 0"),
+            (np.zeros((2, 5)), 2.5, 1, "window must be an integer, got float"),
+        ],
+    )
+    def test_dataset_extraction_errors(self, data, window, stride, message):
+        with pytest.raises(ValidationError, match=message):
+            subsequences_of_dataset(data, window, stride)
+
 
 class TestPadAndLengthGrid:
     def test_pad_edge(self):

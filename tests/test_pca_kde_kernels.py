@@ -59,6 +59,108 @@ class TestPCA:
             pca.transform(rng.normal(size=(3, 5)))
 
 
+def _svd_oracle(data):
+    """Every principal axis, singular value and variance from an economy SVD."""
+    centered = data - data.mean(axis=0)
+    _, singular_values, vt = np.linalg.svd(centered, full_matrices=False)
+    variance = singular_values**2 / (data.shape[0] - 1)
+    return vt, singular_values, variance, variance / variance.sum()
+
+
+def _flip_signs(components):
+    """The sign rule: each axis's largest-magnitude entry is positive."""
+    pivots = np.argmax(np.abs(components), axis=1)
+    return components * np.sign(components[np.arange(len(components)), pivots])[:, None]
+
+
+def _tall(rng):
+    return rng.normal(size=(3000, 12)) * np.linspace(12.0, 1.0, 12)
+
+
+def _rank_deficient(rng):
+    # Rank 4 after centring, with 6 numerically zero singular values.
+    return rng.normal(size=(300, 4)) @ rng.normal(size=(4, 10)) * np.array(
+        [1.0, 3.0, 0.5, 2.0, 1.0, 1.5, 4.0, 0.2, 1.0, 2.5]
+    ) + 7.0
+
+
+def _constant_column(rng):
+    data = rng.normal(size=(400, 6)) * np.array([6.0, 5.0, 4.0, 3.0, 2.0, 1.0])
+    data[:, 2] = 5.0
+    return data
+
+
+class TestPCAAgainstSVD:
+    """The Gram-matrix PCA against an np.linalg.svd oracle."""
+
+    @pytest.mark.parametrize(
+        ("make", "determined"),
+        [(_tall, 12), (_rank_deficient, 4), (_constant_column, 5)],
+    )
+    def test_matches_svd_oracle(self, rng, make, determined):
+        data = make(rng)
+        n_components = min(data.shape)
+        pca = PCA(n_components=n_components).fit(data)
+        vt, singular_values, variance, ratio = _svd_oracle(data)
+
+        top = singular_values[0]
+        np.testing.assert_allclose(
+            pca.singular_values_, singular_values, rtol=1e-10, atol=1e-10 * top
+        )
+        np.testing.assert_allclose(
+            pca.explained_variance_, variance, rtol=1e-10, atol=1e-10 * variance[0]
+        )
+        np.testing.assert_allclose(
+            pca.explained_variance_ratio_, ratio, rtol=1e-10, atol=1e-10
+        )
+        # Axes with distinct non-zero singular values are unique up to sign.
+        np.testing.assert_allclose(
+            pca.components_[:determined], _flip_signs(vt[:determined]), atol=1e-10
+        )
+        # The rest span the null space: orthonormal, and the centred data
+        # has no extent along them.
+        np.testing.assert_allclose(
+            pca.components_ @ pca.components_.T, np.eye(n_components), atol=1e-10
+        )
+        null = (data - data.mean(axis=0)) @ pca.components_[determined:].T
+        assert np.all(np.abs(null) <= 1e-10 * top)
+
+    @pytest.mark.parametrize("make", [_tall, _rank_deficient, _constant_column])
+    def test_whitened_projection_matches_oracle(self, rng, make):
+        data = make(rng)
+        n_components = min(data.shape)
+        projected = PCA(n_components=n_components, whiten=True).fit_transform(data)
+        vt, _, variance, _ = _svd_oracle(data)
+        scale = np.sqrt(variance)
+        # Numerically zero variance is not scaled (see PCA.transform).
+        scale = np.where(scale < 1e-12, 1.0, scale)
+        expected = (data - data.mean(axis=0)) @ _flip_signs(vt).T / scale
+        live = variance > 1e-12 * variance[0]
+        np.testing.assert_allclose(projected[:, live], expected[:, live], atol=1e-8)
+        np.testing.assert_allclose(projected[:, live].std(axis=0, ddof=1), 1.0, atol=1e-10)
+        assert np.all(np.abs(projected[:, ~live]) <= 1e-8)
+
+    def test_signs_are_deterministic(self, rng):
+        data = _tall(rng)
+        first = PCA(n_components=5).fit(data)
+        second = PCA(n_components=5).fit(data)
+        assert np.array_equal(first.components_, second.components_)
+        # Reordering the rows changes the rounding, never the signs.
+        shuffled = PCA(n_components=5).fit(data[rng.permutation(len(data))])
+        np.testing.assert_allclose(shuffled.components_, first.components_, atol=1e-10)
+        pivots = np.argmax(np.abs(first.components_), axis=1)
+        assert np.all(first.components_[np.arange(5), pivots] > 0)
+
+    @pytest.mark.parametrize("whiten", [False, True])
+    @pytest.mark.parametrize("make", [_tall, _rank_deficient, _constant_column])
+    def test_fit_transform_equals_fit_then_transform(self, rng, make, whiten):
+        data = make(rng)
+        n_components = min(data.shape) - 1
+        one_pass = PCA(n_components=n_components, whiten=whiten).fit_transform(data)
+        two_pass = PCA(n_components=n_components, whiten=whiten).fit(data).transform(data)
+        np.testing.assert_allclose(one_pass, two_pass, rtol=0, atol=1e-12)
+
+
 class TestKDE:
     def test_bandwidth_rules_positive(self, rng):
         data = rng.normal(size=(100, 2))

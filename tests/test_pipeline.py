@@ -451,6 +451,46 @@ class TestKGraphResume:
         assert cache.counters.stores == 6  # 5 cold + 1 re-run interpretability
         assert cache.counters.hits == 4
 
+    def test_warm_refit_never_fingerprints_stage_outputs(
+        self, small_dataset, monkeypatch
+    ):
+        from repro.core.graph_clustering import GraphPartition
+        from repro.graph.structure import TimeSeriesGraph
+        from repro.pipeline import runner
+
+        cache = MemoryStageCache()
+        KGraph(n_clusters=3, n_lengths=2, random_state=0, stage_cache=cache).fit(
+            small_dataset.data
+        )
+        hashed = []
+        real_fingerprint = runner.fingerprint
+
+        def recording_fingerprint(value):
+            hashed.append(value)
+            return real_fingerprint(value)
+
+        monkeypatch.setattr(runner, "fingerprint", recording_fingerprint)
+        # A grid-style refit: n_clusters re-runs four stages on the
+        # replayed embedding.
+        warm = KGraph(
+            n_clusters=4, n_lengths=2, random_state=0, stage_cache=cache
+        ).fit(small_dataset.data)
+        assert warm.pipeline_report_.cached == ["embed"]
+
+        def holds_stage_output(value) -> bool:
+            if isinstance(value, (TimeSeriesGraph, GraphPartition)):
+                return True
+            if value is warm.labels_:
+                return True
+            if isinstance(value, dict):
+                return any(holds_stage_output(item) for item in value.values())
+            if isinstance(value, (list, tuple)):
+                return any(holds_stage_output(item) for item in value)
+            return False
+
+        assert hashed  # seed inputs and config entries are still hashed
+        assert not any(holds_stage_output(value) for value in hashed)
+
     def test_disk_cache_resumes_across_sessions(self, small_dataset, tmp_path):
         cache_dir = tmp_path / "stages"
         first = KGraph(

@@ -278,6 +278,44 @@ class TestFallbackChain:
         assert isinstance(outcomes[0].exception, WorkerPoolExhausted)
 
 
+class TestGridSweepBackend:
+    def test_grid_builds_one_pool_and_every_fit_sees_the_policy(
+        self, small_dataset, monkeypatch
+    ):
+        from repro.benchmark.runner import BenchmarkRunner
+        from repro.parallel import backends
+
+        pools, policies = [], []
+        real_pool = backends.ProcessPoolExecutor
+        real_map_jobs = backends.ProcessBackend.map_jobs
+
+        def counting_pool(*args, **kwargs):
+            pools.append(kwargs)
+            return real_pool(*args, **kwargs)
+
+        def recording_map_jobs(self, fn, jobs, **kwargs):
+            policies.append(self._effective_retry(kwargs.get("retry")))
+            return real_map_jobs(self, fn, jobs, **kwargs)
+
+        monkeypatch.setattr(backends, "ProcessPoolExecutor", counting_pool)
+        monkeypatch.setattr(backends.ProcessBackend, "map_jobs", recording_map_jobs)
+        policy = RetryPolicy(max_attempts=2)
+        runner = BenchmarkRunner(["kgraph"], backend="process", n_jobs=2, retry=policy)
+        results = runner.run_estimator_grid(
+            small_dataset,
+            "kgraph",
+            {"n_clusters": [2, 3, 4]},
+            base={"n_lengths": 2},
+            random_state=0,
+        )
+        assert [result.error for result in results] == [None, None, None]
+        assert len(pools) == 1
+        # Every fit of the sweep dispatches, and each dispatch runs under
+        # the runner's policy.
+        assert len(policies) >= len(results)
+        assert all(seen is policy for seen in policies)
+
+
 class TestResolveBackendIntegration:
     def test_retry_installed_as_instance_default(self):
         policy = RetryPolicy(max_attempts=2)
