@@ -7,7 +7,8 @@ hot paths with vectorized NumPy: bulk graph construction
 ``pairwise_distances``, ``np.argpartition``-based ``knn_affinity``, a
 one-hot-GEMM consensus matrix and a whole-batch ``predict_with_state``.
 Each vectorized path retains its original implementation as a
-``*_reference`` twin; this experiment
+``*_reference`` twin, or as an oracle in ``tests/oracles/`` (graph
+embedding); this experiment
 
 * times each (reference, vectorized) pair on the benchmark config,
 * asserts the outputs are **bit-identical** (``np.array_equal`` / payload
@@ -42,8 +43,10 @@ from __future__ import annotations
 
 import json
 import pickle
+import sys
 import time
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Dict, List, Tuple
 
 import numpy as np
@@ -62,7 +65,6 @@ from repro.core.kgraph import (
 )
 from repro.datasets.synthetic import make_cylinder_bell_funnel
 from repro.graph.embedding import GraphEmbedding
-from repro.graph.structure import TimeSeriesGraph
 from repro.linalg.kernels import knn_affinity, knn_affinity_reference
 from repro.metrics.distances import (
     dtw_distance,
@@ -78,8 +80,11 @@ from repro.parallel import (
     substitute_shared_arrays,
 )
 from repro.pipeline import MemoryStageCache, Pipeline, PipelineContext, Stage
-from repro.utils.normalization import znormalize_dataset
 from repro.utils.windows import subsequences_of_dataset
+
+# The reference implementations that live with the tests.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from oracles.embedding import record_graph, reference_inputs  # noqa: E402
 
 SCHEMA_VERSION = 1
 
@@ -169,7 +174,10 @@ def _embedding_entry() -> Dict[str, object]:
 
     The PCA projection and radial scan are identical in both paths; the
     construction stage — pattern means, visit and transition recording —
-    is what the vectorization targets, so it is what gets timed.
+    is what the vectorization targets, so it is what gets timed.  The
+    reference is the per-subsequence loop of ``tests/oracles/embedding.py``;
+    the fast side is the assembly ``GraphEmbedding.fit`` runs, handed the
+    whole z-normalised subsequence matrix as one block.
     """
     dataset = make_cylinder_bell_funnel(
         n_series=EMBED_N_SERIES, length=EMBED_SERIES_LENGTH, noise=0.2, random_state=0
@@ -177,33 +185,19 @@ def _embedding_entry() -> Dict[str, object]:
     data = dataset.data
     embedding = GraphEmbedding(EMBED_LENGTH, random_state=0)
     embedding.fit(data)  # untimed: fills projection_ / node_positions_
-
-    subsequences, series_index, _ = subsequences_of_dataset(data, EMBED_LENGTH, 1)
-    subsequences = znormalize_dataset(subsequences)
-    projection = embedding.projection_
-    node_positions = embedding.node_positions_
-    distances = (
-        np.sum(projection**2, axis=1)[:, None]
-        - 2.0 * projection @ node_positions.T
-        + np.sum(node_positions**2, axis=1)[None, :]
+    subsequences, series_index, assignments, node_positions = reference_inputs(
+        embedding, data
     )
-    assignments = np.argmin(distances, axis=1)
-    used_nodes = np.unique(assignments)
-    assignments = np.searchsorted(used_nodes, assignments)
-    node_positions = node_positions[used_nodes]
-
-    def build(vectorized: bool) -> TimeSeriesGraph:
-        graph = TimeSeriesGraph(length=EMBED_LENGTH, n_series=data.shape[0])
-        assemble = (
-            embedding._assemble_vectorized if vectorized else embedding._assemble_reference
-        )
-        assemble(graph, subsequences, assignments, series_index, node_positions)
-        return graph
+    n_series = data.shape[0]
 
     entry = _entry(
         "embedding_build",
-        lambda: build(False),
-        lambda: build(True),
+        lambda: record_graph(
+            EMBED_LENGTH, n_series, subsequences, series_index, assignments, node_positions
+        ),
+        lambda: embedding._assemble_graph(
+            n_series, [subsequences], assignments, node_positions
+        ),
         lambda ref, vec: ref.to_payload() == vec.to_payload(),
     )
     entry["n_subsequences"] = int(subsequences.shape[0])

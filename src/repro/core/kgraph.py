@@ -43,7 +43,11 @@ from repro.graph.graphoid import (
 )
 from repro.graph.structure import TimeSeriesGraph
 from repro.parallel import ExecutionBackend, RetryPolicy, backend_scope
-from repro.utils.normalization import znormalize_dataset
+from repro.utils.normalization import (
+    apply_znormalization,
+    znormalization_stats,
+    znormalize_dataset,
+)
 from repro.utils.rng import spawn_rng
 from repro.utils.timing import Stopwatch
 from repro.utils.validation import (
@@ -51,7 +55,12 @@ from repro.utils.validation import (
     check_random_state,
     check_time_series_dataset,
 )
-from repro.utils.windows import length_grid, sliding_window_matrix
+from repro.utils.windows import (
+    length_grid,
+    sliding_window_matrix,
+    subsequence_count,
+    window_blocks,
+)
 
 
 @dataclass
@@ -271,10 +280,6 @@ class PredictionState:
         return predict_with_state(self, array)
 
 
-#: Transient-memory budget for one block of the batched predict path.
-_PREDICT_BLOCK_BYTES = 32 * 1024 * 1024
-
-
 def _profiles_to_predictions(
     state: PredictionState, profiles: np.ndarray
 ) -> np.ndarray:
@@ -306,33 +311,23 @@ def predict_with_state(state: PredictionState, array: np.ndarray) -> np.ndarray:
     """Assign already-validated series to clusters using a prepared state.
 
     Module-level (hence picklable) so serving micro-batches can be
-    dispatched through process backends too.  The whole batch of
-    equal-length series is processed as one windows matrix: a single
-    sliding-window view, one z-normalisation, one GEMM against the node
-    patterns and one segmented bincount produce every series' node-visit
-    profile at once — the per-series maths is unchanged, so results are
-    bit-identical to :func:`predict_with_state_reference` and a prediction
-    never depends on which batch its series travelled in.
+    dispatched through process backends too.  The batch of equal-length
+    series is processed in blocks of whole series, the blocks the graph
+    embedding uses (:func:`~repro.utils.windows.window_blocks`): per block,
+    one z-normalisation, one GEMM against the node patterns and one
+    segmented bincount produce every series' node-visit profile at once.
+    The per-series maths is unchanged, so results are bit-identical to
+    :func:`predict_with_state_reference` and a prediction never depends on
+    which batch its series travelled in.  Transient memory is bounded by the
+    block size, not by the batch's stacked windows.
     """
     n_series = array.shape[0]
     if n_series == 0:
         return np.empty(0, dtype=int)
-    # (n_series, n_windows, length) strided view -> stacked windows matrix.
-    windows = np.lib.stride_tricks.sliding_window_view(array, state.length, axis=1)[
-        :, :: state.stride, :
-    ]
-    n_windows = windows.shape[1]
-    # Bounded row blocks: the stacked windows matrix of a whole dataset can
-    # dwarf the input (every subsequence is materialised), so predict peaks
-    # at ~2 x _PREDICT_BLOCK_BYTES of transient memory instead of
-    # O(dataset windows).
-    per_series = max(1, n_windows * state.length * 8)
-    block_series = max(1, _PREDICT_BLOCK_BYTES // per_series)
+    n_windows = subsequence_count(array.shape[1], state.length, state.stride)
     predictions = np.empty(n_series, dtype=int)
-    for start in range(0, n_series, block_series):
-        stop = min(n_series, start + block_series)
-        stacked = np.ascontiguousarray(windows[start:stop]).reshape(-1, state.length)
-        stacked = znormalize_dataset(stacked)
+    for start, stop, stacked in window_blocks(array, state.length, state.stride):
+        stacked = apply_znormalization(stacked, *znormalization_stats(stacked))
         distances = (
             np.sum(stacked**2, axis=1)[:, None]
             - 2.0 * stacked @ state.patterns.T

@@ -14,25 +14,43 @@ For one subsequence length ℓ the embedding:
 4. assigns every subsequence to its nearest node and connects consecutive
    subsequences of the same series with directed edges, yielding the
    transition graph.
+
+The stacked subsequences are ℓ times the dataset (252 MB for 500 series of
+512 points at ℓ = 204), so they are never built.  :meth:`GraphEmbedding.fit`
+makes three passes over blocks of whole series
+(:func:`~repro.utils.windows.window_blocks`), each block a fresh copy of a
+few MB:
+
+* pass 1 z-normalises each block, keeps every window's mean and scale, and
+  adds the block into the column sums and the ℓ×ℓ Gram matrix that give the
+  PCA axes (:func:`~repro.linalg.pca.principal_axes`);
+* pass 2 rebuilds each block from the kept statistics and projects it;
+* after node extraction, pass 3 rebuilds each block once more and adds it
+  into the node-pattern sums.
+
+Rebuilt rows are bit-identical to :func:`~repro.utils.normalization.znormalize_dataset`
+of the stacked windows, and the pattern sums add rows in subsequence order,
+so the patterns equal the per-subsequence means exactly.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.exceptions import GraphConstructionError
+from repro.exceptions import GraphConstructionError, ValidationError
 from repro.graph.structure import TimeSeriesGraph
 from repro.linalg.kde import KernelDensityEstimator, local_maxima_1d
-from repro.linalg.pca import PCA
-from repro.utils.normalization import znormalize_dataset
+from repro.linalg.pca import principal_axes
+from repro.utils import windows
+from repro.utils.normalization import apply_znormalization, znormalization_stats
 from repro.utils.validation import (
     check_array,
     check_positive_int,
     check_random_state,
 )
-from repro.utils.windows import subsequences_of_dataset
+from repro.utils.windows import subsequence_count, window_blocks
 
 
 class GraphEmbedding:
@@ -56,13 +74,15 @@ class GraphEmbedding:
         density range, for it to become a node (filters spurious maxima).
     random_state:
         Present for API symmetry; the embedding itself is deterministic.
-    vectorized:
-        When true (the default) the graph is assembled with bulk NumPy
-        accumulation (:meth:`TimeSeriesGraph.add_visits` /
-        :meth:`TimeSeriesGraph.add_transitions`); when false the original
-        per-subsequence recording loop runs instead.  Both paths build
-        bit-identical graphs — the reference loop is retained for the
-        equivalence tests and the hot-path benchmark (E13).
+
+    Attributes
+    ----------
+    projection_:
+        The (n_subsequences, 2) PCA projection, rows in the order of
+        :func:`~repro.utils.windows.subsequences_of_dataset`.
+    node_positions_:
+        Positions of every node the radial scan found, including nodes no
+        subsequence is nearest to (the graph drops those).
     """
 
     def __init__(
@@ -75,7 +95,6 @@ class GraphEmbedding:
         density_grid: int = 64,
         min_prominence_fraction: float = 0.05,
         random_state=None,
-        vectorized: bool = True,
     ) -> None:
         self.length = check_positive_int(length, "length", minimum=2)
         self.stride = check_positive_int(stride, "stride")
@@ -88,9 +107,7 @@ class GraphEmbedding:
             )
         self.min_prominence_fraction = float(min_prominence_fraction)
         self.random_state = check_random_state(random_state)
-        self.vectorized = bool(vectorized)
 
-        self.pca_: Optional[PCA] = None
         self.projection_: Optional[np.ndarray] = None
         self.node_positions_: Optional[np.ndarray] = None
 
@@ -150,79 +167,98 @@ class GraphEmbedding:
     def fit(self, data) -> TimeSeriesGraph:
         """Build and return the transition graph for the dataset ``data``."""
         array = check_array(data, name="data", ndim=2, min_rows=1)
-        if self.length >= array.shape[1]:
+        n_series, series_length = array.shape
+        if self.length >= series_length:
             raise GraphConstructionError(
                 f"subsequence length ({self.length}) must be smaller than the series "
-                f"length ({array.shape[1]})"
+                f"length ({series_length})"
             )
-        subsequences, series_index, _ = subsequences_of_dataset(
-            array, self.length, self.stride
-        )
-        subsequences = znormalize_dataset(subsequences)
+        n_windows = subsequence_count(series_length, self.length, self.stride)
+        n_rows = n_series * n_windows
+        if n_rows < 2:
+            raise ValidationError(f"data must have at least 2 subsequences, got {n_rows}")
 
-        n_components = 2 if subsequences.shape[1] >= 2 else 1
-        self.pca_ = PCA(n_components=n_components)
-        projection = self.pca_.fit_transform(subsequences)
-        if projection.shape[1] == 1:
-            projection = np.hstack([projection, np.zeros_like(projection)])
+        # Pass 1: per-window statistics, column sums and the Gram matrix.
+        means, scales = np.empty(n_rows), np.empty(n_rows)
+        column_sums = np.zeros(self.length)
+        gram = np.zeros((self.length, self.length))
+        for rows, block in self._blocks(array, n_windows):
+            means[rows], scales[rows] = znormalization_stats(block)
+            apply_znormalization(block, means[rows], scales[rows])
+            column_sums += block.sum(axis=0)
+            gram += block.T @ block
+        # Finite data can still overflow while it is normalised; any NaN or
+        # infinite window value reaches its column's Gram diagonal.
+        if not np.isfinite(gram).all():
+            raise ValidationError(
+                f"data z-normalises to NaN or infinite subsequences at length "
+                f"{self.length}; rescale the data first"
+            )
+        mean = column_sums / n_rows
+        axes = principal_axes(gram - n_rows * np.outer(mean, mean), 2)
+
+        # Pass 2: project the centred subsequences onto the two axes.
+        projection = np.empty((n_rows, 2))
+        for rows, block in self._blocks(array, n_windows):
+            apply_znormalization(block, means[rows], scales[rows])
+            block -= mean
+            np.matmul(block, axes.T, out=projection[rows])
         self.projection_ = projection
 
         node_positions = np.asarray(self._extract_nodes(projection))
         self.node_positions_ = node_positions
-
-        # Assign every subsequence to its nearest node.
-        distances = (
-            np.sum(projection**2, axis=1)[:, None]
-            - 2.0 * projection @ node_positions.T
-            + np.sum(node_positions**2, axis=1)[None, :]
-        )
-        assignments = np.argmin(distances, axis=1)
-
-        # Drop nodes that attract no subsequence and re-index densely.
+        assignments = _nearest_nodes(projection, node_positions)
+        # Drop nodes that attract no subsequence and re-index densely;
+        # used_nodes is sorted, so searchsorted is the dense re-index.
         used_nodes = np.unique(assignments)
-        if self.vectorized:
-            # used_nodes is sorted, so searchsorted is an O(n log k) dense
-            # re-index with no Python-level dict round-trip.
-            assignments = np.searchsorted(used_nodes, assignments)
-        else:
-            remap: Dict[int, int] = {old: new for new, old in enumerate(used_nodes)}
-            assignments = np.array([remap[a] for a in assignments])
-        node_positions = node_positions[used_nodes]
+        assignments = np.searchsorted(used_nodes, assignments)
 
-        graph = TimeSeriesGraph(length=self.length, n_series=array.shape[0])
-        if self.vectorized:
-            self._assemble_vectorized(
-                graph, subsequences, assignments, series_index, node_positions
-            )
-        else:
-            self._assemble_reference(
-                graph, subsequences, assignments, series_index, node_positions
-            )
-        return graph
+        # Pass 3 runs inside _assemble_graph, over freshly rebuilt blocks.
+        blocks = (
+            apply_znormalization(block, means[rows], scales[rows])
+            for rows, block in self._blocks(array, n_windows)
+        )
+        return self._assemble_graph(
+            n_series, blocks, assignments, node_positions[used_nodes]
+        )
 
-    def _assemble_vectorized(
+    def _blocks(self, array: np.ndarray, n_windows: int) -> Iterator[Tuple[slice, np.ndarray]]:
+        """Blocks of raw subsequences, each with the slice of its rows."""
+        for start, stop, block in window_blocks(array, self.length, self.stride):
+            yield slice(start * n_windows, stop * n_windows), block
+
+    def _assemble_graph(
         self,
-        graph: TimeSeriesGraph,
-        subsequences: np.ndarray,
+        n_series: int,
+        blocks: Iterable[np.ndarray],
         assignments: np.ndarray,
-        series_index: np.ndarray,
         node_positions: np.ndarray,
-    ) -> None:
-        """Bulk NumPy graph assembly (bit-identical to the reference loop)."""
-        n_nodes = node_positions.shape[0]
-        # Node patterns: grouped mean via one weighted bincount per column.
-        # bincount accumulates in subsequence order, matching the sequential
-        # row-reduction of members.mean(axis=0) bit for bit.
-        counts = np.bincount(assignments, minlength=n_nodes)
-        sums = np.empty((n_nodes, subsequences.shape[1]))
-        for column in range(subsequences.shape[1]):
-            sums[:, column] = np.bincount(
-                assignments, weights=subsequences[:, column], minlength=n_nodes
-            )
-        patterns = sums / counts[:, None]
-        for new_id in range(n_nodes):
-            graph.add_node(new_id, node_positions[new_id], patterns[new_id])
+    ) -> TimeSeriesGraph:
+        """Build the transition graph from densely numbered node assignments.
 
+        ``blocks`` yields the z-normalised subsequences in order, in blocks
+        of whole series; ``assignments`` gives each subsequence's node, and
+        every node in ``node_positions`` has at least one subsequence.  Node
+        patterns are the mean of their subsequences: ``np.add.at`` adds rows
+        in subsequence order, the order ``members.mean(axis=0)`` adds them
+        in, so the patterns are bit-identical to the per-node means.
+        """
+        n_nodes = node_positions.shape[0]
+        n_windows = assignments.shape[0] // n_series
+        sums = np.zeros((n_nodes, self.length))
+        start = 0
+        for block in blocks:
+            stop = start + block.shape[0]
+            nodes = assignments[start:stop]
+            for column in range(self.length):
+                np.add.at(sums[:, column], nodes, block[:, column])
+            start = stop
+        patterns = sums / np.bincount(assignments, minlength=n_nodes)[:, None]
+
+        graph = TimeSeriesGraph(length=self.length, n_series=n_series)
+        for node in range(n_nodes):
+            graph.add_node(node, node_positions[node], patterns[node])
+        series_index = np.repeat(np.arange(n_series), n_windows)
         graph.add_visits(assignments, series_index)
         # Consecutive subsequences of the same series form transitions.
         same_series = series_index[1:] == series_index[:-1]
@@ -231,35 +267,25 @@ class GraphEmbedding:
             assignments[1:][same_series],
             series_index[1:][same_series],
         )
+        return graph
 
-    def _assemble_reference(
-        self,
-        graph: TimeSeriesGraph,
-        subsequences: np.ndarray,
-        assignments: np.ndarray,
-        series_index: np.ndarray,
-        node_positions: np.ndarray,
-    ) -> None:
-        """Original per-subsequence recording loop.
 
-        Retained as the reference implementation the vectorized assembly is
-        benchmarked and equivalence-tested against (E13).
-        """
-        for new_id in range(node_positions.shape[0]):
-            members = subsequences[assignments == new_id]
-            pattern = members.mean(axis=0) if members.shape[0] else np.zeros(self.length)
-            graph.add_node(new_id, node_positions[new_id], pattern)
+def _nearest_nodes(points: np.ndarray, node_positions: np.ndarray) -> np.ndarray:
+    """Index of the nearest node for every 2-D point (lowest index on ties).
 
-        previous_series = -1
-        previous_node = -1
-        for subseq_idx in range(subsequences.shape[0]):
-            series = int(series_index[subseq_idx])
-            node = int(assignments[subseq_idx])
-            graph.record_visit(node, series)
-            if series == previous_series:
-                graph.record_transition(previous_node, node, series)
-            previous_series = series
-            previous_node = node
+    The squared distance is computed directly, coordinate by coordinate, so
+    each point's answer is independent of the block it is computed in — the
+    expanded ``|p|² - 2p·n + |n|²`` form goes through a different BLAS
+    kernel for a one-row block and can round differently.
+    """
+    assignments = np.empty(points.shape[0], dtype=np.intp)
+    per_block = max(1, windows.WINDOW_BLOCK_VALUES // node_positions.shape[0])
+    for start in range(0, points.shape[0], per_block):
+        block = points[start : start + per_block]
+        distances = (block[:, 0, None] - node_positions[None, :, 0]) ** 2
+        distances += (block[:, 1, None] - node_positions[None, :, 1]) ** 2
+        assignments[start : start + per_block] = np.argmin(distances, axis=1)
+    return assignments
 
 
 def build_graph(

@@ -8,10 +8,12 @@ subsequences into a two-dimensional space while retaining their essential
 shapes").
 
 The principal axes are the eigenvectors of the ℓ×ℓ Gram matrix of the
-centred data.  An economy SVD would give the same axes but also builds the
-n×ℓ left singular vectors, which nothing reads; with every subsequence of a
-paper-scale dataset as a row, that matrix is most of the fit's time and
-memory.
+centred data (:func:`principal_axes`).  An economy SVD would give the same
+axes but also builds the n×ℓ left singular vectors, which nothing reads.
+Working from the Gram matrix also means the rows never have to be in memory
+at once: the k-Graph embedding (:mod:`repro.graph.embedding`) adds its
+subsequences into the Gram matrix block by block and takes its axes from the
+same function, so both paths share one eigensolver and one sign rule.
 """
 
 from __future__ import annotations
@@ -22,6 +24,24 @@ import numpy as np
 
 from repro.exceptions import NotFittedError, ValidationError
 from repro.utils.validation import check_array, check_positive_int
+
+
+def principal_axes(gram: np.ndarray, n_components: int) -> np.ndarray:
+    """The ``n_components`` leading principal axes of a centred Gram matrix.
+
+    Returns an ``(n_components, n_features)`` array whose rows are unit
+    eigenvectors of ``gram`` in order of decreasing eigenvalue.
+    """
+    # eigh sorts eigenvalues ascending: the principal axes are its last
+    # eigenvectors, taken in reverse.
+    _, eigenvectors = np.linalg.eigh(gram)
+    components = np.ascontiguousarray(eigenvectors[:, ::-1][:, :n_components].T)
+    # An eigenvector's sign is arbitrary; make each axis's largest-magnitude
+    # entry positive (scikit-learn's svd_flip rule) so every fit of the same
+    # data projects the same way.
+    pivots = np.argmax(np.abs(components), axis=1)
+    components *= np.sign(components[np.arange(n_components), pivots])[:, None]
+    return components
 
 
 class PCA:
@@ -76,15 +96,7 @@ class PCA:
         self.mean_ = array.mean(axis=0)
         centered = array - self.mean_
         gram = centered.T @ centered
-        # eigh sorts eigenvalues ascending: the principal axes are its last
-        # eigenvectors, taken in reverse.
-        _, eigenvectors = np.linalg.eigh(gram)
-        components = np.ascontiguousarray(eigenvectors[:, ::-1][:, : self.n_components].T)
-        # An eigenvector's sign is arbitrary; make each axis's
-        # largest-magnitude entry positive (scikit-learn's svd_flip rule) so
-        # every fit of the same data projects the same way.
-        pivots = np.argmax(np.abs(components), axis=1)
-        components *= np.sign(components[np.arange(self.n_components), pivots])[:, None]
+        components = principal_axes(gram, self.n_components)
         projected = centered @ components.T
         # Singular values are the projections' norms, not square roots of
         # Gram eigenvalues: squaring loses the small end of the spectrum to

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Tuple
+
 import numpy as np
 
 from repro.exceptions import ValidationError
@@ -25,12 +27,37 @@ def znormalize(series, epsilon: float = 1e-12) -> np.ndarray:
 def znormalize_dataset(data, epsilon: float = 1e-12) -> np.ndarray:
     """Row-wise z-normalisation of a (n_series, length) dataset."""
     array = check_array(data, name="data", ndim=2, min_rows=1)
-    means = array.mean(axis=1, keepdims=True)
-    stds = array.std(axis=1, keepdims=True)
-    safe = np.where(stds < epsilon, 1.0, stds)
-    normalized = (array - means) / safe
-    normalized[np.squeeze(stds < epsilon, axis=1)] = 0.0
-    return normalized
+    means, scales = znormalization_stats(array, epsilon)
+    return apply_znormalization(array.copy(), means, scales)
+
+
+def znormalization_stats(
+    array: np.ndarray, epsilon: float = 1e-12
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-row ``(means, scales)`` of a validated 2-D array.
+
+    ``scales`` holds each row's standard deviation, or 0 for a row whose
+    deviation is below ``epsilon``: such constant rows normalise to zeros.
+    Split from :func:`apply_znormalization` so a caller can keep the
+    statistics and rebuild the same normalised rows later.
+    """
+    stds = array.std(axis=1)
+    return array.mean(axis=1), np.where(stds < epsilon, 0.0, stds)
+
+
+def apply_znormalization(
+    array: np.ndarray, means: np.ndarray, scales: np.ndarray
+) -> np.ndarray:
+    """z-normalise the rows of ``array`` in place and return it.
+
+    ``means`` and ``scales`` come from :func:`znormalization_stats` of the
+    same rows; the result is bit-identical to :func:`znormalize_dataset`.
+    """
+    constant = scales == 0.0
+    array -= means[:, None]
+    array /= np.where(constant, 1.0, scales)[:, None]
+    array[constant] = 0.0
+    return array
 
 
 def minmax_scale(series, feature_range=(0.0, 1.0)) -> np.ndarray:

@@ -1,18 +1,30 @@
 """Sliding-window (subsequence) extraction utilities.
 
 The k-Graph embedding operates on *all* overlapping subsequences of every
-series for several subsequence lengths; these helpers produce them as
-stride-tricked views (no copy) wherever possible.
+series for several subsequence lengths.  Stacked, those windows are ℓ times
+the dataset, so the embedding and the batched predict path walk them in
+blocks of whole series (:func:`window_blocks`): each block is a fresh copy
+of at most :data:`WINDOW_BLOCK_VALUES` values of a stride-tricked view, and
+the full windows matrix is never built.  :func:`sliding_window_matrix` and
+:func:`subsequences_of_dataset` still materialise every window, for callers
+that want them all at once.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
 from repro.exceptions import ValidationError
 from repro.utils.validation import check_array, check_positive_int
+
+#: float64 values in one block of stacked windows (2**19 values, 4 MiB).  A
+#: block this size stays in the CPU caches while it is normalised and
+#: reduced, and bounds the transient memory of a pass over the windows.  It
+#: is a constant, never derived from the worker count or free memory, so
+#: every process cuts a dataset into the same blocks.
+WINDOW_BLOCK_VALUES = 1 << 19
 
 
 def subsequence_count(series_length: int, window: int, stride: int = 1) -> int:
@@ -38,7 +50,9 @@ def sliding_window_matrix(series, window: int, stride: int = 1) -> np.ndarray:
             f"window ({window}) is larger than the series length ({array.shape[0]})"
         )
     view = np.lib.stride_tricks.sliding_window_view(array, window)[::stride]
-    return np.ascontiguousarray(view)
+    # A real copy: a single-window view counts as contiguous, so
+    # np.ascontiguousarray would hand back the read-only view itself.
+    return view.copy()
 
 
 def pad_series(series, target_length: int, mode: str = "edge") -> np.ndarray:
@@ -87,6 +101,26 @@ def subsequences_of_dataset(
         np.repeat(np.arange(n_series, dtype=int), n_windows),
         np.tile(np.arange(0, n_windows * stride, stride, dtype=int), n_series),
     )
+
+
+def window_blocks(
+    array: np.ndarray, window: int, stride: int = 1
+) -> Iterator[Tuple[int, int, np.ndarray]]:
+    """Yield the windows of a dataset in consecutive blocks of whole series.
+
+    ``array`` is an already validated (n_series, length) float array with
+    ``window <= length``.  Each item is ``(start, stop, windows)``: series
+    ``start:stop`` and their windows as a fresh, writeable
+    ``((stop - start) * n_windows, window)`` matrix in the row order of
+    :func:`subsequences_of_dataset`.  A block holds as many series as fit in
+    :data:`WINDOW_BLOCK_VALUES` values, and at least one.
+    """
+    view = np.lib.stride_tricks.sliding_window_view(array, window, axis=1)[:, ::stride]
+    n_series, n_windows = view.shape[:2]
+    per_block = max(1, WINDOW_BLOCK_VALUES // (n_windows * window))
+    for start in range(0, n_series, per_block):
+        stop = min(n_series, start + per_block)
+        yield start, stop, view[start:stop].copy().reshape(-1, window)
 
 
 def length_grid(series_length: int, n_lengths: int, minimum: int = 8, maximum_fraction: float = 0.4) -> List[int]:

@@ -1,11 +1,19 @@
 """Unit tests for the graph-embedding step."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from repro.exceptions import GraphConstructionError
+import repro.utils.windows as windows_module
+from repro.datasets.synthetic import make_cylinder_bell_funnel
+from repro.exceptions import GraphConstructionError, ValidationError
 from repro.graph.embedding import GraphEmbedding, build_graph
-from repro.utils.windows import subsequence_count
+from repro.linalg.pca import PCA
+from repro.utils.normalization import znormalize_dataset
+from repro.utils.windows import subsequence_count, subsequences_of_dataset, window_blocks
+
+from oracles.embedding import embedding_graph_reference
 
 
 class TestGraphEmbedding:
@@ -86,3 +94,109 @@ class TestGraphEmbedding:
                 distance = float(np.linalg.norm(features[i] - features[j]))
                 (within if labels[i] == labels[j] else across).append(distance)
         assert np.mean(across) > np.mean(within)
+
+
+# --------------------------------------------------------------------- #
+# the blocked embedding: three passes over blocks of whole series
+# --------------------------------------------------------------------- #
+def _assert_same_graph(left, right, *, position_rtol=0.0):
+    """Equal structure and bit-identical patterns; positions to ``position_rtol``."""
+    left_payload, right_payload = left.to_payload(), right.to_payload()
+    left_nodes, right_nodes = left_payload.pop("nodes"), right_payload.pop("nodes")
+    assert left_payload == right_payload
+    assert [(n["id"], n["n_subsequences"]) for n in left_nodes] == [
+        (n["id"], n["n_subsequences"]) for n in right_nodes
+    ]
+    left_positions = np.array([n["position"] for n in left_nodes])
+    right_positions = np.array([n["position"] for n in right_nodes])
+    scale = np.max(np.abs(left_positions))
+    assert np.max(np.abs(left_positions - right_positions)) <= position_rtol * scale
+    for node in left.nodes():
+        assert np.array_equal(left.node_pattern(node), right.node_pattern(node))
+
+
+def _walks_with_constant_series(n_series=12, length=60, constant_row=4, seed=21):
+    data = np.random.default_rng(seed).normal(size=(n_series, length)).cumsum(axis=1)
+    data[constant_row] = 3.5
+    return data
+
+
+class TestBlockedEmbedding:
+    @pytest.mark.parametrize("stride", [1, 3])
+    @pytest.mark.parametrize("series_per_block", [3, 0.5])
+    def test_matches_oracle_across_blocks(self, monkeypatch, stride, series_per_block):
+        # 12 series in blocks of 3 series (4 blocks, the constant series 4
+        # in the middle of the second one), or blocks smaller than one
+        # series, so each block holds one series larger than the constant.
+        length = 10
+        data = _walks_with_constant_series()
+        values_per_series = subsequence_count(data.shape[1], length, stride) * length
+        block_values = int(series_per_block * values_per_series)
+        monkeypatch.setattr(windows_module, "WINDOW_BLOCK_VALUES", block_values)
+        blocks = [(start, stop) for start, stop, _ in window_blocks(data, length, stride)]
+        assert len(blocks) >= 4
+        assert any(start <= 4 < stop for start, stop in blocks[1:-1])
+
+        embedding = GraphEmbedding(length, stride=stride, random_state=0)
+        graph = embedding.fit(data)
+        _assert_same_graph(graph, embedding_graph_reference(embedding, data))
+
+    def test_block_boundaries_do_not_change_the_graph(self, monkeypatch):
+        data = make_cylinder_bell_funnel(30, 128, noise=0.2, random_state=3).data
+        whole = GraphEmbedding(24, random_state=0)
+        expected = whole.fit(data)
+        assert len(list(window_blocks(data, 24))) == 1
+
+        monkeypatch.setattr(windows_module, "WINDOW_BLOCK_VALUES", 1)
+        assert len(list(window_blocks(data, 24))) == data.shape[0]
+        per_series = GraphEmbedding(24, random_state=0)
+        _assert_same_graph(per_series.fit(data), expected, position_rtol=1e-12)
+        np.testing.assert_allclose(
+            per_series.projection_,
+            whole.projection_,
+            rtol=0,
+            atol=1e-12 * np.max(np.abs(whole.projection_)),
+        )
+
+    @pytest.mark.parametrize("block_values", [None, 2000])
+    def test_axes_match_pca_on_the_materialised_matrix(self, monkeypatch, block_values):
+        if block_values is not None:
+            monkeypatch.setattr(windows_module, "WINDOW_BLOCK_VALUES", block_values)
+        data = _walks_with_constant_series(seed=4)
+        embedding = GraphEmbedding(10, stride=2, random_state=0)
+        embedding.fit(data)
+        subsequences, _, _ = subsequences_of_dataset(data, 10, 2)
+        normalised = znormalize_dataset(subsequences)
+        pca = PCA(2).fit(normalised)
+        # The projection is the centred matrix times the axes: recover the
+        # axes by least squares and compare them, signs included.
+        axes, *_ = np.linalg.lstsq(normalised - pca.mean_, embedding.projection_, rcond=None)
+        np.testing.assert_allclose(axes.T, pca.components_, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(
+            embedding.projection_, pca.transform(normalised), rtol=0, atol=1e-10
+        )
+
+    def test_single_window_rejected(self):
+        # One series with one window of length 4 (stride 2 over 5 points):
+        # PCA needs at least two subsequences.
+        with pytest.raises(ValidationError, match="at least 2 subsequences, got 1"):
+            GraphEmbedding(4, stride=2).fit(np.array([[1.0, 2.0, 4.0, 8.0, 16.0]]))
+
+    def test_overflowing_values_rejected(self):
+        data = np.random.default_rng(0).normal(size=(3, 20))
+        data[1, 5:9] = [1.7e308, 1.7e308, -1.7e308, 1.7e308]
+        with np.errstate(all="ignore"), pytest.raises(ValidationError):
+            GraphEmbedding(4, stride=2).fit(data)
+
+    def test_peak_memory_stays_below_the_subsequence_matrix(self):
+        # The stacked subsequences of this fit take 200 x 309 x 204 float64
+        # (96 MiB); the blocked passes never hold a copy of them.
+        data = make_cylinder_bell_funnel(200, 512, noise=0.2, random_state=1).data
+        matrix_bytes = 200 * subsequence_count(512, 204) * 204 * 8
+        tracemalloc.start()
+        try:
+            GraphEmbedding(204, random_state=0).fit(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * matrix_bytes, f"peak {peak / matrix_bytes:.2f}x the matrix"

@@ -5,10 +5,12 @@ import pytest
 
 from repro.exceptions import ValidationError
 from repro.utils.normalization import (
+    apply_znormalization,
     minmax_scale,
     paa,
     resample_dataset,
     resample_length,
+    znormalization_stats,
     znormalize,
     znormalize_dataset,
 )
@@ -42,6 +44,24 @@ class TestZNormalize:
         normalized = znormalize_dataset(data)
         assert np.all(normalized[0] == 0.0)
         assert normalized[1].std() > 0
+
+    def test_dataset_leaves_its_input_alone(self, rng):
+        data = rng.normal(size=(4, 9))
+        before = data.copy()
+        znormalize_dataset(data)
+        assert np.array_equal(data, before)
+
+    def test_kept_statistics_rebuild_identical_rows(self, rng):
+        # Statistics taken once and applied to a fresh copy of any subset
+        # of rows give the rows znormalize_dataset gives, bit for bit.
+        data = rng.normal(3.0, 2.0, (12, 30))
+        data[4] = -1.25
+        means, scales = znormalization_stats(data)
+        assert scales[4] == 0.0
+        rows = slice(3, 8)
+        rebuilt = apply_znormalization(data[rows].copy(), means[rows], scales[rows])
+        assert np.array_equal(rebuilt, znormalize_dataset(data)[rows])
+        assert np.array_equal(rebuilt, znormalize_dataset(data[rows]))
 
 
 class TestMinMaxAndPaa:
@@ -110,6 +130,17 @@ class TestSlidingWindows:
     def test_window_too_large(self):
         with pytest.raises(ValidationError):
             sliding_window_matrix(np.arange(3, dtype=float), 5)
+
+    @pytest.mark.parametrize(("window", "stride"), [(8, 1), (5, 4), (3, 1), (3, 2)])
+    def test_matrix_is_a_fresh_writeable_copy(self, window, stride):
+        # (8, 1) and (5, 4) leave a single window, which a contiguity check
+        # alone would hand back as a read-only view of the series.
+        series = np.arange(8, dtype=float)
+        windows = sliding_window_matrix(series, window, stride)
+        assert windows.flags.writeable and windows.flags.c_contiguous
+        assert not np.shares_memory(windows, series)
+        windows -= windows.mean(axis=1, keepdims=True)
+        assert np.array_equal(series, np.arange(8, dtype=float))
 
     def test_dataset_extraction_indices(self):
         data = np.vstack([np.arange(8.0), np.arange(8.0) + 100])

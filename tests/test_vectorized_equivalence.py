@@ -1,10 +1,11 @@
 """Bit-identical equivalence of the vectorized hot paths vs their references.
 
-Every hot path vectorized for E13 retains its original implementation as a
-``*_reference`` twin; these tests assert the two produce *bit-identical*
-outputs (``np.array_equal``, payload equality — not approx) on random and
-adversarial inputs: distance ties, single-node graphs, stride > 1 and
-constant series.
+Every hot path vectorized for E13 keeps its original implementation as a
+reference: a ``*_reference`` twin in the library, or an oracle in
+``tests/oracles/`` (graph embedding).  These tests assert the two produce
+*bit-identical* outputs (``np.array_equal``, payload equality — not approx)
+on random and adversarial inputs: distance ties, single-node graphs,
+stride > 1 and constant series.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ from repro.metrics.distances import (
     pairwise_distances,
     pairwise_distances_reference,
 )
+
+from oracles.embedding import embedding_graph_reference
 
 METRICS = ("euclidean", "zeuclidean", "sbd", "dtw")
 
@@ -217,22 +220,26 @@ def _assert_graphs_identical(left: TimeSeriesGraph, right: TimeSeriesGraph) -> N
         assert np.array_equal(left.node_pattern(node), right.node_pattern(node))
 
 
+def _fit_and_reference(embedding: GraphEmbedding, data: np.ndarray):
+    """The fitted graph, and the oracle's graph from the same fitted projection."""
+    graph = embedding.fit(data)
+    return graph, embedding_graph_reference(embedding, data)
+
+
 class TestEmbeddingEquivalence:
     @pytest.mark.parametrize("stride", [1, 2, 5])
     def test_random_walks(self, stride):
         data = _random_walks(10, 72, seed=8)
-        vectorized = GraphEmbedding(12, stride=stride, random_state=0).fit(data)
-        reference = GraphEmbedding(
-            12, stride=stride, random_state=0, vectorized=False
-        ).fit(data)
+        vectorized, reference = _fit_and_reference(
+            GraphEmbedding(12, stride=stride, random_state=0), data
+        )
         _assert_graphs_identical(vectorized, reference)
 
     def test_constant_series_single_node_graph(self):
         # All-constant series z-normalise to zero subsequences: the radial
         # scan collapses to one node and every transition is a self-loop.
         data = np.ones((6, 30))
-        vectorized = GraphEmbedding(6, random_state=0).fit(data)
-        reference = GraphEmbedding(6, random_state=0, vectorized=False).fit(data)
+        vectorized, reference = _fit_and_reference(GraphEmbedding(6, random_state=0), data)
         _assert_graphs_identical(vectorized, reference)
         assert vectorized.n_nodes == 1
         assert vectorized.edges() == [(0, 0)]
@@ -242,8 +249,7 @@ class TestEmbeddingEquivalence:
         data = np.vstack(
             [np.zeros(40), np.full(40, 2.5), rng.normal(size=(4, 40)).cumsum(axis=1)]
         )
-        vectorized = GraphEmbedding(8, random_state=0).fit(data)
-        reference = GraphEmbedding(8, random_state=0, vectorized=False).fit(data)
+        vectorized, reference = _fit_and_reference(GraphEmbedding(8, random_state=0), data)
         _assert_graphs_identical(vectorized, reference)
 
 
@@ -346,13 +352,13 @@ class TestBatchedPredictEquivalence:
     def test_blocked_batches_match_single_block(self, fitted_model, monkeypatch):
         # Force the bounded-memory path to split the batch into many row
         # blocks; predictions must not depend on the block boundaries.
-        import repro.core.kgraph as kgraph_module
+        import repro.utils.windows as windows_module
 
         state = fitted_model.prediction_state()
         rng = np.random.default_rng(15)
         data = rng.normal(size=(13, 128)).cumsum(axis=1)
         expected = predict_with_state(state, data)
-        monkeypatch.setattr(kgraph_module, "_PREDICT_BLOCK_BYTES", 1)
+        monkeypatch.setattr(windows_module, "WINDOW_BLOCK_VALUES", 1)
         assert np.array_equal(predict_with_state(state, data), expected)
         assert np.array_equal(
             predict_with_state(state, data),
