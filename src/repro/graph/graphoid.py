@@ -14,12 +14,21 @@ Definitions (Section II of the paper):
 
 The same definitions apply to edges, with "crossing" meaning "traversing the
 edge at least once".
+
+Scoring is per cluster.  Both scores count the cluster's series that cross an
+element and divide by an integer (the cluster's size or the number of series
+crossing the element), and ``_cluster_scores`` makes that count for one
+cluster over every element at once.  The λ/γ extractors score only the
+requested cluster, so re-extracting all k graphoids costs k scorings, not
+k².  The all-cluster tables (:func:`node_representativity` and the other
+three) call the same helper once per cluster.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from itertools import chain
+from typing import Dict, List, NamedTuple
 
 import numpy as np
 
@@ -32,72 +41,73 @@ def _cluster_members(labels: np.ndarray) -> Dict[int, np.ndarray]:
     return {int(c): np.flatnonzero(labels == c) for c in np.unique(labels)}
 
 
+class _Crossings(NamedTuple):
+    """Every (element, series) crossing of a graph's nodes or edges."""
+
+    elements: list
+    owner: np.ndarray  # position in ``elements`` of each crossing
+    series: np.ndarray  # series index of each crossing
+    totals: np.ndarray  # number of series crossing each element
+
+
+def _crossings(graph: TimeSeriesGraph, edges: bool) -> _Crossings:
+    """The crossings of the graph's sorted edges (or sorted nodes)."""
+    if edges:
+        elements, series_of = graph.edges(), graph.series_through_edge
+    else:
+        elements, series_of = graph.nodes(), graph.series_through_node
+    crossing = [series_of(element) for element in elements]
+    totals = np.fromiter(map(len, crossing), dtype=np.intp, count=len(crossing))
+    series = np.fromiter(chain.from_iterable(crossing), dtype=np.intp, count=int(totals.sum()))
+    owner = np.repeat(np.arange(len(elements)), totals)
+    return _Crossings(elements, owner, series, totals)
+
+
+def _cluster_scores(crossings: _Crossings, members: np.ndarray, exclusivity: bool) -> Dict:
+    """``{element: score}`` of every element for the cluster made of ``members``.
+
+    The score is an integer count over an integer size (the cluster's size for
+    representativity, the element's crossing total for exclusivity, 0.0 when
+    nothing crosses the element), so it is the same float however the count
+    is made.
+    """
+    hits = np.isin(crossings.series, members)
+    counts = np.bincount(crossings.owner[hits], minlength=len(crossings.elements))
+    if exclusivity:
+        totals = crossings.totals
+        scores = np.divide(counts, totals, out=np.zeros(counts.shape), where=totals > 0)
+    else:
+        scores = counts / members.size
+    return dict(zip(crossings.elements, scores.tolist()))
+
+
+def _all_cluster_scores(graph: TimeSeriesGraph, labels, edges: bool, exclusivity: bool) -> Dict[int, Dict]:
+    labels = check_labels(labels, n_samples=graph.n_series)
+    crossings = _crossings(graph, edges)
+    return {
+        cluster: _cluster_scores(crossings, members, exclusivity)
+        for cluster, members in _cluster_members(labels).items()
+    }
+
+
 def node_representativity(graph: TimeSeriesGraph, labels) -> Dict[int, Dict[int, float]]:
     """``result[cluster][node]`` = representativity of the node for the cluster."""
-    labels = check_labels(labels, n_samples=graph.n_series)
-    members = _cluster_members(labels)
-    result: Dict[int, Dict[int, float]] = {cluster: {} for cluster in members}
-    for node in graph.nodes():
-        crossing = set(graph.series_through_node(node))
-        for cluster, cluster_indices in members.items():
-            if cluster_indices.size == 0:
-                result[cluster][node] = 0.0
-                continue
-            count = sum(1 for idx in cluster_indices if idx in crossing)
-            result[cluster][node] = count / cluster_indices.size
-    return result
+    return _all_cluster_scores(graph, labels, edges=False, exclusivity=False)
 
 
 def node_exclusivity(graph: TimeSeriesGraph, labels) -> Dict[int, Dict[int, float]]:
     """``result[cluster][node]`` = exclusivity of the node for the cluster."""
-    labels = check_labels(labels, n_samples=graph.n_series)
-    members = _cluster_members(labels)
-    result: Dict[int, Dict[int, float]] = {cluster: {} for cluster in members}
-    for node in graph.nodes():
-        crossing = graph.series_through_node(node)
-        total = len(crossing)
-        for cluster, cluster_indices in members.items():
-            if total == 0:
-                result[cluster][node] = 0.0
-                continue
-            member_set = set(cluster_indices.tolist())
-            count = sum(1 for idx in crossing if idx in member_set)
-            result[cluster][node] = count / total
-    return result
+    return _all_cluster_scores(graph, labels, edges=False, exclusivity=True)
 
 
 def edge_representativity(graph: TimeSeriesGraph, labels) -> Dict[int, Dict[Edge, float]]:
     """``result[cluster][edge]`` = representativity of the edge for the cluster."""
-    labels = check_labels(labels, n_samples=graph.n_series)
-    members = _cluster_members(labels)
-    result: Dict[int, Dict[Edge, float]] = {cluster: {} for cluster in members}
-    for edge in graph.edges():
-        crossing = set(graph.series_through_edge(edge))
-        for cluster, cluster_indices in members.items():
-            if cluster_indices.size == 0:
-                result[cluster][edge] = 0.0
-                continue
-            count = sum(1 for idx in cluster_indices if idx in crossing)
-            result[cluster][edge] = count / cluster_indices.size
-    return result
+    return _all_cluster_scores(graph, labels, edges=True, exclusivity=False)
 
 
 def edge_exclusivity(graph: TimeSeriesGraph, labels) -> Dict[int, Dict[Edge, float]]:
     """``result[cluster][edge]`` = exclusivity of the edge for the cluster."""
-    labels = check_labels(labels, n_samples=graph.n_series)
-    members = _cluster_members(labels)
-    result: Dict[int, Dict[Edge, float]] = {cluster: {} for cluster in members}
-    for edge in graph.edges():
-        crossing = graph.series_through_edge(edge)
-        total = len(crossing)
-        for cluster, cluster_indices in members.items():
-            if total == 0:
-                result[cluster][edge] = 0.0
-                continue
-            member_set = set(cluster_indices.tolist())
-            count = sum(1 for idx in crossing if idx in member_set)
-            result[cluster][edge] = count / total
-    return result
+    return _all_cluster_scores(graph, labels, edges=True, exclusivity=True)
 
 
 @dataclass
@@ -178,34 +188,40 @@ def extract_graphoid(graph: TimeSeriesGraph, labels, cluster: int) -> Graphoid:
     )
 
 
-def extract_lambda_graphoid(
-    graph: TimeSeriesGraph, labels, cluster: int, lambda_threshold: float
+def _threshold_graphoid(
+    graph: TimeSeriesGraph, labels, cluster: int, threshold: float, kind: str
 ) -> Graphoid:
-    """λ-Graphoid: nodes/edges whose representativity for ``cluster`` >= λ."""
-    lambda_threshold = check_probability(lambda_threshold, "lambda_threshold")
-    node_scores = node_representativity(graph, labels)
-    edge_scores = edge_representativity(graph, labels)
-    if cluster not in node_scores:
+    """The λ- or γ-graphoid of ``cluster``, scoring that cluster only."""
+    labels = check_labels(labels, n_samples=graph.n_series)
+    members = _cluster_members(labels)
+    if cluster not in members:
         raise ValidationError(f"cluster {cluster} not present in labels")
-    nodes = {
-        node: score
-        for node, score in node_scores[cluster].items()
-        if score >= lambda_threshold and score > 0
-    }
-    edges = {
-        edge: score
-        for edge, score in edge_scores[cluster].items()
-        if score >= lambda_threshold and score > 0
-    }
+    def selected(edges: bool) -> Dict:
+        scores = _cluster_scores(_crossings(graph, edges), members[cluster], kind == "gamma")
+        return {
+            element: score
+            for element, score in scores.items()
+            if score >= threshold and score > 0
+        }
+
+    nodes, edges = selected(edges=False), selected(edges=True)
     return Graphoid(
         cluster=int(cluster),
         nodes=sorted(nodes),
         edges=sorted(edges),
         node_scores=nodes,
         edge_scores=edges,
-        kind="lambda",
-        threshold=lambda_threshold,
+        kind=kind,
+        threshold=threshold,
     )
+
+
+def extract_lambda_graphoid(
+    graph: TimeSeriesGraph, labels, cluster: int, lambda_threshold: float
+) -> Graphoid:
+    """λ-Graphoid: nodes/edges whose representativity for ``cluster`` >= λ."""
+    lambda_threshold = check_probability(lambda_threshold, "lambda_threshold")
+    return _threshold_graphoid(graph, labels, cluster, lambda_threshold, "lambda")
 
 
 def extract_gamma_graphoid(
@@ -213,29 +229,7 @@ def extract_gamma_graphoid(
 ) -> Graphoid:
     """γ-Graphoid: nodes/edges whose exclusivity for ``cluster`` >= γ."""
     gamma_threshold = check_probability(gamma_threshold, "gamma_threshold")
-    node_scores = node_exclusivity(graph, labels)
-    edge_scores = edge_exclusivity(graph, labels)
-    if cluster not in node_scores:
-        raise ValidationError(f"cluster {cluster} not present in labels")
-    nodes = {
-        node: score
-        for node, score in node_scores[cluster].items()
-        if score >= gamma_threshold and score > 0
-    }
-    edges = {
-        edge: score
-        for edge, score in edge_scores[cluster].items()
-        if score >= gamma_threshold and score > 0
-    }
-    return Graphoid(
-        cluster=int(cluster),
-        nodes=sorted(nodes),
-        edges=sorted(edges),
-        node_scores=nodes,
-        edge_scores=edges,
-        kind="gamma",
-        threshold=gamma_threshold,
-    )
+    return _threshold_graphoid(graph, labels, cluster, gamma_threshold, "gamma")
 
 
 def interpretability_factor(graph: TimeSeriesGraph, labels) -> float:

@@ -63,11 +63,11 @@ def build_graph_frame(
 
     graph = model.result_.optimal_graph
     labels = model.result_.labels
+    node_statistics = model.node_statistics()
     if selected_node is None:
         # Default to the node with the highest exclusivity*representativity product.
-        statistics = model.node_statistics()
         def node_score(node_id: int) -> float:
-            stats = statistics[node_id]
+            stats = node_statistics[node_id]
             return max(
                 stats["exclusivity"][c] * stats["representativity"][c]
                 for c in stats["exclusivity"]
@@ -108,7 +108,7 @@ def build_graph_frame(
     )
 
     # Node inspector: pattern + per-cluster exclusivity / representativity.
-    statistics = model.node_statistics()[selected_node]
+    statistics = node_statistics[selected_node]
     pattern = znormalize(graph.node_pattern(selected_node))
     frame.add_panel(
         Panel(

@@ -182,6 +182,12 @@ def series_grid(
     This is the layout of the Clustering-comparison frame: panels are the
     *predicted* clusters while colours encode the *true* labels, so mixed
     colours inside a panel reveal clustering errors at a glance.
+
+    Each panel is drawn in bulk: one NumPy expression gives the pixel y of
+    every point of the panel's series, and :meth:`SVGCanvas.polylines`
+    formats the shared x coordinates once.  The arithmetic is the same
+    per-point formula, element by element, so the SVG is byte-identical to
+    drawing each point on its own (the oracle in ``tests/oracles/plots.py``).
     """
     array = check_array(data, name="data", ndim=2)
     labels = np.asarray(labels, dtype=int)
@@ -196,26 +202,21 @@ def series_grid(
         canvas.text(width / 2, 16, title, size=DEFAULT_THEME.title_size, anchor="middle", bold=True)
     panel_height = (height - 26) / max(n_panels, 1)
     y_min, y_max = float(array.min()), float(array.max())
+    length = array.shape[1]
+    x_values = [40 + (width - 50) * i / max(length - 1, 1) for i in range(length)]
+    # How far below a panel's top each point sits, as a share of the panel.
+    depth = 1.0 - (array - y_min) / max(y_max - y_min, 1e-9)
     for panel_index, cluster in enumerate(clusters):
         top = 22 + panel_index * panel_height
         members = np.flatnonzero(labels == cluster)
         canvas.text(6, top + 12, f"cluster {cluster} ({members.size})", size=10, fill="#555555")
-        for member in members:
-            row = array[member]
-            points = [
-                (
-                    40 + (width - 50) * i / max(row.shape[0] - 1, 1),
-                    top + 4 + (panel_height - 10)
-                    * (1.0 - (row[i] - y_min) / max(y_max - y_min, 1e-9)),
-                )
-                for i in range(row.shape[0])
-            ]
-            canvas.polyline(
-                points,
-                stroke=color_for_cluster(int(color_source[member])),
-                stroke_width=0.8,
-                opacity=0.75,
-            )
+        canvas.polylines(
+            x_values,
+            (top + 4 + (panel_height - 10) * depth[members]).tolist(),
+            [color_for_cluster(int(color_source[member])) for member in members],
+            stroke_width=0.8,
+            opacity=0.75,
+        )
     return canvas.to_svg()
 
 
@@ -307,6 +308,31 @@ def box_plot(
     return canvas.to_svg()
 
 
+def _block_means(values: np.ndarray, target: int) -> np.ndarray:
+    """Means of ``values`` over at most ``target`` blocks per axis.
+
+    Each output cell is bit-identical to ``block.mean()`` of its block.
+    When every row is its own bin (at most ``target`` rows, as for every
+    dashboard dataset), one ``mean(axis=1)`` per column bin reduces each row
+    of the bin exactly as ``block.mean()`` reduces the 1-row block: the same
+    contiguous values, summed pairwise, divided by the same count.
+    Two-dimensional blocks keep one ``block.mean()`` each.
+    """
+    n_rows, n_cols = values.shape
+    if n_rows <= target and n_cols <= target:
+        return values
+    col_edges = np.linspace(0, n_cols, min(n_cols, target) + 1).astype(int).tolist()
+    col_bins = list(zip(col_edges[:-1], col_edges[1:]))
+    if n_rows <= target:
+        return np.column_stack([values[:, c0:c1].mean(axis=1) for c0, c1 in col_bins])
+    row_edges = np.linspace(0, n_rows, min(n_rows, target) + 1).astype(int).tolist()
+    output = np.zeros((len(row_edges) - 1, len(col_bins)))
+    for i, (r0, r1) in enumerate(zip(row_edges[:-1], row_edges[1:])):
+        for j, (c0, c1) in enumerate(col_bins):
+            output[i, j] = values[r0:r1, c0:c1].mean()
+    return output
+
+
 def heatmap(
     matrix,
     *,
@@ -321,26 +347,20 @@ def heatmap(
 
     Matrices larger than ``max_cells`` along an axis are downsampled by block
     averaging so the SVG stays small while preserving the visual structure.
+
+    The cells are drawn in bulk.  Block means are exact (see
+    :func:`_block_means`).  Each *distinct* normalised value goes through
+    :func:`sequential_color` once, and :meth:`SVGCanvas.rect_grid` formats
+    each column's x and each row's y once.  The SVG is byte-identical to
+    drawing every cell with its own :meth:`SVGCanvas.rect` call (the oracle
+    in ``tests/oracles/plots.py``).
     """
     array = check_array(matrix, name="matrix", ndim=2, allow_nan=False)
-
-    def _downsample(values: np.ndarray, target: int) -> np.ndarray:
-        if values.shape[0] <= target and values.shape[1] <= target:
-            return values
-        row_bins = min(values.shape[0], target)
-        col_bins = min(values.shape[1], target)
-        row_edges = np.linspace(0, values.shape[0], row_bins + 1).astype(int)
-        col_edges = np.linspace(0, values.shape[1], col_bins + 1).astype(int)
-        output = np.zeros((row_bins, col_bins))
-        for i in range(row_bins):
-            for j in range(col_bins):
-                block = values[row_edges[i]: row_edges[i + 1], col_edges[j]: col_edges[j + 1]]
-                output[i, j] = block.mean() if block.size else 0.0
-        return output
-
-    array = _downsample(array, max_cells)
+    array = _block_means(array, max_cells)
     minimum, maximum = float(array.min()), float(array.max())
     span = maximum - minimum if maximum > minimum else 1.0
+    distinct, codes = np.unique((array - minimum) / span, return_inverse=True)
+    palette = np.array([sequential_color(value) for value in distinct.tolist()], dtype=object)
 
     canvas = SVGCanvas(width, height, background=DEFAULT_THEME.background)
     margins = (36.0, 14.0, 30.0, 40.0)
@@ -349,17 +369,14 @@ def heatmap(
     plot_height = height - top - bottom
     cell_width = plot_width / array.shape[1]
     cell_height = plot_height / array.shape[0]
-    for i in range(array.shape[0]):
-        for j in range(array.shape[1]):
-            value = (array[i, j] - minimum) / span
-            canvas.rect(
-                left + j * cell_width,
-                top + i * cell_height,
-                cell_width + 0.5,
-                cell_height + 0.5,
-                fill=sequential_color(value),
-                stroke="none",
-            )
+    canvas.rect_grid(
+        [left + j * cell_width for j in range(array.shape[1])],
+        [top + i * cell_height for i in range(array.shape[0])],
+        cell_width + 0.5,
+        cell_height + 0.5,
+        palette[codes.reshape(array.shape)].tolist(),
+        stroke="none",
+    )
     canvas.rect(left, top, plot_width, plot_height, fill="none", stroke="#555555")
     if title:
         canvas.text(width / 2, 20, title, size=DEFAULT_THEME.title_size, anchor="middle", bold=True)

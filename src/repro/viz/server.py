@@ -30,7 +30,8 @@ from urllib.parse import parse_qs, urlparse
 
 from repro.benchmark.runner import BenchmarkResult
 from repro.datasets.catalogue import DatasetCatalogue, default_catalogue
-from repro.exceptions import VisualizationError
+from repro.exceptions import ValidationError, VisualizationError
+from repro.utils.validation import check_probability
 from repro.viz.dashboard import build_dashboard
 from repro.viz.session import GraphintSession
 
@@ -146,6 +147,16 @@ class DashboardApplication:
                 node = int(params["node"]) if "node" in params else None
             except ValueError:
                 return json_error(400, "lam/gam must be floats and node an integer")
+            for name, value in (("lam", lam), ("gam", gam)):
+                if value is not None:
+                    try:
+                        check_probability(value, name)
+                    except ValidationError as exc:
+                        return json_error(400, str(exc), parameter=name)
+            if node is not None and node not in session.kgraph.result_.optimal_graph.nodes():
+                return json_error(
+                    400, f"node {node} is not a node of the optimal graph", parameter="node"
+                )
             measure = params.get("measure", "ari")
             try:
                 page = build_dashboard(

@@ -22,6 +22,10 @@ def _fmt(value: float) -> str:
 class SVGCanvas:
     """An append-only SVG document of fixed pixel size.
 
+    Each element kind has one writer.  :meth:`rect` and :meth:`polyline`
+    draw one shape; :meth:`rect_grid` and :meth:`polylines` draw many with
+    the same markup, formatting shared coordinates once.
+
     Parameters
     ----------
     width, height:
@@ -55,12 +59,52 @@ class SVGCanvas:
         tooltip: Optional[str] = None,
     ) -> None:
         """Draw a rectangle."""
+        self.rect_grid(
+            [x],
+            [y],
+            width,
+            height,
+            [[fill]],
+            stroke=stroke,
+            stroke_width=stroke_width,
+            opacity=opacity,
+            rx=rx,
+            tooltip=tooltip,
+        )
+
+    def rect_grid(
+        self,
+        xs: Sequence[float],
+        ys: Sequence[float],
+        width: float,
+        height: float,
+        fills: Sequence[Sequence[str]],
+        *,
+        stroke: str = "#000000",
+        stroke_width: float = 1.0,
+        opacity: float = 1.0,
+        rx: float = 0.0,
+        tooltip: Optional[str] = None,
+    ) -> None:
+        """Draw a grid of equal-size rectangles, row by row.
+
+        Cell ``(i, j)`` sits at ``(xs[j], ys[i])`` and is filled with
+        ``fills[i][j]``.  The markup equals one :meth:`rect` call per cell in
+        row-major order, but each coordinate is formatted once, so a heatmap
+        of tens of thousands of cells costs one string per cell.
+        """
         title = f"<title>{html.escape(tooltip)}</title>" if tooltip else ""
-        self._elements.append(
-            f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(width)}" height="{_fmt(height)}" '
-            f'rx="{_fmt(rx)}" fill="{fill}" stroke="{stroke}" stroke-width="{_fmt(stroke_width)}" '
+        size = f'width="{_fmt(width)}" height="{_fmt(height)}" rx="{_fmt(rx)}" fill="'
+        style = (
+            f'" stroke="{stroke}" stroke-width="{_fmt(stroke_width)}" '
             f'opacity="{_fmt(opacity)}">{title}</rect>'
         )
+        x_text = [_fmt(x) for x in xs]
+        for y, row in zip(ys, fills, strict=True):
+            head = f'" y="{_fmt(y)}" {size}'
+            self._elements.extend(
+                [f'<rect x="{x}{head}{fill}{style}' for x, fill in zip(x_text, row, strict=True)]
+            )
 
     def line(
         self,
@@ -91,13 +135,40 @@ class SVGCanvas:
         fill: str = "none",
     ) -> None:
         """Draw a connected series of points."""
-        if len(points) < 2:
-            raise VisualizationError("a polyline needs at least two points")
-        path = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in points)
-        self._elements.append(
-            f'<polyline points="{path}" fill="{fill}" stroke="{stroke}" '
-            f'stroke-width="{_fmt(stroke_width)}" opacity="{_fmt(opacity)}"/>'
+        self.polylines(
+            [x for x, _ in points],
+            [[y for _, y in points]],
+            [stroke],
+            stroke_width=stroke_width,
+            opacity=opacity,
+            fill=fill,
         )
+
+    def polylines(
+        self,
+        xs: Sequence[float],
+        rows: Sequence[Sequence[float]],
+        strokes: Sequence[str],
+        *,
+        stroke_width: float = 1.2,
+        opacity: float = 1.0,
+        fill: str = "none",
+    ) -> None:
+        """Draw one polyline per row of y values, all on the x coordinates ``xs``.
+
+        Row ``k`` is stroked with ``strokes[k]``.  The markup equals one
+        :meth:`polyline` call per row, but each x is formatted once for all
+        rows (the series of a grid panel share their time axis).
+        """
+        if len(xs) < 2:
+            raise VisualizationError("a polyline needs at least two points")
+        x_text = [_fmt(x) for x in xs]
+        style = f'stroke-width="{_fmt(stroke_width)}" opacity="{_fmt(opacity)}"/>'
+        for row, stroke in zip(rows, strokes, strict=True):
+            path = " ".join([f"{x},{_fmt(y)}" for x, y in zip(x_text, row, strict=True)])
+            self._elements.append(
+                f'<polyline points="{path}" fill="{fill}" stroke="{stroke}" {style}'
+            )
 
     def circle(
         self,

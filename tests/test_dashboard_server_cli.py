@@ -2,6 +2,11 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -88,6 +93,51 @@ class TestDashboard:
         }
         assert len(digests) == 1
 
+    def test_seeded_page_is_identical_across_processes(self):
+        # Two fresh interpreters with different hash seeds must render the
+        # same page, so no set or dict iteration order leaks into it.  The
+        # "Pipeline stage breakdown" and "Pipeline timings" panels are cut
+        # first: they print wall-clock seconds, the only part of a seeded
+        # page that differs between runs.
+        script = textwrap.dedent(
+            """
+            import hashlib, re
+            from repro.datasets.synthetic import make_cylinder_bell_funnel
+            from repro.viz.dashboard import build_dashboard
+            from repro.viz.session import GraphintSession
+
+            dataset = make_cylinder_bell_funnel(
+                n_series=18, length=64, noise=0.2, random_state=0
+            )
+            session = GraphintSession(dataset, n_lengths=2, random_state=0)
+            page = build_dashboard(session, lambda_threshold=0.4, gamma_threshold=0.6)
+            page, cut = re.subn(
+                r'<div class="panel"><h3>Pipeline (stage breakdown|timings)</h3>.*?</div>',
+                "",
+                page,
+            )
+            assert cut == 2, cut
+            print(hashlib.sha256(page.encode("utf-8")).hexdigest())
+            """
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        workers = [
+            subprocess.Popen(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed},
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+            for hash_seed in ("1", "2")
+        ]
+        digests = []
+        for worker in workers:
+            out, err = worker.communicate(timeout=300)
+            assert worker.returncode == 0, err
+            digests.append(out.strip())
+        assert digests[0] == digests[1]
+
     def test_benchmark_frame_included_when_results_given(self, session):
         from tests.test_viz_frames import _fake_results
 
@@ -149,8 +199,22 @@ class TestServerRouting:
         assert json.loads(body)["error"]["allow"] == ["GET"]
 
     def test_bad_parameters_400(self, application):
-        status, _, _ = application.handle("/?dataset=cbf_small&lam=high")
-        assert status == 400
+        # Text that is not a number, thresholds outside [0, 1] and nodes
+        # that are not in the optimal graph are client errors, not 500s.
+        # Each out-of-range error names its parameter.
+        for query, parameter in (
+            ("lam=high", None),
+            ("node=99999", "node"),
+            ("node=-1", "node"),
+            ("lam=2", "lam"),
+            ("lam=nan", "lam"),
+            ("lam=inf", "lam"),
+            ("gam=-0.5", "gam"),
+        ):
+            status, _, body = application.handle(f"/?dataset=cbf_small&{query}")
+            assert status == 400, query
+            if parameter is not None:
+                assert json.loads(body)["error"]["parameter"] == parameter, query
 
     def test_sessions_are_cached(self, application):
         application.handle("/?dataset=cbf_small")

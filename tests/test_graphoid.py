@@ -135,6 +135,40 @@ class TestGraphoidExtraction:
         with pytest.raises(ValidationError):
             extract_lambda_graphoid(graph, labels, 0, 1.5)
 
+    @pytest.mark.parametrize("threshold", [0.0, 0.25, 0.5, 1.0])
+    def test_extractors_select_from_all_cluster_tables(self, fitted_kgraph, threshold):
+        # Each extractor scores its own cluster only; the result must be the
+        # all-cluster tables' row for that cluster, filtered, in table order.
+        graph = fitted_kgraph.result_.optimal_graph
+        labels = fitted_kgraph.result_.labels
+        tables = {
+            extract_lambda_graphoid: (
+                node_representativity(graph, labels),
+                edge_representativity(graph, labels),
+            ),
+            extract_gamma_graphoid: (
+                node_exclusivity(graph, labels),
+                edge_exclusivity(graph, labels),
+            ),
+        }
+        for extract, (node_table, edge_table) in tables.items():
+            for cluster in np.unique(labels).tolist():
+                graphoid = extract(graph, labels, cluster, threshold)
+                expected_nodes = [
+                    (node, score) for node, score in node_table[cluster].items()
+                    if score >= threshold and score > 0
+                ]
+                expected_edges = [
+                    (edge, score) for edge, score in edge_table[cluster].items()
+                    if score >= threshold and score > 0
+                ]
+                assert list(graphoid.node_scores.items()) == expected_nodes
+                assert list(graphoid.edge_scores.items()) == expected_edges
+                assert graphoid.nodes == [node for node, _ in expected_nodes]
+                assert graphoid.edges == [edge for edge, _ in expected_edges]
+            with pytest.raises(ValidationError):
+                extract(graph, labels, int(labels.max()) + 1, threshold)
+
     def test_summary_lists_top_nodes(self, labelled_graph):
         graph, labels = labelled_graph
         graphoid = extract_gamma_graphoid(graph, labels, 0, 0.4)

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from oracles.plots import downsample_reference, heatmap_reference, series_grid_reference
 
-from repro.exceptions import VisualizationError
+from repro.exceptions import ValidationError, VisualizationError
 from repro.viz.plots import (
+    _block_means,
     bar_chart,
     box_plot,
     curve_comparison,
@@ -148,3 +150,94 @@ class TestPlots:
     def test_curve_length_mismatch(self):
         with pytest.raises(VisualizationError):
             curve_comparison([1, 2, 3], {"a": [0.1, 0.2]})
+
+
+def _feature_like(generator: np.random.Generator, n_series: int, n_features: int) -> np.ndarray:
+    """Row-normalised crossing counts, like a k-Graph feature matrix."""
+    counts = generator.integers(0, 4, size=(n_series, n_features)).astype(float)
+    return counts / np.maximum(counts.sum(axis=1, keepdims=True), 1.0)
+
+
+def _consensus_like(n_series: int) -> np.ndarray:
+    """Co-association fractions of 4 partitions, in label order."""
+    groups = np.repeat(np.arange(3), n_series // 3 + 1)[:n_series]
+    together = (groups[:, None] == groups[None, :]).astype(float)
+    together[: n_series // 4, -n_series // 4:] = 0.25
+    return together
+
+
+_HEATMAP_CASES = {
+    "feature_like": lambda g: _feature_like(g, 40, 450),
+    "consensus_like": lambda g: _consensus_like(60),
+    "normal_column_bins": lambda g: g.normal(size=(80, 450)),
+    "integer_counts": lambda g: g.integers(0, 9, size=(30, 500)),
+    "constant": lambda g: np.full((12, 300), 0.7),
+    "one_by_one": lambda g: np.array([[3.5]]),
+    "one_row": lambda g: g.normal(size=(1, 999)),
+    "one_column": lambda g: g.normal(size=(7, 1)),
+    "tall_column": lambda g: g.normal(size=(201, 3)),
+    "scaled": lambda g: 1e6 * g.normal(size=(20, 333)) + 3.0,
+}
+
+
+class TestBulkPlotsMatchOracles:
+    """The bulk heatmap and series grid write the oracles' bytes exactly."""
+
+    @pytest.mark.parametrize("case", sorted(_HEATMAP_CASES))
+    def test_heatmap(self, case):
+        matrix = _HEATMAP_CASES[case](np.random.default_rng(17))
+        kwargs = {"title": case, "x_label": "features", "y_label": "series"}
+        assert heatmap(matrix, **kwargs) == heatmap_reference(matrix, **kwargs)
+
+    def test_block_means_are_exact(self):
+        # A colour rarely moves with the last ulp of a mean, so the bytes
+        # alone would not catch inexact means (np.add.reduceat differs from
+        # block.mean() in the last ulp on 80x450 normal data).
+        values = np.random.default_rng(11).normal(size=(80, 450))
+        for target in (200, 60):
+            assert _block_means(values, target).tobytes() == downsample_reference(
+                values, target
+            ).tobytes()
+
+    def test_heatmap_two_dimensional_blocks(self):
+        # 250 rows > max_cells, so blocks span several rows and columns.
+        matrix = np.random.default_rng(3).normal(size=(250, 300))
+        assert heatmap(matrix, max_cells=50) == heatmap_reference(matrix, max_cells=50)
+
+    def test_heatmap_transposed_input(self):
+        # A Fortran-ordered view: block means must not depend on the layout.
+        matrix = np.random.default_rng(5).normal(size=(450, 30)).T
+        assert heatmap(matrix) == heatmap_reference(matrix)
+
+    @pytest.mark.parametrize(
+        "n_series, length, n_clusters, with_colors",
+        [(12, 64, 1, True), (24, 96, 4, True), (24, 96, 4, False), (9, 2, 3, True)],
+    )
+    def test_series_grid(self, n_series, length, n_clusters, with_colors):
+        generator = np.random.default_rng(n_series * length)
+        data = generator.normal(size=(n_series, length)).cumsum(axis=1)
+        labels = np.arange(n_series) % n_clusters
+        colors = generator.integers(0, 3, size=n_series) if with_colors else None
+        assert series_grid(data, labels, colors=colors, title="grid") == series_grid_reference(
+            data, labels, colors=colors, title="grid"
+        )
+
+    def test_series_grid_constant_dataset(self):
+        data = np.full((6, 40), -2.0)
+        labels = np.array([0, 1, 0, 1, 2, 2])
+        assert series_grid(data, labels) == series_grid_reference(data, labels)
+
+    @pytest.mark.parametrize(
+        "plot, args, error",
+        [
+            ("heatmap", (np.array([[1.0, np.nan]]),), ValidationError),
+            ("series_grid", (np.zeros((3, 1)), [0, 1, 0]), VisualizationError),
+            ("series_grid", (np.zeros((3, 8)), [0, 1]), VisualizationError),
+        ],
+    )
+    def test_rejected_inputs_stay_rejected(self, plot, args, error):
+        library = {"heatmap": heatmap, "series_grid": series_grid}[plot]
+        oracle = {"heatmap": heatmap_reference, "series_grid": series_grid_reference}[plot]
+        for draw in (library, oracle):
+            with pytest.raises(error):
+                draw(*args)
