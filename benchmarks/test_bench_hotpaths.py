@@ -8,7 +8,7 @@ hot paths with vectorized NumPy: bulk graph construction
 one-hot-GEMM consensus matrix and a whole-batch ``predict_with_state``.
 Each vectorized path retains its original implementation as a
 ``*_reference`` twin, or as an oracle in ``tests/oracles/`` (graph
-embedding); this experiment
+embedding, batched prediction); this experiment
 
 * times each (reference, vectorized) pair on the benchmark config,
 * asserts the outputs are **bit-identical** (``np.array_equal`` / payload
@@ -57,12 +57,7 @@ from repro.core.consensus import (
     build_consensus_matrix,
     build_consensus_matrix_reference,
 )
-from repro.core.kgraph import (
-    KGraph,
-    _LengthFitJob,
-    predict_with_state,
-    predict_with_state_reference,
-)
+from repro.core.kgraph import KGraph, _LengthFitJob, predict_with_state
 from repro.datasets.synthetic import make_cylinder_bell_funnel
 from repro.graph.embedding import GraphEmbedding
 from repro.linalg.kernels import knn_affinity, knn_affinity_reference
@@ -85,6 +80,7 @@ from repro.utils.windows import subsequences_of_dataset
 # The reference implementations that live with the tests.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from oracles.embedding import record_graph, reference_inputs  # noqa: E402
+from oracles.predict import predict_with_state_reference  # noqa: E402
 
 SCHEMA_VERSION = 1
 

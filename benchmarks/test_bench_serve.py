@@ -126,14 +126,12 @@ def _run_serve_experiment(tmp_path):
     record("direct", throughput, latencies, predictions)
 
     # unbatched: per-request dispatch through the engine (batch size 1).
-    with InferenceEngine(model, max_batch_size=1, flush_interval=0.0) as engine:
+    with InferenceEngine(model, max_batch_size=1) as engine:
         throughput, latencies, predictions = _run_load(engine.predict, series_pool)
         record("unbatched", throughput, latencies, predictions, engine.stats())
 
     # batched: work-conserving micro-batching (flush whatever is pending).
-    with InferenceEngine(
-        model, max_batch_size=MAX_BATCH_SIZE, flush_interval=0.0
-    ) as engine:
+    with InferenceEngine(model, max_batch_size=MAX_BATCH_SIZE) as engine:
         throughput, latencies, predictions = _run_load(engine.predict, series_pool)
         record("batched", throughput, latencies, predictions, engine.stats())
 

@@ -46,7 +46,6 @@ from repro.parallel import ExecutionBackend, RetryPolicy, backend_scope
 from repro.utils.normalization import (
     apply_znormalization,
     znormalization_stats,
-    znormalize_dataset,
 )
 from repro.utils.rng import spawn_rng
 from repro.utils.timing import Stopwatch
@@ -57,7 +56,6 @@ from repro.utils.validation import (
 )
 from repro.utils.windows import (
     length_grid,
-    sliding_window_matrix,
     subsequence_count,
     window_blocks,
 )
@@ -286,9 +284,9 @@ def _profiles_to_predictions(
     """Map normalised node-visit profiles to cluster labels.
 
     Uses the pre-computed ``centroids_sq`` (hoisted on the state) in the
-    expanded squared-distance form ``|p|^2 - 2 p.c + |c|^2``, shared by the
-    batched and reference predict paths so their assignments can never
-    drift.
+    expanded squared-distance form ``|p|^2 - 2 p.c + |c|^2``, shared by
+    :func:`predict_with_state` and the reference oracle in
+    ``tests/oracles/predict.py`` so their assignments can never drift.
 
     .. note::
        Pre-vectorization releases computed
@@ -317,9 +315,10 @@ def predict_with_state(state: PredictionState, array: np.ndarray) -> np.ndarray:
     one z-normalisation, one GEMM against the node patterns and one
     segmented bincount produce every series' node-visit profile at once.
     The per-series maths is unchanged, so results are bit-identical to
-    :func:`predict_with_state_reference` and a prediction never depends on
-    which batch its series travelled in.  Transient memory is bounded by the
-    block size, not by the batch's stacked windows.
+    the one-series-at-a-time oracle in ``tests/oracles/predict.py`` and a
+    prediction never depends on which batch its series travelled in.
+    Transient memory is bounded by the block size, not by the batch's
+    stacked windows.
     """
     n_series = array.shape[0]
     if n_series == 0:
@@ -345,34 +344,6 @@ def predict_with_state(state: PredictionState, array: np.ndarray) -> np.ndarray:
         totals = profiles.sum(axis=1, keepdims=True)
         profiles /= np.where(totals > 0, totals, 1.0)
         predictions[start:stop] = _profiles_to_predictions(state, profiles)
-    return predictions
-
-
-def predict_with_state_reference(
-    state: PredictionState, array: np.ndarray
-) -> np.ndarray:
-    """Reference one-series-at-a-time prediction loop.
-
-    Retained as the implementation :func:`predict_with_state` is
-    benchmarked and equivalence-tested against (E13).
-    """
-    predictions = np.empty(array.shape[0], dtype=int)
-    for index, series in enumerate(array):
-        windows = sliding_window_matrix(series, state.length, state.stride)
-        windows = znormalize_dataset(windows)
-        distances = (
-            np.sum(windows**2, axis=1)[:, None]
-            - 2.0 * windows @ state.patterns.T
-            + state.patterns_sq[None, :]
-        )
-        assignments = np.argmin(distances, axis=1)
-        profile = np.bincount(assignments, minlength=state.n_nodes).astype(float)
-        total = profile.sum()
-        if total > 0:
-            profile /= total
-        predictions[index] = _profiles_to_predictions(
-            state, profile[None, :]
-        )[0]
     return predictions
 
 

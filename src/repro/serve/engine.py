@@ -6,10 +6,12 @@ extraction, input validation, dispatch overhead), not by the per-series
 maths.  The :class:`InferenceEngine` therefore
 
 * prepares the model's :class:`~repro.core.kgraph.PredictionState` once,
-* queues concurrent single-series requests and flushes them as one batch
-  when either ``max_batch_size`` requests are pending (**flush-on-size**) or
-  the oldest pending request has waited ``flush_interval`` seconds
-  (**flush-on-timeout**), and
+* queues concurrent single-series requests and batches them
+  **work-conservingly**: as soon as its flusher thread is free it
+  dispatches whatever is queued, up to ``max_batch_size``, so a lone
+  request never waits for partners, and requests that arrive during a
+  dispatch form the next batch (the adaptive batching of Clipper,
+  Crankshaw et al., NSDI 2017), and
 * dispatches each micro-batch through an
   :class:`~repro.parallel.ExecutionBackend` in chunks, so a thread backend
   spreads the batch across workers while the serial backend stays a valid
@@ -70,7 +72,6 @@ class _PendingRequest:
     """One queued single-series request and its completion signal."""
 
     series: np.ndarray
-    enqueued_monotonic: float
     done: threading.Event = field(default_factory=threading.Event)
     prediction: Optional[int] = None
     error: Optional[BaseException] = None
@@ -79,6 +80,12 @@ class _PendingRequest:
 class InferenceEngine:
     """Micro-batching predict server around one fitted, servable estimator.
 
+    One flusher thread dispatches batches; callers wait on their own
+    request's event, so a caller's ``timeout`` holds even while a backend
+    hangs.  The flusher never waits for a batch to fill: whenever it is
+    free it takes up to ``max_batch_size`` queued requests, so batches
+    grow with the load instead of with a timer.
+
     Parameters
     ----------
     model:
@@ -86,11 +93,7 @@ class InferenceEngine:
         :class:`~repro.api.protocol.SupportsServing` (k-Graph, or a
         baseline estimator with its centroid state).
     max_batch_size:
-        Flush as soon as this many requests are pending.
-    flush_interval:
-        Maximum seconds the oldest pending request may wait before the
-        current (smaller) batch is flushed; this bounds the latency a
-        lonely request pays for batching.
+        Most requests one micro-batch takes from the queue.
     backend, n_jobs:
         Execution backend micro-batches are dispatched through; chunks of
         ``dispatch_chunk_size`` series become individual backend jobs.
@@ -105,17 +108,12 @@ class InferenceEngine:
         model,
         *,
         max_batch_size: int = 32,
-        flush_interval: float = 0.005,
         backend: Union[None, str, ExecutionBackend] = None,
         n_jobs: Optional[int] = None,
         dispatch_chunk_size: int = 8,
     ) -> None:
         if int(max_batch_size) < 1:
             raise ValidationError(f"max_batch_size must be >= 1, got {max_batch_size}")
-        if float(flush_interval) < 0:
-            raise ValidationError(
-                f"flush_interval must be >= 0, got {flush_interval}"
-            )
         if int(dispatch_chunk_size) < 1:
             raise ValidationError(
                 f"dispatch_chunk_size must be >= 1, got {dispatch_chunk_size}"
@@ -123,7 +121,6 @@ class InferenceEngine:
         self.model = model
         self.state: ServableState = model.prediction_state()
         self.max_batch_size = int(max_batch_size)
-        self.flush_interval = float(flush_interval)
         self.dispatch_chunk_size = int(dispatch_chunk_size)
         self._backend = resolve_backend(backend, n_jobs)
         self._owns_backend = self._backend is not backend
@@ -137,7 +134,7 @@ class InferenceEngine:
         self._n_requests = 0
         self._n_predictions = 0
         self._n_batches = 0
-        self._flush_reasons: Dict[str, int] = {"size": 0, "timeout": 0, "drain": 0}
+        self._flush_reasons: Dict[str, int] = {"size": 0, "idle": 0, "drain": 0}
         self._max_batch_seen = 0
 
         self._worker = threading.Thread(
@@ -163,13 +160,13 @@ class InferenceEngine:
         (queueing + dispatch); ``None`` waits indefinitely.
         """
         array = self._validate_series(series)
-        request = _PendingRequest(series=array, enqueued_monotonic=time.monotonic())
+        request = _PendingRequest(series=array)
         with self._condition:
             if self._closing:
                 raise ServiceError("cannot predict: the inference engine is closed")
             self._queue.append(request)
             self._n_requests += 1
-            self._condition.notify_all()
+            self._condition.notify()
         if not request.done.wait(timeout):
             self._abandon(request)
             # Overload, not a fault: the engine is alive but could not serve
@@ -204,17 +201,13 @@ class InferenceEngine:
         order.
         """
         array = self.model.validate_predict_input(data)
-        requests = []
+        requests = [_PendingRequest(series=series) for series in array]
         with self._condition:
             if self._closing:
                 raise ServiceError("cannot predict: the inference engine is closed")
-            now = time.monotonic()
-            for series in array:
-                request = _PendingRequest(series=series, enqueued_monotonic=now)
-                self._queue.append(request)
-                requests.append(request)
+            self._queue.extend(requests)
             self._n_requests += len(requests)
-            self._condition.notify_all()
+            self._condition.notify()
         # One deadline for the whole call — per-request waits would multiply
         # the caller's budget by the number of series.
         deadline = None if timeout is None else time.monotonic() + timeout
@@ -248,29 +241,14 @@ class InferenceEngine:
                 if not self._queue:
                     # Closing with an empty queue: nothing left to drain.
                     return
-                if self._closing:
-                    reason = "drain"
-                else:
-                    deadline = self._queue[0].enqueued_monotonic + self.flush_interval
-                    while (
-                        len(self._queue) < self.max_batch_size and not self._closing
-                    ):
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0:
-                            break
-                        self._condition.wait(remaining)
-                    if len(self._queue) >= self.max_batch_size:
-                        reason = "size"
-                    elif self._closing:
-                        reason = "drain"
-                    else:
-                        reason = "timeout"
                 batch = self._queue[: self.max_batch_size]
                 del self._queue[: self.max_batch_size]
-                if not batch:
-                    # Every queued request was abandoned (client timeout)
-                    # during the flush wait; don't record a phantom batch.
-                    continue
+                if self._closing:
+                    reason = "drain"
+                elif len(batch) == self.max_batch_size:
+                    reason = "size"
+                else:
+                    reason = "idle"
                 self._n_batches += 1
                 self._flush_reasons[reason] += 1
                 self._max_batch_seen = max(self._max_batch_seen, len(batch))
@@ -359,7 +337,7 @@ class InferenceEngine:
             first = not self._close_started
             self._close_started = True
             self._closing = True
-            self._condition.notify_all()
+            self._condition.notify()
         self._worker.join()
         if first and self._owns_backend:
             self._backend.close()
@@ -381,7 +359,13 @@ class InferenceEngine:
         self.close()
 
     def stats(self) -> Dict[str, object]:
-        """Batching counters: request/batch totals and flush reasons."""
+        """Batching counters: request/batch totals and flush reasons.
+
+        ``flush_reasons`` counts batches by why they left the queue:
+        ``"size"`` (``max_batch_size`` requests were queued), ``"idle"``
+        (fewer were queued when the flusher became free) and ``"drain"``
+        (taken while :meth:`close` emptied the queue).
+        """
         with self._condition:
             mean_batch = (
                 self._n_predictions / self._n_batches if self._n_batches else 0.0
@@ -395,6 +379,5 @@ class InferenceEngine:
                 "flush_reasons": dict(self._flush_reasons),
                 "pending": len(self._queue),
                 "max_batch_size": self.max_batch_size,
-                "flush_interval": self.flush_interval,
                 "backend": self._backend.name,
             }

@@ -3,6 +3,9 @@
 Routes (all JSON):
 
 * ``GET  /healthz``                      — liveness + registry/engine stats
+  (per engine: requests, predictions, batches, ``mean_batch_size`` and
+  ``flush_reasons`` — ``size``, ``idle`` or ``drain``, see
+  :meth:`~repro.serve.engine.InferenceEngine.stats`)
 * ``GET  /models``                       — every published model
 * ``GET  /models/<dataset>``             — versions of one dataset
 * ``GET  /models/<dataset>/<model_id>``  — record + full manifest
@@ -15,7 +18,9 @@ The service reuses the dashboard's HTTP plumbing
 ``handle_request`` method, so tests can drive it without sockets and the
 CLI can mount it next to the dashboard (:class:`CombinedApplication`).
 Predictions go through one :class:`~repro.serve.engine.InferenceEngine`
-per served model, so concurrent HTTP requests coalesce into micro-batches.
+per served model, so concurrent HTTP requests coalesce into micro-batches:
+a lone request is dispatched at once, and requests that arrive while a
+batch runs leave together in the next one.
 """
 
 from __future__ import annotations
@@ -46,6 +51,27 @@ from repro.viz.server import Response, json_error, serve_application
 ROUTES = ["/healthz", "/models", "/models/<dataset>", "/models/<dataset>/<model_id>", "/predict"]
 
 
+def _decode_series(value) -> np.ndarray:
+    """The ``series`` field as floats: one series, or a list of series.
+
+    Every element must be a JSON number.  ``np.asarray(..., dtype=float)``
+    alone would turn ``"1"`` and ``true`` into 1.0, so each row's element
+    types are checked first (``type(True)`` is ``bool``, not ``int``).
+    """
+    nested = isinstance(value, list) and bool(value) and isinstance(value[0], list)
+    for row in value if nested else [value]:
+        if not isinstance(row, list) or not set(map(type, row)) <= {float, int}:
+            raise ValidationError(
+                '"series" must be a list of numbers (one series) or a list '
+                "of lists of numbers (several series)"
+            )
+    try:
+        return np.asarray(value, dtype=float)
+    except (ValueError, OverflowError) as exc:
+        # Rows of different lengths, or an integer beyond float range.
+        raise ValidationError(f'"series" must be numeric: {exc}') from None
+
+
 class ServeApplication:
     """Request router of the model-serving API.
 
@@ -53,10 +79,12 @@ class ServeApplication:
     ----------
     registry:
         The :class:`ModelRegistry` to serve models from.
-    max_batch_size, flush_interval, backend, n_jobs:
-        Forwarded to the per-model :class:`InferenceEngine`\\ s.  Validated
-        eagerly so a misconfigured server fails at startup, not on the
-        first client request.
+    max_batch_size, backend, n_jobs:
+        Forwarded to the per-model :class:`InferenceEngine`\\ s, which
+        batch work-conservingly: each dispatches whatever is queued (up to
+        ``max_batch_size``) as soon as it is free.  Validated eagerly so a
+        misconfigured server fails at startup, not on the first client
+        request.
     max_engines:
         Maximum number of live engines; the least recently used engine is
         closed and evicted when the bound is exceeded, so a long-running
@@ -72,7 +100,6 @@ class ServeApplication:
         registry: ModelRegistry,
         *,
         max_batch_size: int = 32,
-        flush_interval: float = 0.005,
         backend: Union[None, str, ExecutionBackend] = None,
         n_jobs: Optional[int] = None,
         max_engines: int = 8,
@@ -80,8 +107,6 @@ class ServeApplication:
     ) -> None:
         if int(max_batch_size) < 1:
             raise ValidationError(f"max_batch_size must be >= 1, got {max_batch_size}")
-        if float(flush_interval) < 0:
-            raise ValidationError(f"flush_interval must be >= 0, got {flush_interval}")
         if int(max_engines) < 1:
             raise ValidationError(f"max_engines must be >= 1, got {max_engines}")
         if float(request_timeout) <= 0:
@@ -90,7 +115,6 @@ class ServeApplication:
             )
         self.registry = registry
         self.max_batch_size = int(max_batch_size)
-        self.flush_interval = float(flush_interval)
         # Resolve once and share across engines: backends are lock-safe for
         # multi-threaded use, and one pool beats max_engines separate pools.
         self.backend = resolve_backend(backend, n_jobs)
@@ -166,7 +190,6 @@ class ServeApplication:
         built = InferenceEngine(
             model,
             max_batch_size=self.max_batch_size,
-            flush_interval=self.flush_interval,
             backend=self.backend,
         )
         evicted: List[InferenceEngine] = []
@@ -276,7 +299,10 @@ class ServeApplication:
     def _handle_predict(self, body: Optional[bytes]) -> Response:
         try:
             request = json.loads((body or b"").decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError: undecodable bytes, malformed JSON, or an integer
+            # literal past the interpreter's digit limit.  RecursionError:
+            # arrays nested deeper than the parser can follow.
             return json_error(400, f"request body must be valid JSON: {exc}")
         if not isinstance(request, dict) or "series" not in request:
             return json_error(
@@ -292,9 +318,9 @@ class ServeApplication:
                 )
 
         try:
-            series = np.asarray(request["series"], dtype=float)
-        except (TypeError, ValueError) as exc:
-            return json_error(400, f"series must be numeric: {exc}")
+            series = _decode_series(request["series"])
+        except ValidationError as exc:
+            return json_error(400, str(exc))
         single = series.ndim == 1
 
         try:

@@ -245,13 +245,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "GET /healthz next to the dashboard routes",
     )
     serve.add_argument("--max-batch-size", type=int, default=32)
-    serve.add_argument(
-        "--flush-interval",
-        type=float,
-        default=0.005,
-        help="seconds the oldest queued predict request waits before a partial "
-        "micro-batch is flushed",
-    )
     _add_parallel_arguments(serve)
 
     worker = subparsers.add_parser(
@@ -507,7 +500,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         serving = ServeApplication(
             ModelRegistry(args.registry),
             max_batch_size=args.max_batch_size,
-            flush_interval=args.flush_interval,
             backend=args.backend,
             n_jobs=args.jobs,
         )

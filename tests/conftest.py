@@ -7,12 +7,18 @@ that only needs to *read* a fitted pipeline.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
 from repro.core.kgraph import KGraph
 from repro.datasets.synthetic import make_cylinder_bell_funnel, make_sine_families
+from repro.parallel import SerialBackend
 from repro.utils.containers import TimeSeriesDataset
+
+#: Seconds any test waits for a thread, a gate or a polled condition.
+WAIT_SECONDS = 30.0
 
 
 @pytest.fixture(scope="session")
@@ -52,3 +58,38 @@ def fitted_kgraph(small_dataset) -> KGraph:
     model = KGraph(n_clusters=3, n_lengths=3, random_state=0)
     model.fit(small_dataset.data)
     return model
+
+
+class GatedBackend(SerialBackend):
+    """A serial backend whose dispatches wait until the test opens ``gate``.
+
+    ``entered`` is set as soon as a dispatch reaches the gate, so a test can
+    hold the serving engine's flusher inside one batch while it queues more
+    requests, without relying on timing.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.gate = threading.Event()
+        self.entered = threading.Event()
+
+    def map_jobs(self, fn, jobs, **kwargs):
+        self.entered.set()
+        if not self.gate.wait(WAIT_SECONDS):
+            raise TimeoutError("the test never opened the dispatch gate")
+        return super().map_jobs(fn, jobs, **kwargs)
+
+
+@pytest.fixture
+def gated_backend():
+    """A :class:`GatedBackend`; the gate is opened before it is closed.
+
+    Tests open the gate themselves (in ``finally``) before closing an engine
+    that uses it, since closing drains the queue through the gate.
+    """
+    backend = GatedBackend()
+    try:
+        yield backend
+    finally:
+        backend.gate.set()
+        backend.close()

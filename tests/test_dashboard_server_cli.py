@@ -304,7 +304,7 @@ class TestCLI:
 
         combined = CombinedApplication(
             DashboardApplication(catalogue=_small_catalogue(), n_lengths=2),
-            ServeApplication(ModelRegistry(registry_dir), flush_interval=0.001),
+            ServeApplication(ModelRegistry(registry_dir)),
         )
         status, _, body = combined.handle_request("GET", "/models")
         assert status == 200

@@ -5,7 +5,9 @@ import threading
 import urllib.error
 import urllib.request
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.datasets.synthetic import make_cylinder_bell_funnel
 from repro.serve.registry import ModelRegistry
@@ -22,7 +24,7 @@ def application(fitted_kgraph, tmp_path_factory):
     registry = ModelRegistry(tmp_path_factory.mktemp("registry"), cache_size=2)
     registry.publish(fitted_kgraph, "cbf")
     registry.publish(fitted_kgraph, "cbf")
-    app = ServeApplication(registry, max_batch_size=8, flush_interval=0.002)
+    app = ServeApplication(registry, max_batch_size=8)
     yield app
     app.close()
 
@@ -97,7 +99,7 @@ class TestRouting:
         registry = ModelRegistry(tmp_path / "registry")
         for _ in range(3):
             registry.publish(fitted_kgraph, "cbf")
-        app = ServeApplication(registry, flush_interval=0.001, max_engines=2)
+        app = ServeApplication(registry, max_engines=2)
         engines = [app.engine_for("cbf", f"v{n}") for n in (1, 2, 3)]
         assert len(app._engines) == 2
         # The oldest engine was evicted and closed; the newer two still live.
@@ -108,7 +110,7 @@ class TestRouting:
     def test_closed_application_returns_503(self, fitted_kgraph, tmp_path):
         registry = ModelRegistry(tmp_path / "registry")
         registry.publish(fitted_kgraph, "cbf")
-        app = ServeApplication(registry, flush_interval=0.001)
+        app = ServeApplication(registry)
         app.close()
         request = json.dumps({"series": [0.0] * 64}).encode()
         status, _, body = app.handle_request("POST", "/predict", request)
@@ -165,11 +167,101 @@ class TestPredictRoute:
         registry = ModelRegistry(tmp_path / "registry")
         record = registry.publish(fitted_kgraph, "cbf")
         (record.path / "arrays.npz").write_bytes(b"not an npz")
-        app = ServeApplication(registry, flush_interval=0.001)
+        app = ServeApplication(registry)
         request = json.dumps({"series": fresh_series[0].tolist()}).encode()
         status, _, body = app.handle_request("POST", "/predict", request)
         assert status == 500
         app.close()
+
+
+#: Any JSON value: scalars of every JSON type, nested in arrays and objects.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=12,
+)
+
+
+class TestPredictDecoder:
+    """Malformed /predict bodies are a 400, never a 500 or a coerced answer."""
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            pytest.param(
+                b'{"series": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+                id="nested-100000-deep",
+            ),
+            pytest.param(b'{"series": [' + b"1" * 5000 + b"]}", id="int-5000-digits"),
+            pytest.param(b"\xff\xfe", id="not-utf8"),
+        ],
+    )
+    def test_undecodable_body_is_400(self, application, body):
+        status, _, payload = application.handle_request("POST", "/predict", body)
+        assert status == 400
+        assert "JSON" in _json(payload)["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "series",
+        [
+            pytest.param([0.0] * 63 + [10**400], id="int-401-digits"),
+            pytest.param(["1"] * 64, id="strings"),
+            pytest.param([True] * 64, id="booleans"),
+            pytest.param([1.0] * 63 + [None], id="null"),
+            pytest.param([[[1.0] * 64]], id="three-dimensional"),
+            pytest.param([[1.0] * 64, 1.0], id="row-not-a-list"),
+            pytest.param([[1.0] * 64, [1.0] * 65], id="ragged-rows"),
+            pytest.param({"values": [1.0] * 64}, id="object"),
+            pytest.param("1.0", id="string"),
+        ],
+    )
+    def test_non_numeric_series_is_400(self, application, series):
+        body = json.dumps({"series": series}).encode()
+        status, _, payload = application.handle_request("POST", "/predict", body)
+        assert status == 400
+        assert "series" in _json(payload)["error"]["message"]
+
+    @given(
+        rows=st.lists(st.integers(0, 5), min_size=1, max_size=3),
+        flat=st.booleans(),
+        where=st.sampled_from(["nowhere", "element", "series", "field", "body"]),
+        position=st.tuples(st.integers(0, 2), st.integers(0, 63)),
+        field=st.sampled_from(["dataset", "model_id"]),
+        value=json_values,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_any_json_body_is_answered_or_rejected(
+        self, application, fitted_kgraph, fresh_series, rows, flat, where, position, field, value
+    ):
+        # A valid request with one part replaced by any JSON value: an
+        # element of a series, the whole series, the dataset or model_id
+        # field, or the whole body.
+        series = [fresh_series[row].tolist() for row in rows]
+        if flat:
+            series = series[0]
+        request = {"series": series}
+        if where == "element":
+            row, column = position
+            (series if flat else series[row % len(series)])[column] = value
+        elif where == "series":
+            request["series"] = value
+        elif where == "field":
+            request[field] = value
+        body = json.dumps(value if where == "body" else request).encode()
+
+        status, _, payload = application.handle_request("POST", "/predict", body)
+        assert status in (200, 400, 404), payload
+        if where == "nowhere":
+            assert status == 200
+        if status == 200:
+            # Only JSON numbers are predicted: never a coerced string or bool.
+            sent = json.loads(body)["series"]
+            sent_rows = sent if isinstance(sent[0], list) else [sent]
+            assert all(type(number) in (int, float) for row in sent_rows for number in row)
+            decoded = np.asarray(sent, dtype=float)
+            expected = fitted_kgraph.predict(decoded.reshape(-1, decoded.shape[-1]))
+            assert _json(payload)["predictions"] == expected.tolist()
 
 
 class TestCombinedApplication:
@@ -220,7 +312,7 @@ class TestEndToEndHTTP:
     def test_concurrent_http_clients_coalesce_into_batches(self, fitted_kgraph, fresh_series, tmp_path):
         registry = ModelRegistry(tmp_path / "registry")
         registry.publish(fitted_kgraph, "cbf")
-        app = ServeApplication(registry, max_batch_size=8, flush_interval=0.05)
+        app = ServeApplication(registry, max_batch_size=8)
         server = serve_models(app, host="127.0.0.1", port=0, poll=False)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
@@ -258,13 +350,13 @@ class TestDegradation:
     """Load shedding vs real faults: 503 + Retry-After vs 500."""
 
     def test_engine_timeout_is_503_with_retry_after_hint(
-        self, fitted_kgraph, fresh_series, tmp_path
+        self, fitted_kgraph, fresh_series, tmp_path, gated_backend
     ):
         registry = ModelRegistry(tmp_path / "registry")
         registry.publish(fitted_kgraph, "cbf")
-        # The request times out (1 ms) long before the micro-batch flushes
-        # (200 ms): the engine sheds load instead of faulting.
-        app = ServeApplication(registry, flush_interval=0.2, request_timeout=0.001)
+        # The dispatch is held, so the request times out (1 ms) before its
+        # micro-batch runs: the engine sheds load instead of faulting.
+        app = ServeApplication(registry, backend=gated_backend, request_timeout=0.001)
         try:
             request = json.dumps({"series": fresh_series[0].tolist()}).encode()
             status, _, body = app.handle_request("POST", "/predict", request)
@@ -273,14 +365,15 @@ class TestDegradation:
             assert "retry_after" in error
             assert error["retry_after"] >= 1
         finally:
+            gated_backend.gate.set()
             app.close()
 
     def test_retry_after_surfaces_as_http_header(
-        self, fitted_kgraph, fresh_series, tmp_path
+        self, fitted_kgraph, fresh_series, tmp_path, gated_backend
     ):
         registry = ModelRegistry(tmp_path / "registry")
         registry.publish(fitted_kgraph, "cbf")
-        app = ServeApplication(registry, flush_interval=0.2, request_timeout=0.001)
+        app = ServeApplication(registry, backend=gated_backend, request_timeout=0.001)
         server = serve_models(app, host="127.0.0.1", port=0, poll=False)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
@@ -296,7 +389,9 @@ class TestDegradation:
             assert excinfo.value.code == 503
             assert excinfo.value.headers["Retry-After"] is not None
             assert int(excinfo.value.headers["Retry-After"]) >= 1
+            excinfo.value.close()
         finally:
+            gated_backend.gate.set()
             server.shutdown()
             server.server_close()
             thread.join(timeout=5)
@@ -305,7 +400,7 @@ class TestDegradation:
     def test_engine_fault_is_500_without_retry_after(self, fitted_kgraph, fresh_series, tmp_path):
         registry = ModelRegistry(tmp_path / "registry")
         record = registry.publish(fitted_kgraph, "cbf")
-        app = ServeApplication(registry, flush_interval=0.001)
+        app = ServeApplication(registry)
         try:
             # Corrupt the artifact after publication: loading it inside the
             # engine is a real fault, not load shedding.
@@ -322,7 +417,7 @@ class TestDegradation:
         # ServiceError: still 503 (the PR 6 contract).
         registry = ModelRegistry(tmp_path / "registry")
         registry.publish(fitted_kgraph, "cbf")
-        app = ServeApplication(registry, flush_interval=0.001)
+        app = ServeApplication(registry)
         app.close()
         request = json.dumps({"series": [0.0] * 64}).encode()
         status, _, body = app.handle_request("POST", "/predict", request)

@@ -2,7 +2,7 @@
 
 Every hot path vectorized for E13 keeps its original implementation as a
 reference: a ``*_reference`` twin in the library, or an oracle in
-``tests/oracles/`` (graph embedding).  These tests assert the two produce
+``tests/oracles/`` (graph embedding, batched prediction).  These tests assert the two produce
 *bit-identical* outputs (``np.array_equal``, payload equality — not approx)
 on random and adversarial inputs: distance ties, single-node graphs,
 stride > 1 and constant series.
@@ -17,12 +17,7 @@ from repro.core.consensus import (
     build_consensus_matrix,
     build_consensus_matrix_reference,
 )
-from repro.core.kgraph import (
-    KGraph,
-    PredictionState,
-    predict_with_state,
-    predict_with_state_reference,
-)
+from repro.core.kgraph import KGraph, PredictionState, predict_with_state
 from repro.datasets import generate_dataset
 from repro.graph.embedding import GraphEmbedding
 from repro.graph.structure import TimeSeriesGraph
@@ -35,6 +30,7 @@ from repro.metrics.distances import (
 )
 
 from oracles.embedding import embedding_graph_reference
+from oracles.predict import predict_with_state_reference
 
 METRICS = ("euclidean", "zeuclidean", "sbd", "dtw")
 
