@@ -38,7 +38,12 @@ from repro.metrics.clustering import (
     normalized_mutual_information,
     rand_index,
 )
+from repro.utils.blas import cap_blas_threads
 from repro.utils.containers import TimeSeriesDataset
+
+# NumPy (and its OpenBLAS) is loaded by now: one BLAS thread per process
+# keeps fitted arrays independent of the host's core count.
+cap_blas_threads()
 
 __version__ = "1.1.0"
 

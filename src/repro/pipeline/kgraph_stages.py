@@ -270,7 +270,9 @@ class EmbedStage(Stage):
     #: v2: PCA axes carry a fixed sign, so node positions and ids differ
     #: from v1 graphs.  v3: the blocked embedding sums the Gram matrix in
     #: another order, so node positions differ from v2 in the last ulps.
-    version = 3
+    #: v4: OpenBLAS runs one thread (``repro.utils.blas``), so on a
+    #: multi-core host the Gram matrix differs from v3 in the last ulps.
+    version = 4
     # Derived from the fields KGraphConfig tags with this stage, so the
     # cache-key inputs and the typed config can never drift apart.
     config_keys = KGraphConfig.stage_config_keys("embed")

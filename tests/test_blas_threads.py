@@ -1,0 +1,54 @@
+"""Fitted graphs must not depend on how many BLAS threads a host would run.
+
+OpenBLAS's GEMM/SYRK results change in the last ulps with its thread
+count, and by default it runs one thread per core.  ``import repro`` caps
+every loaded OpenBLAS at one thread (``repro.utils.blas``), so a fit is
+byte-identical whatever ``OPENBLAS_NUM_THREADS`` the interpreter started
+with — in the coordinator and in process-pool workers alike.
+"""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+_FIT_DIGEST = textwrap.dedent(
+    """
+    import hashlib, json, sys
+    from repro import KGraph
+    from repro.datasets.synthetic import make_cylinder_bell_funnel
+
+    dataset = make_cylinder_bell_funnel(n_series=200, length=256, random_state=7)
+    parallel = {"backend": "process", "n_jobs": 2} if sys.argv[1] == "process" else {}
+    model = KGraph(n_clusters=3, random_state=7, **parallel).fit(dataset.data)
+    digest = hashlib.sha256()
+    for length in sorted(model.result_.graphs):
+        graph = model.result_.graphs[length]
+        digest.update(json.dumps(graph.to_payload(), sort_keys=True).encode())
+        for node in graph.nodes():
+            digest.update(graph.node_pattern(node).tobytes())
+    print(digest.hexdigest())
+    """
+)
+
+
+def test_fit_is_identical_under_any_openblas_thread_setting():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    runs = [("1", "serial"), ("2", "serial"), ("2", "process")]
+    workers = [
+        subprocess.Popen(
+            [sys.executable, "-c", _FIT_DIGEST, mode],
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        for threads, mode in runs
+    ]
+    digests = {}
+    for run, worker in zip(runs, workers):
+        out, err = worker.communicate(timeout=300)
+        assert worker.returncode == 0, err
+        digests[run] = out.strip()
+    assert len(set(digests.values())) == 1, digests
