@@ -421,9 +421,8 @@ class KGraph:
         (``embed``, ``graph_cluster``, ``consensus``, ``length_selection``,
         ``interpretability``) to a backend name or
         :class:`~repro.parallel.ExecutionBackend` instance — e.g.
-        ``{"embed": "shared"}`` runs only the per-length embedding fan-out
-        on the zero-copy shared-memory process pool.  Stages without an
-        override use ``backend``.
+        ``{"embed": "thread"}`` runs only the per-length embedding fan-out
+        on a thread pool.  Stages without an override use ``backend``.
     stage_cache:
         Optional stage checkpoint store: a
         :class:`~repro.pipeline.StageCache` instance (share one across fits

@@ -12,18 +12,15 @@ stashes its own large result arrays the same way on the way back.
 Properties this buys:
 
 * **Dedup for free** — content addressing means the dataset array shared
-  by M per-length jobs is written once and referenced M times (the
-  distributed analogue of the shared-memory plan's identity dedup).
+  by M per-length jobs is written once and referenced M times.
 * **Retry-safe** — a missing or truncated file surfaces as
-  :class:`PlaneMissError`, a retryable per-job failure, exactly like a
-  vanished ``/dev/shm`` segment on the shared-memory backend.
+  :class:`PlaneMissError`, a retryable per-job failure.
 * **Crash-safe writes** — arrays land via ``tmp + os.replace``, so a
   reader never observes a half-written file (the
   :class:`~repro.pipeline.cache.DiskStageCache` idiom).
 
 Stash and resolve run the execution layer's one payload walk,
-:func:`repro.parallel.shared._swap_leaves` — the traversal that substitutes
-shared-memory refs — one level deeper, so chaos-wrapped jobs
+:func:`_swap_leaves`, four levels deep, so chaos-wrapped jobs
 (``_ChaosJob(job=...)``) still reach their arrays.  The walk rebuilds
 dataclasses without re-running ``__post_init__``, so a validating payload
 type (``TimeSeriesDataset`` checks its ``data`` array) never sees the
@@ -33,24 +30,76 @@ restores the validated original.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import os
 import threading
 from pathlib import Path
-from typing import Any, Dict, Tuple, Union
+from typing import Any, Callable, Dict, Tuple, Union
 
 import numpy as np
 
 from repro.exceptions import ParallelExecutionError, ValidationError
-from repro.parallel.shared import _PAYLOAD_DEPTH, _swap_leaves
 from repro.pipeline.fingerprint import fingerprint
 
 #: Arrays smaller than this ship inline — a ref + a file round-trip costs
-#: more than a few KB of base64 (mirrors the shared-memory threshold).
+#: more than a few KB of base64.
 DEFAULT_MIN_PLANE_BYTES = 32 * 1024
 
-#: One level deeper than the shared-memory walk: payloads may arrive
-#: wrapped in a chaos ``_ChaosJob`` whose ``job`` field holds the real one.
-_PLANE_DEPTH = _PAYLOAD_DEPTH + 1
+#: Containers are walked to this fixed depth (payload containers, not
+#: arbitrary object graphs): a job's dataclass, its fields' containers and
+#: their arrays, one level more for a chaos ``_ChaosJob`` whose ``job``
+#: field holds the real payload.
+_PLANE_DEPTH = 4
+
+
+def _swap_leaves(value: Any, swap: Callable[[Any], Any], _depth: int) -> Any:
+    """Rebuild ``value`` with ``swap`` applied to every non-container leaf.
+
+    Walks dataclass fields, dict values and tuple/list elements up to a
+    small fixed depth and rebuilds each container only when something
+    actually changed, so payloads without matching leaves pass through
+    untouched (by identity).
+
+    A changed dataclass is rebuilt by shallow copy + ``object.__setattr__``
+    (works on frozen instances and, unlike ``dataclasses.replace``, never
+    re-runs a validating ``__post_init__`` — ``TimeSeriesDataset`` checks
+    its ``data`` array — against a swapped-in transport ref).
+    """
+    if not isinstance(value, (dict, tuple, list)) and not (
+        dataclasses.is_dataclass(value) and not isinstance(value, type)
+    ):
+        return swap(value)
+    if _depth <= 0:
+        return value
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        changes = {}
+        for field in dataclasses.fields(value):
+            item = getattr(value, field.name)
+            replaced = _swap_leaves(item, swap, _depth - 1)
+            if replaced is not item:
+                changes[field.name] = replaced
+        if not changes:
+            return value
+        clone = copy.copy(value)
+        for name, replaced in changes.items():
+            object.__setattr__(clone, name, replaced)
+        return clone
+    if isinstance(value, dict):
+        replaced_items = {
+            key: _swap_leaves(item, swap, _depth - 1) for key, item in value.items()
+        }
+        if all(replaced_items[key] is value[key] for key in value):
+            return value
+        return replaced_items
+    replaced_seq = [_swap_leaves(item, swap, _depth - 1) for item in value]
+    if all(new is old for new, old in zip(replaced_seq, value)):
+        return value
+    if isinstance(value, tuple):
+        # Preserve namedtuples (their constructor takes positional args).
+        cls = type(value)
+        return cls(*replaced_seq) if hasattr(cls, "_fields") else tuple(replaced_seq)
+    return replaced_seq
 
 
 class PlaneMissError(ParallelExecutionError):
@@ -66,7 +115,7 @@ class PlaneArrayRef:
     """A picklable fingerprint reference to an array parked in the plane.
 
     Deliberately *not* a dataclass: the payload walk
-    (:func:`~repro.parallel.shared._swap_leaves`) recurses into dataclass
+    (:func:`_swap_leaves`) recurses into dataclass
     fields, and a ref must be handed to the swap callback as a leaf — the
     whole point is substituting it back into an array.
     """

@@ -488,9 +488,8 @@ def _pairwise_distances_fanout(
     serial kernels' per-row expressions, and the coordinator assembles —
     mirroring the triangular strips — so the result is bit-identical to
     the serial path for ``exact`` euclidean, zeuclidean, SBD and DTW.
-    Strips are large contiguous ndarrays, which is exactly the shape
-    :class:`~repro.parallel.SharedMemoryBackend` returns through shared
-    memory instead of pickling.
+    On a :class:`~repro.parallel.ThreadBackend` the strips share the
+    caller's array; a process pool pickles it into every strip job.
     """
     n = array.shape[0]
     n_workers = getattr(backend, "n_workers", None) or 1

@@ -14,24 +14,20 @@ interpretability scores — dispatch through one abstraction:
     :class:`JobOutcome` per job, **in submission order**, with per-job error
     capture and per-job wall-clock durations.
 
-Five backends ship today:
+Four backends ship today:
 
 * :class:`SerialBackend` — the default; zero overhead, identical behaviour
   to the pre-parallel code path.
-* :class:`ThreadBackend` — a thread pool; good for NumPy-heavy jobs whose
-  kernels release the GIL, and requires no pickling.
-* :class:`ProcessBackend` — a process pool with configurable ``chunk_size``;
-  sidesteps the GIL, requires module-level job functions and picklable jobs.
-* :class:`SharedMemoryBackend` — a process pool whose jobs ship large
-  NumPy arrays through zero-copy POSIX shared memory (written once per
-  fan-out, identity-deduplicated across jobs) instead of re-pickling the
-  dataset per job, and ships large *result* arrays back through worker-
-  written segments too; select with ``backend="shared"``.
+* :class:`ThreadBackend` — a thread pool, the in-host parallel path:
+  NumPy's kernels release the GIL and jobs ship no data at all.
+* :class:`ProcessBackend` — a process pool with configurable ``chunk_size``,
+  for isolation (crash recovery, chaos); requires module-level job
+  functions and picklable jobs.
 * :class:`~repro.distributed.DistributedBackend` — fans out over a pool of
-  ``graphint worker`` HTTP services; select with
+  ``graphint worker`` HTTP services on more than one host; select with
   ``backend="distributed:HOST:PORT[,HOST:PORT...][@PLANE_DIR]"`` (see
   :mod:`repro.distributed`; outcomes travel through the JSON wire codec of
-  :mod:`repro.parallel.wire`).
+  :mod:`repro.parallel.wire`, large arrays through its stage data plane).
 
 Every user-facing entry point threads the same two keywords down to
 :func:`resolve_backend`::
@@ -53,7 +49,7 @@ whole-fan-out deadline; the process and distributed backends share one
 chunk scheduler, which recovers killed workers by rebuilding the pool and
 bisecting the implicated chunk until the poison job is isolated;
 :class:`FallbackBackend`
-(``resolve_backend(fallback=("shared", "process", "thread"))``) demotes to
+(``resolve_backend(fallback=("process", "thread"))``) demotes to
 the next backend when a pool's rebuild budget is exhausted, with
 bit-identical results.  :class:`ChaosBackend` injects seeded faults
 (raise/delay/hang/kill/drop-result) by :class:`ChaosPlan` to drive every
@@ -87,13 +83,6 @@ from repro.parallel.retry import (
     WorkerCrashError,
     WorkerPoolExhausted,
 )
-from repro.parallel.shared import (
-    SharedArrayPlan,
-    SharedMemoryBackend,
-    SharedResultPlan,
-    publish_result_arrays,
-    substitute_shared_arrays,
-)
 from repro.parallel.wire import RemoteJobError
 
 __all__ = [
@@ -110,14 +99,9 @@ __all__ = [
     "RemoteJobError",
     "RetryPolicy",
     "SerialBackend",
-    "SharedArrayPlan",
-    "SharedMemoryBackend",
-    "SharedResultPlan",
     "ThreadBackend",
     "WorkerCrashError",
     "WorkerPoolExhausted",
     "backend_scope",
-    "publish_result_arrays",
     "resolve_backend",
-    "substitute_shared_arrays",
 ]

@@ -23,14 +23,14 @@ Fault tolerance (see :mod:`repro.parallel.retry`): every backend accepts a
 (``map_jobs(..., retry=...)``) or as an instance default
 (``resolve_backend(..., retry=...)``).  The policy adds bounded retries
 with deterministic backoff, per-attempt timeouts enforced by watchdogs
-that abandon hung work, and a whole-fan-out deadline.  The process
-backends additionally recover from killed workers without a policy:
+that abandon hung work, and a whole-fan-out deadline.  The process and
+distributed backends additionally recover from lost workers without a policy:
 a broken pool is rebuilt (bounded by ``max_pool_rebuilds``), surviving
 chunks are re-dispatched in quarantine — one at a time, bisected on
 repeat breakage — so a single poison job is isolated to a single-job
 chunk whose failure is recorded per job while its innocent chunk-mates'
 results are recovered.  :class:`FallbackBackend` chains backends and
-demotes (e.g. shared -> process -> thread) when a pool's rebuild budget
+demotes (e.g. process -> thread) when a pool's rebuild budget
 is exhausted; jobs carry their own seeds, so demotion never changes
 results.
 """
@@ -394,7 +394,7 @@ class SerialBackend(ExecutionBackend):
 
 
 class ThreadBackend(ExecutionBackend):
-    """Executes jobs on a thread pool.
+    """Executes jobs on a thread pool: the in-host parallel path.
 
     Best for NumPy-heavy jobs (the BLAS/linalg kernels release the GIL) and
     for anything I/O-bound; jobs and results never cross a process boundary,
@@ -836,19 +836,6 @@ class ProcessBackend(ExecutionBackend):
         # ThreadBackend._executor).
         with self._pool_lock:
             if self._pool is None:
-                # Start the multiprocessing resource tracker *before* any
-                # worker can fork: workers then inherit (fork) or are handed
-                # (spawn) the coordinator's tracker, so shared-memory
-                # registrations land in one shared set no matter which
-                # process creates, attaches or unlinks a segment.  Without
-                # this, a worker forked before the tracker exists spins up
-                # its own and warns about segments the coordinator unlinks.
-                try:
-                    from multiprocessing import resource_tracker
-
-                    resource_tracker.ensure_running()
-                except Exception:  # noqa: BLE001 - tracker is an optimisation
-                    pass
                 self._pool = ProcessPoolExecutor(
                     max_workers=self.n_workers or os.cpu_count() or 1
                 )
@@ -957,9 +944,8 @@ class FallbackBackend(ExecutionBackend):
     fan-out that is about to be re-run must not stream half its outcomes),
     then replayed in submission order on the calling thread.
 
-    Build one with ``resolve_backend(fallback=("shared", "process",
-    "thread"))``; the recorded :attr:`demotions` list is the structured
-    audit trail.
+    Build one with ``resolve_backend(fallback=("process", "thread"))``;
+    the recorded :attr:`demotions` list is the structured audit trail.
     """
 
     name = "fallback"
@@ -1078,21 +1064,12 @@ class FallbackBackend(ExecutionBackend):
         return f"FallbackBackend({names}, active={self.active.name})"
 
 
-def _shared_memory_backend_class():
-    # Imported lazily: shared.py imports ProcessBackend from this module.
-    from repro.parallel.shared import SharedMemoryBackend
-
-    return SharedMemoryBackend
-
-
 _BACKENDS = {
     "serial": SerialBackend,
     "thread": ThreadBackend,
     "threads": ThreadBackend,
     "process": ProcessBackend,
     "processes": ProcessBackend,
-    "shared": _shared_memory_backend_class,
-    "shared_memory": _shared_memory_backend_class,
 }
 
 
@@ -1108,10 +1085,8 @@ def resolve_backend(
     * an :class:`ExecutionBackend` instance is returned unchanged —
       combining one with ``n_jobs`` is rejected, since the instance already
       fixed its own worker count;
-    * ``"serial"`` / ``"thread"`` / ``"process"`` / ``"shared"`` name a
-      backend class (``n_jobs`` sets its worker count; ``"serial"`` ignores
-      it; ``"shared"`` is a process pool with zero-copy shared-memory
-      dataset plans, see :class:`repro.parallel.shared.SharedMemoryBackend`);
+    * ``"serial"`` / ``"thread"`` / ``"process"`` name a backend class
+      (``n_jobs`` sets its worker count; ``"serial"`` ignores it);
     * ``"distributed:HOST:PORT[,HOST:PORT...][@PLANE_DIR]"`` builds a
       :class:`repro.distributed.DistributedBackend` over that worker pool
       (``@PLANE_DIR`` enables the shared stage-cache data plane; ``n_jobs``
@@ -1188,8 +1163,6 @@ def resolve_backend(
                 "'distributed:HOST:PORT[,HOST:PORT...][@PLANE_DIR]'"
             )
         cls = _BACKENDS[key]
-        if not isinstance(cls, type):
-            cls = cls()  # lazy factory (see _shared_memory_backend_class)
         resolved = SerialBackend() if cls is SerialBackend else cls(n_jobs)
         if retry is not None:
             resolved.retry = retry

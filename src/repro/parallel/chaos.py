@@ -20,12 +20,10 @@ Fault kinds:
   same signal as a SIGKILLed machine (downgraded to ``raise`` when the job
   is not running in any worker process, so a serial/thread backend — e.g.
   after a fallback demotion — is never killed);
-* ``drop_result`` — the job returns a dangling shared-memory result
-  reference, so the coordinator's resolution fails exactly like a vanished
-  ``/dev/shm`` segment; on other backends it raises
-  :class:`ChaosDroppedResult`, which a distributed worker recognises and
-  answers 200 with the outcome *omitted* — a result lost in flight
-  (a plain retryable failure anywhere else).
+* ``drop_result`` — the job raises :class:`ChaosDroppedResult`, which a
+  distributed worker recognises and answers 200 with the outcome
+  *omitted* — a result lost in flight (a plain retryable failure on a
+  local backend).
 
 Each fault fires on the **first attempt only** (exactly-once arming via
 ``O_CREAT | O_EXCL`` token files, which works across process boundaries),
@@ -58,7 +56,7 @@ class ChaosError(ParallelExecutionError):
 
 
 class ChaosDroppedResult(ChaosError):
-    """The failure raised by a ``drop_result`` fault outside shared memory.
+    """The failure raised by a ``drop_result`` fault.
 
     A distinct subclass so the distributed worker service can recognise it
     and *omit* the job's outcome from its HTTP response entirely — the
@@ -203,15 +201,14 @@ def _in_worker_process() -> bool:
 class _ChaosJob:
     """Picklable wrapper pairing one job with its (optional) fault.
 
-    A frozen dataclass so :func:`repro.parallel.shared._swap_leaves` still
-    reaches the wrapped ``job`` payload and substitutes shared arrays —
-    chaos wrapping must not disable the zero-copy path it is testing.
+    A frozen dataclass so the data plane's payload walk
+    (:meth:`repro.distributed.StageDataPlane.stash`) still reaches the
+    wrapped ``job`` payload and offloads its arrays.
     """
 
     fault: Optional[str]
     seconds: float
     token: Optional[str]
-    shared_results: bool
     job: Any
 
 
@@ -243,16 +240,9 @@ class _ChaosRunner:
             if fault == "delay":
                 time.sleep(wrapped.seconds)
             elif fault == "drop_result":
-                if wrapped.shared_results:
-                    from repro.parallel.shared import _SharedResultRef
-
-                    # A ref to a segment that never existed: the
-                    # coordinator's resolution fails exactly like a
-                    # vanished /dev/shm segment.
-                    return _SharedResultRef("repro-chaos-dropped", (1,), "<f8")
                 # Recognisable by the distributed worker service, which
                 # omits the outcome from its response instead of failing it.
-                raise ChaosDroppedResult("injected result drop (no shared results)")
+                raise ChaosDroppedResult("injected result drop")
         return self.fn(wrapped.job)
 
 
@@ -309,17 +299,6 @@ class ChaosBackend(ExecutionBackend):
         jobs = list(jobs)
         if not jobs:
             return []
-        # Import here, not at module top: chaos must work without shared.py
-        # being importable (it needs numpy) in principle, and the check is
-        # only needed per fan-out.
-        try:
-            from repro.parallel.shared import SharedMemoryBackend
-
-            shared_results = isinstance(self.inner, SharedMemoryBackend) and bool(
-                getattr(self.inner, "share_results", False)
-            )
-        except Exception:  # noqa: BLE001
-            shared_results = False
         tokens_dir = tempfile.mkdtemp(prefix="repro-chaos-")
         wrapped: List[_ChaosJob] = []
         for index, job in enumerate(jobs):
@@ -338,15 +317,7 @@ class ChaosBackend(ExecutionBackend):
                 self.injections.append(
                     {"index": index, "fault": fault, "persistent": self.plan.persistent}
                 )
-            wrapped.append(
-                _ChaosJob(
-                    fault=fault,
-                    seconds=seconds,
-                    token=token,
-                    shared_results=shared_results,
-                    job=job,
-                )
-            )
+            wrapped.append(_ChaosJob(fault=fault, seconds=seconds, token=token, job=job))
         policy = retry if retry is not None else self.retry
         kwargs: Dict[str, Any] = {"on_result": on_result}
         if policy is not None:

@@ -159,8 +159,7 @@ class MemoryStageCache(StageCache):
     """A bounded in-process LRU of stage checkpoints.
 
     Outputs are stored by reference (no copy): stages treat their inputs as
-    read-only, the same contract the shared-memory backend already imposes
-    on jobs, so replaying a reference is safe and free.
+    read-only, so replaying a reference is safe and free.
     """
 
     def __init__(self, max_entries: int = 32) -> None:

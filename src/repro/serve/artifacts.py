@@ -153,7 +153,9 @@ def _write_artifact(
     with (path / ARRAYS_FILE).open("wb") as handle:
         np.savez_compressed(handle, **arrays)
     with (path / GRAPHS_FILE).open("w", encoding="utf-8") as handle:
-        json.dump({"graphs": graph_payloads}, handle, sort_keys=True)
+        # json.dump always runs the pure-Python encoder; one json.dumps
+        # call runs the C encoder, several times faster, with the same bytes.
+        handle.write(json.dumps({"graphs": graph_payloads}, sort_keys=True))
     manifest_tmp = path / (MANIFEST_FILE + ".tmp")
     with manifest_tmp.open("w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)

@@ -53,6 +53,7 @@ def cap_blas_threads() -> int:
         for name in _SETTERS:
             setter = getattr(library, name, None)
             if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
                 setter(1)
                 capped += 1
                 break

@@ -20,7 +20,7 @@ Sub-commands:
   artifact into a registry
 * ``graphint pipeline run --dataset NAME --cache DIR`` — run the staged
   k-Graph pipeline with checkpointing; ``--resume`` replays unchanged
-  stages from the cache, ``--stage-backend embed=shared`` picks a backend
+  stages from the cache, ``--stage-backend embed=thread`` picks a backend
   per stage, ``--cache-budget BYTES --cache-policy lru|lfu`` bound the
   checkpoint directory, ``--fuse``/``--no-fuse`` control fused dispatch
 * ``graphint pipeline inspect --cache DIR`` — list the checkpoints of a
@@ -142,10 +142,9 @@ def _add_parallel_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="SPEC",
         help=(
             "execution backend for the parallel pipeline stages (default: "
-            "serial); one of serial|thread|process|shared, or "
+            "serial); one of serial|thread|process, or "
             "'distributed:HOST:PORT[,HOST:PORT...][@PLANE_DIR]' to fan out "
-            "over graphint worker services; 'shared' is a process pool with "
-            "zero-copy shared-memory dataset plans"
+            "over graphint worker services"
         ),
     )
     parser.add_argument(
@@ -363,7 +362,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="append",
         default=None,
         metavar="STAGE=BACKEND",
-        help="per-stage backend override, e.g. 'embed=shared' (repeatable); "
+        help="per-stage backend override, e.g. 'embed=thread' (repeatable); "
         "stages: embed, graph_cluster, consensus, length_selection, "
         "interpretability",
     )

@@ -2,18 +2,14 @@
 
 Every fault-recovery path in the execution layer is driven here by seeded
 :class:`ChaosPlan`\\ s: worker kills with chunk bisection, hang watchdogs,
-dropped shared-memory results, pool-rebuild bounds, fallback demotion, and
+dropped results, pool-rebuild bounds, fallback demotion, and
 the end-to-end acceptance scenario — a k-Graph fit on a chaos-wrapped
 process backend stays bit-identical to the serial run.
 """
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,13 +19,13 @@ from repro.core.kgraph import KGraph
 from repro.exceptions import ValidationError
 from repro.parallel import (
     ChaosBackend,
+    ChaosDroppedResult,
     ChaosError,
     ChaosPlan,
     FallbackBackend,
     ProcessBackend,
     RetryPolicy,
     SerialBackend,
-    SharedMemoryBackend,
     WorkerCrashError,
     WorkerPoolExhausted,
 )
@@ -168,10 +164,10 @@ class TestWorkerKillRecovery:
         assert backend.timeouts == 0
 
 
-class TestSharedMemoryChaos:
-    def test_dropped_result_segment_is_retried(self):
+class TestDroppedResult:
+    def test_dropped_result_is_retried(self):
         plan = ChaosPlan(drop_results=frozenset({1}))
-        with SharedMemoryBackend(2, min_share_bytes=0, min_result_bytes=0) as inner:
+        with ProcessBackend(2) as inner:
             backend = ChaosBackend(inner, plan)
             outcomes = backend.map_jobs(
                 _square, [3, 4, 5], retry=RetryPolicy(max_attempts=3)
@@ -180,34 +176,12 @@ class TestSharedMemoryChaos:
         assert outcomes[1].attempts == 2
         assert outcomes[1].retried is True
 
-    def test_kill_path_leaves_no_tracker_warnings(self):
-        """A worker kill mid-fan-out must not leak shared_memory segments
-        (extends the PR 6 zero-leak test to the crash-recovery path)."""
-        script = (
-            "from repro.parallel import ChaosBackend, ChaosPlan, RetryPolicy\n"
-            "from repro.parallel import SharedMemoryBackend\n"
-            "from tests.test_chaos import _square\n"
-            "plan = ChaosPlan(kills=frozenset({1}))\n"
-            "with SharedMemoryBackend(2, min_share_bytes=0, min_result_bytes=0) as inner:\n"
-            "    backend = ChaosBackend(inner, plan)\n"
-            "    outcomes = backend.map_jobs(_square, list(range(5)),\n"
-            "                                retry=RetryPolicy(max_attempts=3))\n"
-            "print('OK', sum(1 for o in outcomes if o.ok))\n"
-        )
-        root = Path(__file__).resolve().parent.parent
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), str(root)])
-        result = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            timeout=300,
-            cwd=str(root),
-            env=env,
-        )
-        assert result.returncode == 0, result.stderr
-        assert "OK 5" in result.stdout
-        assert "leaked shared_memory" not in result.stderr
+    def test_dropped_result_without_retry_is_a_chaos_failure(self):
+        plan = ChaosPlan(drop_results=frozenset({1}))
+        with ProcessBackend(2) as inner:
+            outcomes = ChaosBackend(inner, plan).map_jobs(_square, [3, 4, 5])
+        assert [outcome.ok for outcome in outcomes] == [True, False, True]
+        assert isinstance(outcomes[1].exception, ChaosDroppedResult)
 
 
 class TestFallbackDemotion:

@@ -9,10 +9,14 @@ SIGKILL path lives in ``tests/test_distributed_chaos.py``).
 import json
 import threading
 import time
+from collections import namedtuple
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from repro.benchmark.runner import _GridJob
+from repro.datasets.synthetic import make_cylinder_bell_funnel
 from repro.distributed import (
     DistributedBackend,
     PlaneArrayRef,
@@ -36,6 +40,8 @@ from repro.parallel import (
     WorkerPoolExhausted,
     resolve_backend,
 )
+from repro.parallel.chaos import _ChaosJob
+from repro.utils.containers import TimeSeriesDataset
 
 
 # --------------------------------------------------------------------- #
@@ -422,6 +428,15 @@ class TestBackendSpec:
 # --------------------------------------------------------------------- #
 # Stage data plane
 # --------------------------------------------------------------------- #
+@dataclass(frozen=True)
+class _ArrayJob:
+    array: np.ndarray
+    offset: float
+
+
+_Pair = namedtuple("_Pair", ["data", "tag"])
+
+
 class TestStageDataPlane:
     def test_stash_resolve_roundtrip(self, tmp_path):
         plane = StageDataPlane(tmp_path, min_bytes=64)
@@ -436,6 +451,90 @@ class TestStageDataPlane:
         assert plane.arrays_stashed == 1
         assert plane.arrays_resolved == 1
         assert plane.bytes_offloaded == array.nbytes
+
+    def test_stash_dataclass_fields(self, tmp_path):
+        plane = StageDataPlane(tmp_path, min_bytes=0)
+        job = _ArrayJob(array=np.zeros((32, 32)), offset=2.0)
+        stashed = plane.stash(job)
+        assert isinstance(stashed.array, PlaneArrayRef)
+        assert stashed.offset == 2.0
+        assert isinstance(job.array, np.ndarray)  # original untouched
+        np.testing.assert_array_equal(plane.resolve(stashed).array, job.array)
+
+    def test_grid_job_stashes_without_post_init(self, tmp_path, monkeypatch):
+        # A validating dataclass (TimeSeriesDataset checks ``data``) is
+        # rebuilt around the ref, and back around the array, without
+        # re-running __post_init__.
+        dataset = make_cylinder_bell_funnel(200, 256, random_state=0)
+        job = _GridJob(
+            estimator="kgraph",
+            dataset=dataset,
+            base_fields={},
+            combo={"n_clusters": 3},
+            random_state=0,
+        )
+        checks = []
+        validate = TimeSeriesDataset.__post_init__
+        monkeypatch.setattr(
+            TimeSeriesDataset,
+            "__post_init__",
+            lambda self: checks.append(self) or validate(self),
+        )
+        plane = StageDataPlane(tmp_path)
+        stashed = plane.stash(job)
+        assert isinstance(stashed.dataset.data, PlaneArrayRef)
+        assert stashed.combo == job.combo
+        resolved = plane.resolve(stashed)
+        np.testing.assert_array_equal(resolved.dataset.data, dataset.data)
+        assert resolved.dataset.labels is dataset.labels
+        assert checks == []
+        assert job.dataset is dataset and isinstance(dataset.data, np.ndarray)
+
+    def test_stash_containers(self, tmp_path):
+        plane = StageDataPlane(tmp_path, min_bytes=0)
+        array = np.arange(64, dtype=np.float64)
+        as_dict = plane.stash({"a": array, "b": 1})
+        as_tuple = plane.stash((array, "x"))
+        as_list = plane.stash([array])
+        as_named = plane.stash(_Pair(data=array, tag="y"))
+        assert isinstance(as_dict["a"], PlaneArrayRef) and as_dict["b"] == 1
+        assert isinstance(as_tuple, tuple) and as_tuple[1] == "x"
+        assert isinstance(as_tuple[0], PlaneArrayRef)
+        assert isinstance(as_list, list) and isinstance(as_list[0], PlaneArrayRef)
+        assert isinstance(as_named, _Pair) and as_named.tag == "y"
+        assert isinstance(as_named.data, PlaneArrayRef)
+        # The same content in all four containers was written once.
+        assert plane.arrays_stashed == 1
+        resolved = plane.resolve(as_named)
+        assert isinstance(resolved, _Pair)
+        np.testing.assert_array_equal(resolved.data, array)
+
+    def test_small_arrays_pass_through(self, tmp_path):
+        plane = StageDataPlane(tmp_path, min_bytes=1 << 20)
+        job = _ArrayJob(array=np.zeros((2, 2)), offset=0.0)
+        assert plane.stash(job) is job
+        assert plane.resolve(job) is job
+        assert plane.arrays_stashed == 0
+
+    def test_non_array_payloads_untouched(self, tmp_path):
+        plane = StageDataPlane(tmp_path, min_bytes=0)
+        payload = {"k": 3, "names": ("a", "b")}
+        assert plane.stash(payload) is payload
+        assert plane.stash("job") == "job"
+        assert plane.stash(123) == 123
+        assert plane.arrays_stashed == 0
+
+    def test_chaos_wrapped_payload_reaches_arrays(self, tmp_path):
+        # _ChaosJob -> _ArrayJob -> dict -> list -> array: depth 4.
+        plane = StageDataPlane(tmp_path, min_bytes=0)
+        array = np.ones(128)
+        inner = _ArrayJob(array={"blocks": [array]}, offset=1.0)
+        wrapped = _ChaosJob(fault="raise", seconds=0.0, token=None, job=inner)
+        stashed = plane.stash(wrapped)
+        assert isinstance(stashed.job.array["blocks"][0], PlaneArrayRef)
+        assert stashed.fault == "raise"
+        resolved = plane.resolve(stashed)
+        np.testing.assert_array_equal(resolved.job.array["blocks"][0], array)
 
     def test_dedup_by_content(self, tmp_path):
         plane = StageDataPlane(tmp_path, min_bytes=64)

@@ -19,7 +19,7 @@ import pytest
 
 from repro.core.kgraph import KGraph
 from repro.exceptions import PipelineError, ValidationError
-from repro.parallel import ProcessBackend, SharedMemoryBackend
+from repro.parallel import ProcessBackend
 from repro.pipeline import KGRAPH_STAGE_NAMES, MemoryStageCache, PipelineContext, Stage
 
 ALL_STAGES = list(KGRAPH_STAGE_NAMES)
@@ -115,17 +115,6 @@ class TestAutoFusion:
     def test_serial_backend_does_not_fuse(self, small_dataset):
         model = _fit(small_dataset)  # fuse=None (auto), serial backend
         assert model.pipeline_report_.fused == []
-
-    def test_shared_process_backend_fuses(self, small_dataset):
-        backend = SharedMemoryBackend(2, min_share_bytes=0)
-        try:
-            model = _fit(small_dataset, backend=backend)
-        finally:
-            backend.close()
-        assert model.pipeline_report_.fused == FUSED_PAIR
-        plain = _fit(small_dataset, fuse=False)
-        _assert_results_identical(model, plain)
-        assert _stage_keys(model) == _stage_keys(plain)
 
     def test_process_backend_fuses_bit_identically(self, small_dataset):
         backend = ProcessBackend(2)

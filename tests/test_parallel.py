@@ -199,6 +199,13 @@ class TestResolveBackend:
     def test_serial_ignores_n_jobs(self):
         assert isinstance(resolve_backend("serial", 4), SerialBackend)
 
+    @pytest.mark.parametrize("name", ["shared", "shared_memory"])
+    def test_removed_shared_memory_names_rejected(self, name):
+        with pytest.raises(
+            ValidationError, match=r"unknown backend .*; available: .*'process'"
+        ):
+            resolve_backend(name, 2)
+
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValidationError):
             resolve_backend("distributed")

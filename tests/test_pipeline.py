@@ -310,7 +310,7 @@ def _assert_fits_identical(fitted: KGraph, reference: KGraph) -> None:
 
 
 class TestKGraphPipelineEquivalence:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process", "shared"])
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     def test_bit_identical_to_reference_across_backends(self, small_dataset, backend):
         jobs = None if backend == "serial" else 2
         fitted = KGraph(

@@ -1,5 +1,6 @@
 """Tests for the versioned model artifact format (repro.serve.artifacts)."""
 
+import io
 import json
 
 import numpy as np
@@ -47,6 +48,16 @@ class TestRoundTrip:
                 assert restored.node_visit_counts(node) == graph.node_visit_counts(node)
             for series in range(graph.n_series):
                 assert restored.trajectory(series) == graph.trajectory(series)
+        # graphs.json holds exactly the bytes json.dump writes.
+        graphs = fitted_kgraph.result_.graphs
+        expected = io.StringIO()
+        json.dump(
+            {"graphs": [graphs[length].to_payload() for length in sorted(graphs)]},
+            expected,
+            sort_keys=True,
+        )
+        written = (artifact_dir / "graphs.json").read_bytes()
+        assert written == expected.getvalue().encode("utf-8")
 
     def test_partitions_and_scores_round_trip(self, fitted_kgraph, artifact_dir):
         loaded = load_model(artifact_dir)
