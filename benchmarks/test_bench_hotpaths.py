@@ -16,7 +16,7 @@ embedding, batched prediction); this experiment
 * asserts the acceptance floors — >= 5x on embedding graph construction
   and >= 10x on DTW / pairwise distances.
 
-PR 6 added the dispatch-cost entry ``fused_fit_dispatch``: it times a
+The dispatch-cost entry ``fused_fit_dispatch`` times a
 two-stage pipeline whose stages declare :attr:`Stage.fusable_with`
 unfused vs fused on one warm :class:`~repro.parallel.ProcessBackend`
 (fusing eliminates the coordinator->worker re-ship of the intermediate

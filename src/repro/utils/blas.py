@@ -22,11 +22,11 @@ import ctypes
 import os
 from typing import List
 
-#: Thread-count setters: NumPy's bundled ILP64 build, SciPy's bundled
-#: build, and a system OpenBLAS.
+#: Thread-count setters: the OpenBLAS bundled with NumPy 2 and with
+#: NumPy 1 (both ILP64 builds), and a system OpenBLAS.
 _SETTERS = (
     "scipy_openblas_set_num_threads64_",
-    "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads64_",
     "openblas_set_num_threads",
 )
 
@@ -41,9 +41,8 @@ def _loaded_openblas() -> List[str]:
     return sorted(path for path in paths if path.startswith("/"))
 
 
-def cap_blas_threads() -> int:
-    """Set every loaded OpenBLAS to one thread; return how many were capped."""
-    capped = 0
+def cap_blas_threads() -> None:
+    """Set every loaded OpenBLAS to one thread."""
     for path in _loaded_openblas():
         try:
             # RTLD_NOLOAD: only look up a library that is already mapped.
@@ -55,6 +54,4 @@ def cap_blas_threads() -> int:
             if setter is not None:
                 setter.argtypes, setter.restype = [ctypes.c_int], None
                 setter(1)
-                capped += 1
                 break
-    return capped
