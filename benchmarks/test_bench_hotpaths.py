@@ -1,9 +1,9 @@
 """E13 — Hot-path vectorization: vectorized vs retained reference implementations.
 
 PR 3 replaced every per-subsequence / per-pair Python loop on the k-Graph
-hot paths with vectorized NumPy: bulk graph construction
-(``TimeSeriesGraph.add_visits`` / ``add_transitions`` fed by
-``GraphEmbedding``), an anti-diagonal banded DTW, blockwise/batched
+hot paths with vectorized NumPy: bulk graph construction (the array-native
+``TimeSeriesGraph`` that ``GraphEmbedding`` builds from its node
+assignments), an anti-diagonal banded DTW, blockwise/batched
 ``pairwise_distances``, ``np.argpartition``-based ``knn_affinity``, a
 one-hot-GEMM consensus matrix and a whole-batch ``predict_with_state``.
 Each vectorized path retains its original implementation as a
@@ -66,6 +66,7 @@ from repro.utils.windows import subsequences_of_dataset
 # The reference implementations that live with the tests.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from oracles.embedding import record_graph, reference_inputs  # noqa: E402
+from oracles.graph import payload  # noqa: E402
 from oracles.predict import predict_with_state_reference  # noqa: E402
 
 SCHEMA_VERSION = 1
@@ -153,9 +154,11 @@ def _embedding_entry() -> Dict[str, object]:
     The PCA projection and radial scan are identical in both paths; the
     construction stage — pattern means, visit and transition recording —
     is what the vectorization targets, so it is what gets timed.  The
-    reference is the per-subsequence loop of ``tests/oracles/embedding.py``;
-    the fast side is the assembly ``GraphEmbedding.fit`` runs, handed the
-    whole z-normalised subsequence matrix as one block.
+    reference is the per-subsequence loop of ``tests/oracles/embedding.py``
+    into the dict graph of ``tests/oracles/graph.py``; the fast side is the
+    assembly ``GraphEmbedding.fit`` runs, handed the whole z-normalised
+    subsequence matrix as one block.  Both graphs are compared through the
+    oracle's payload of their accessors.
     """
     dataset = make_cylinder_bell_funnel(
         n_series=EMBED_N_SERIES, length=EMBED_SERIES_LENGTH, noise=0.2, random_state=0
@@ -176,7 +179,7 @@ def _embedding_entry() -> Dict[str, object]:
         lambda: embedding._assemble_graph(
             n_series, [subsequences], assignments, node_positions
         ),
-        lambda ref, vec: ref.to_payload() == vec.to_payload(),
+        lambda ref, vec: payload(ref) == payload(vec),
     )
     entry["n_subsequences"] = int(subsequences.shape[0])
     return entry

@@ -38,8 +38,7 @@ from repro.graph.graphoid import (
     Graphoid,
     extract_gamma_graphoid,
     extract_lambda_graphoid,
-    node_exclusivity,
-    node_representativity,
+    score_matrix,
 )
 from repro.graph.structure import TimeSeriesGraph
 from repro.parallel import ExecutionBackend, RetryPolicy, backend_scope
@@ -908,11 +907,8 @@ class KGraph:
         self._check_fitted()
         graph = self.result_.optimal_graph
         labels = self.result_.labels
-        nodes = graph.nodes()
-        patterns = np.vstack([
-            # Node patterns are stored as mean z-normalised subsequences.
-            graph.node_pattern(node) for node in nodes
-        ])
+        # Node patterns are stored as mean z-normalised subsequences.
+        patterns = graph.patterns
         training_profiles = graph.node_feature_matrix(normalize=True)
         clusters = np.unique(labels)
         centroids = np.vstack([
@@ -1041,19 +1037,18 @@ class KGraph:
         self._check_fitted()
         graph = self.result_.optimal_graph
         labels = self.result_.labels
-        representativity = node_representativity(graph, labels)
-        exclusivity = node_exclusivity(graph, labels)
-        statistics: Dict[int, Dict[str, Dict[int, float]]] = {}
-        for node in graph.nodes():
-            statistics[node] = {
-                "representativity": {
-                    int(cluster): representativity[cluster][node] for cluster in representativity
-                },
-                "exclusivity": {
-                    int(cluster): exclusivity[cluster][node] for cluster in exclusivity
-                },
+        clusters, representativity = score_matrix(graph, labels, edges=False, exclusivity=False)
+        _, exclusivity = score_matrix(graph, labels, edges=False, exclusivity=True)
+        clusters = clusters.tolist()
+        return {
+            node: {
+                "representativity": dict(zip(clusters, representativity_row)),
+                "exclusivity": dict(zip(clusters, exclusivity_row)),
             }
-        return statistics
+            for node, (representativity_row, exclusivity_row) in enumerate(
+                zip(representativity.T.tolist(), exclusivity.T.tolist())
+            )
+        }
 
 
 # Registered so distributed workers can run per-length fits by name (see

@@ -2,7 +2,9 @@
 
 * :mod:`repro.graph.structure` — the directed, attributed transition graph
   produced by the embedding step (nodes = recurring subsequence patterns,
-  edges = observed transitions), plus conversion to networkx.
+  edges = observed transitions), held as arrays: node positions, node
+  patterns and per-series node trajectories determine it, and its edges,
+  weights and per-element series counts (CSR) are derived from them once.
 * :mod:`repro.graph.embedding` — the Graph Embedding step of the pipeline
   (subsequence extraction, PCA projection, radial-scan + KDE node extraction,
   edge construction).

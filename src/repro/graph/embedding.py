@@ -237,8 +237,9 @@ class GraphEmbedding:
         """Build the transition graph from densely numbered node assignments.
 
         ``blocks`` yields the z-normalised subsequences in order, in blocks
-        of whole series; ``assignments`` gives each subsequence's node, and
-        every node in ``node_positions`` has at least one subsequence.  Node
+        of whole series; ``assignments`` gives each subsequence's node, so
+        reshaped to (n_series, n_windows) it is the graph's trajectories.
+        Every node in ``node_positions`` has at least one subsequence.  Node
         patterns are the mean of their subsequences: ``np.add.at`` adds rows
         in subsequence order, the order ``members.mean(axis=0)`` adds them
         in, so the patterns are bit-identical to the per-node means.
@@ -254,20 +255,12 @@ class GraphEmbedding:
                 np.add.at(sums[:, column], nodes, block[:, column])
             start = stop
         patterns = sums / np.bincount(assignments, minlength=n_nodes)[:, None]
-
-        graph = TimeSeriesGraph(length=self.length, n_series=n_series)
-        for node in range(n_nodes):
-            graph.add_node(node, node_positions[node], patterns[node])
-        series_index = np.repeat(np.arange(n_series), n_windows)
-        graph.add_visits(assignments, series_index)
-        # Consecutive subsequences of the same series form transitions.
-        same_series = series_index[1:] == series_index[:-1]
-        graph.add_transitions(
-            assignments[:-1][same_series],
-            assignments[1:][same_series],
-            series_index[1:][same_series],
+        return TimeSeriesGraph(
+            self.length,
+            node_positions,
+            patterns,
+            assignments.reshape(n_series, n_windows),
         )
-        return graph
 
 
 def _nearest_nodes(points: np.ndarray, node_positions: np.ndarray) -> np.ndarray:

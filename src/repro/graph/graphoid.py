@@ -15,20 +15,19 @@ Definitions (Section II of the paper):
 The same definitions apply to edges, with "crossing" meaning "traversing the
 edge at least once".
 
-Scoring is per cluster.  Both scores count the cluster's series that cross an
-element and divide by an integer (the cluster's size or the number of series
-crossing the element), and ``_cluster_scores`` makes that count for one
-cluster over every element at once.  The λ/γ extractors score only the
-requested cluster, so re-extracting all k graphoids costs k scorings, not
-k².  The all-cluster tables (:func:`node_representativity` and the other
-three) call the same helper once per cluster.
+Scoring counts, for each cluster, the cluster's series that cross an
+element and divides by an integer (the cluster's size or the number of
+series crossing the element), so a score is the same float however the
+count is made.  :func:`score_matrix` counts every cluster at once with one
+``np.bincount`` over the graph's CSR crossings; the λ/γ extractors count
+only the requested cluster, so re-extracting all k graphoids costs k
+scorings, not k².
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Dict, List, NamedTuple
+from typing import Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -37,56 +36,64 @@ from repro.graph.structure import Edge, TimeSeriesGraph
 from repro.utils.validation import check_labels, check_probability
 
 
-def _cluster_members(labels: np.ndarray) -> Dict[int, np.ndarray]:
-    return {int(c): np.flatnonzero(labels == c) for c in np.unique(labels)}
-
-
 class _Crossings(NamedTuple):
     """Every (element, series) crossing of a graph's nodes or edges."""
 
-    elements: list
-    owner: np.ndarray  # position in ``elements`` of each crossing
+    owner: np.ndarray  # element (node id or edge row) of each crossing
     series: np.ndarray  # series index of each crossing
     totals: np.ndarray  # number of series crossing each element
 
 
 def _crossings(graph: TimeSeriesGraph, edges: bool) -> _Crossings:
     """The crossings of the graph's sorted edges (or sorted nodes)."""
+    crossings = graph.edge_crossings if edges else graph.node_crossings
+    return _Crossings(crossings.owners(), crossings.series, np.diff(crossings.ptr))
+
+
+def _elements(graph: TimeSeriesGraph, edges: bool, rows=None) -> list:
+    """Node ids, or edge tuples, of ``rows`` (every element when ``None``)."""
     if edges:
-        elements, series_of = graph.edges(), graph.series_through_edge
-    else:
-        elements, series_of = graph.nodes(), graph.series_through_node
-    crossing = [series_of(element) for element in elements]
-    totals = np.fromiter(map(len, crossing), dtype=np.intp, count=len(crossing))
-    series = np.fromiter(chain.from_iterable(crossing), dtype=np.intp, count=int(totals.sum()))
-    owner = np.repeat(np.arange(len(elements)), totals)
-    return _Crossings(elements, owner, series, totals)
+        array = graph.edge_array if rows is None else graph.edge_array[rows]
+        return list(map(tuple, array.tolist()))
+    return graph.nodes() if rows is None else rows.tolist()
 
 
-def _cluster_scores(crossings: _Crossings, members: np.ndarray, exclusivity: bool) -> Dict:
-    """``{element: score}`` of every element for the cluster made of ``members``.
+def _scores(crossings: _Crossings, group: np.ndarray, sizes: np.ndarray, exclusivity: bool) -> np.ndarray:
+    """(n_groups, n_elements) scores; ``group`` maps each series to its group.
 
-    The score is an integer count over an integer size (the cluster's size for
-    representativity, the element's crossing total for exclusivity, 0.0 when
-    nothing crosses the element), so it is the same float however the count
-    is made.
+    The score is an integer count over an integer size (the group's size for
+    representativity, the element's crossing total for exclusivity; 0.0 when
+    the size is 0).
     """
-    hits = np.isin(crossings.series, members)
-    counts = np.bincount(crossings.owner[hits], minlength=len(crossings.elements))
+    n_elements = crossings.totals.size
+    counts = np.bincount(
+        group[crossings.series] * n_elements + crossings.owner,
+        minlength=sizes.size * n_elements,
+    ).reshape(sizes.size, n_elements)
     if exclusivity:
         totals = crossings.totals
-        scores = np.divide(counts, totals, out=np.zeros(counts.shape), where=totals > 0)
-    else:
-        scores = counts / members.size
-    return dict(zip(crossings.elements, scores.tolist()))
+        return np.divide(counts, totals, out=np.zeros(counts.shape), where=totals > 0)
+    return counts / np.maximum(sizes, 1)[:, None]
+
+
+def score_matrix(graph: TimeSeriesGraph, labels, *, edges: bool, exclusivity: bool) -> Tuple[np.ndarray, np.ndarray]:
+    """The sorted clusters and their (n_clusters, n_elements) score matrix.
+
+    Columns follow ``graph.edges()`` when ``edges`` is true, else
+    ``graph.nodes()``; scores are exclusivity or representativity.
+    """
+    labels = check_labels(labels, n_samples=graph.n_series)
+    clusters, group = np.unique(labels, return_inverse=True)
+    scores = _scores(_crossings(graph, edges), group, np.bincount(group), exclusivity)
+    return clusters, scores
 
 
 def _all_cluster_scores(graph: TimeSeriesGraph, labels, edges: bool, exclusivity: bool) -> Dict[int, Dict]:
-    labels = check_labels(labels, n_samples=graph.n_series)
-    crossings = _crossings(graph, edges)
+    clusters, scores = score_matrix(graph, labels, edges=edges, exclusivity=exclusivity)
+    elements = _elements(graph, edges)
     return {
-        cluster: _cluster_scores(crossings, members, exclusivity)
-        for cluster, members in _cluster_members(labels).items()
+        int(cluster): dict(zip(elements, row))
+        for cluster, row in zip(clusters.tolist(), scores.tolist())
     }
 
 
@@ -163,20 +170,24 @@ class Graphoid:
         }
 
 
+def _cluster_group(labels: np.ndarray, cluster: int, missing: str) -> Tuple[np.ndarray, np.ndarray]:
+    """Series groups (1 in ``cluster``, 0 elsewhere) and the two group sizes."""
+    group = (labels == cluster).astype(np.intp)
+    if not group.any():
+        raise ValidationError(f"cluster {cluster} {missing}")
+    return group, np.bincount(group, minlength=2)
+
+
 def extract_graphoid(graph: TimeSeriesGraph, labels, cluster: int) -> Graphoid:
     """The plain Graphoid: every node/edge traversed by at least one member."""
     labels = check_labels(labels, n_samples=graph.n_series)
-    members = set(np.flatnonzero(labels == cluster).tolist())
-    if not members:
-        raise ValidationError(f"cluster {cluster} has no members")
-    nodes = [
-        node for node in graph.nodes()
-        if members.intersection(graph.series_through_node(node))
-    ]
-    edges = [
-        edge for edge in graph.edges()
-        if members.intersection(graph.series_through_edge(edge))
-    ]
+    group, sizes = _cluster_group(labels, cluster, "has no members")
+
+    def touched(edges: bool) -> list:
+        counts = _scores(_crossings(graph, edges), group, sizes, exclusivity=False)[1]
+        return _elements(graph, edges, np.flatnonzero(counts > 0))
+
+    nodes, edges = touched(edges=False), touched(edges=True)
     return Graphoid(
         cluster=int(cluster),
         nodes=nodes,
@@ -193,22 +204,18 @@ def _threshold_graphoid(
 ) -> Graphoid:
     """The λ- or γ-graphoid of ``cluster``, scoring that cluster only."""
     labels = check_labels(labels, n_samples=graph.n_series)
-    members = _cluster_members(labels)
-    if cluster not in members:
-        raise ValidationError(f"cluster {cluster} not present in labels")
+    group, sizes = _cluster_group(labels, cluster, "not present in labels")
+
     def selected(edges: bool) -> Dict:
-        scores = _cluster_scores(_crossings(graph, edges), members[cluster], kind == "gamma")
-        return {
-            element: score
-            for element, score in scores.items()
-            if score >= threshold and score > 0
-        }
+        scores = _scores(_crossings(graph, edges), group, sizes, kind == "gamma")[1]
+        keep = np.flatnonzero((scores >= threshold) & (scores > 0))
+        return dict(zip(_elements(graph, edges, keep), scores[keep].tolist()))
 
     nodes, edges = selected(edges=False), selected(edges=True)
     return Graphoid(
         cluster=int(cluster),
-        nodes=sorted(nodes),
-        edges=sorted(edges),
+        nodes=list(nodes),
+        edges=list(edges),
         node_scores=nodes,
         edge_scores=edges,
         kind=kind,
@@ -238,11 +245,5 @@ def interpretability_factor(graph: TimeSeriesGraph, labels) -> float:
     This is the paper's interpretability factor used (together with the
     consistency W_c) to pick the most interpretable subsequence length.
     """
-    exclusivity = node_exclusivity(graph, labels)
-    maxima = []
-    for cluster, scores in exclusivity.items():
-        if scores:
-            maxima.append(max(scores.values()))
-        else:
-            maxima.append(0.0)
-    return float(np.mean(maxima)) if maxima else 0.0
+    _, exclusivity = score_matrix(graph, labels, edges=False, exclusivity=True)
+    return float(np.mean(exclusivity.max(axis=1))) if exclusivity.size else 0.0

@@ -12,30 +12,31 @@ from repro.utils.validation import check_positive_int, check_random_state
 Position = Tuple[float, float]
 
 
-def _normalise_positions(positions: Dict[int, Position]) -> Dict[int, Position]:
-    """Rescale positions into the unit square (keeps aspect ratio)."""
-    if not positions:
-        return {}
-    coords = np.array(list(positions.values()), dtype=float)
+def _unit_square(coords: np.ndarray) -> np.ndarray:
+    """Rescale (n_nodes, 2) positions into the unit square (keeps aspect ratio)."""
+    if coords.shape[0] == 0:
+        return coords
     minimum = coords.min(axis=0)
     span = coords.max(axis=0) - minimum
     scale = float(span.max())
     if scale < 1e-12:
         scale = 1.0
-    return {
-        node: tuple(((np.array(pos) - minimum) / scale).tolist())
-        for node, pos in positions.items()
-    }
+    return (coords - minimum) / scale
+
+
+def _by_node(coords: np.ndarray) -> Dict[int, Position]:
+    return dict(enumerate(map(tuple, coords.tolist())))
 
 
 def pca_layout(graph: TimeSeriesGraph) -> Dict[int, Position]:
     """Use the embedding's own PCA positions (the most faithful layout)."""
-    return _normalise_positions(graph.node_positions())
+    return _by_node(_unit_square(graph.positions))
 
 
 def circular_layout(graph: TimeSeriesGraph) -> Dict[int, Position]:
     """Nodes equally spaced on a circle, ordered by total weight."""
-    nodes = sorted(graph.nodes(), key=graph.node_weight, reverse=True)
+    # Heaviest first; a stable sort keeps equal weights in node order.
+    nodes = np.argsort(-graph.node_weights, kind="stable").tolist()
     n = len(nodes)
     positions: Dict[int, Position] = {}
     for i, node in enumerate(nodes):
@@ -58,23 +59,19 @@ def force_directed_layout(
     """
     n_iterations = check_positive_int(n_iterations, "n_iterations")
     rng = check_random_state(random_state)
-    nodes = graph.nodes()
-    n = len(nodes)
+    n = graph.n_nodes
     if n == 0:
         return {}
     if n == 1:
-        return {nodes[0]: (0.5, 0.5)}
+        return {0: (0.5, 0.5)}
 
-    index = {node: i for i, node in enumerate(nodes)}
-    seed = pca_layout(graph)
-    positions = np.array([seed[node] for node in nodes], dtype=float)
+    positions = _unit_square(graph.positions)
     positions += rng.normal(0.0, 0.01, size=positions.shape)
 
-    adjacency = np.zeros((n, n))
-    for (source, target) in graph.edges():
-        weight = np.log1p(graph.edge_weight((source, target)))
-        adjacency[index[source], index[target]] += weight
-        adjacency[index[target], index[source]] += weight
+    # Symmetric: a node pair's cell holds the weights of both directions.
+    directed = np.zeros((n, n))
+    directed[graph.edge_array[:, 0], graph.edge_array[:, 1]] = np.log1p(graph.edge_weights)
+    adjacency = directed + directed.T
 
     optimal = 1.0 / np.sqrt(n)
     temperature = 0.1
@@ -94,4 +91,4 @@ def force_directed_layout(
         positions += displacement / length * np.minimum(length, temperature)
         temperature *= 0.95
 
-    return _normalise_positions({node: tuple(positions[index[node]]) for node in nodes})
+    return _by_node(_unit_square(positions))

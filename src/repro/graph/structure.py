@@ -1,40 +1,125 @@
 """The attributed directed graph produced by the k-Graph embedding.
 
-A :class:`TimeSeriesGraph` stores, for one subsequence length ℓ:
+A :class:`TimeSeriesGraph` for one subsequence length ℓ is fully determined
+by three arrays:
 
-* the node set (each node is a recurring subsequence pattern with a 2-D
-  position in the PCA projection and a representative pattern),
-* the weighted directed edge set (transition counts between patterns),
-* for every node and edge, the multiset of time series that traverse it
-  (needed to compute representativity and exclusivity), and
-* for every time series, its node trajectory (the sequence of nodes visited
-  by its consecutive subsequences) — this is what the Graph frame highlights
-  when the user selects a node.
+* ``positions`` — (n_nodes, 2) node positions in the PCA projection;
+* ``patterns`` — (n_nodes, ℓ) representative (mean) subsequence of each node;
+* ``trajectories`` — (n_series, n_windows) node id of every subsequence of
+  every series, in order.  Consecutive subsequences of a series form the
+  directed edges.
+
+The constructor derives everything else once, with NumPy: the edges as
+``(source, target)`` rows in lexicographic order, node and edge weights
+(subsequence and transition counts), and, for every node and edge, the
+series that cross it and how often, stored as CSR :class:`Crossings` (one
+entry per distinct (element, series) pair).  Accessors are slices or
+lookups into these arrays; readers that visit every element (feature
+matrices, graphoid scoring, layouts, rendering, model artifacts) read the
+arrays directly.  Node ids are ``0 .. n_nodes - 1``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.exceptions import GraphConstructionError, ValidationError
+from repro.utils.validation import check_positive_int
 
 Edge = Tuple[int, int]
 
-
-@dataclass
-class NodeInfo:
-    """Static attributes of one graph node."""
-
-    node_id: int
-    position: Tuple[float, float]
-    pattern: np.ndarray
-    n_subsequences: int = 0
+_INT32_MAX = np.iinfo(np.int32).max
 
 
-@dataclass
+def _index_dtype(upper: int) -> type:
+    """int32 when values up to ``upper`` fit in it, else int64."""
+    return np.int32 if upper <= _INT32_MAX else np.int64
+
+
+def _dense(keys: np.ndarray, n_keys: int) -> bool:
+    """Whether a table over the key space beats a sort of ``keys``.
+
+    Both ways give the same answer; the table wins whenever the key space
+    [0, n_keys) is not much larger than the number of keys.
+    """
+    return n_keys <= 4 * keys.size + 1024
+
+
+def _tally(keys: np.ndarray, n_keys: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct values of ``keys`` (all in [0, n_keys)) and their counts."""
+    if _dense(keys, n_keys):
+        counts = np.bincount(keys, minlength=n_keys)
+        distinct = np.flatnonzero(counts)
+        return distinct, counts[distinct]
+    return np.unique(keys, return_counts=True)
+
+
+def _ranks(keys: np.ndarray, distinct: np.ndarray, n_keys: int) -> np.ndarray:
+    """Position of every key in ``distinct``, the sorted distinct keys."""
+    if _dense(keys, n_keys):
+        table = np.empty(n_keys, dtype=np.intp)
+        table[distinct] = np.arange(distinct.size)
+        return table[keys]
+    return np.searchsorted(distinct, keys)
+
+
+class Crossings(NamedTuple):
+    """Series counts of every node (or edge) in CSR form.
+
+    Element ``e`` is crossed by the series ``series[ptr[e]:ptr[e + 1]]``
+    (ascending), ``count[ptr[e]:ptr[e + 1]]`` times each.
+    """
+
+    ptr: np.ndarray
+    series: np.ndarray
+    count: np.ndarray
+
+    @classmethod
+    def build(cls, element: np.ndarray, series: np.ndarray, n_elements: int, n_series: int) -> "Crossings":
+        """Aggregate parallel (element, series) arrays, one entry per occurrence."""
+        keys, count = _tally(element.astype(np.int64) * n_series + series, n_elements * n_series)
+        owner = keys // n_series
+        ptr = np.zeros(n_elements + 1, dtype=_index_dtype(keys.size))
+        np.cumsum(np.bincount(owner, minlength=n_elements), out=ptr[1:])
+        return cls(
+            ptr,
+            (keys - owner * n_series).astype(_index_dtype(n_series)),
+            count.astype(_index_dtype(element.size)),
+        )
+
+    def owners(self) -> np.ndarray:
+        """Element position of every entry."""
+        return np.repeat(np.arange(self.ptr.size - 1), np.diff(self.ptr))
+
+    def dense(self, n_series: int, normalize: bool) -> np.ndarray:
+        """(n_series, n_elements) float matrix of the counts.
+
+        When ``normalize`` is true each row is divided by its sum (rows
+        that sum to 0 stay 0).
+        """
+        matrix = np.zeros((n_series, self.ptr.size - 1))
+        matrix[self.series, self.owners()] = self.count
+        if normalize:
+            sums = matrix.sum(axis=1, keepdims=True)
+            sums = np.where(sums == 0, 1.0, sums)
+            matrix = matrix / sums
+        return matrix
+
+
+def _float_matrix(value, name: str, shape: Tuple[Optional[int], int]) -> np.ndarray:
+    """``value`` as a C-contiguous float matrix of ``shape`` (``None``: any rows)."""
+    array = np.asarray(value)
+    if not (np.issubdtype(array.dtype, np.floating) or np.issubdtype(array.dtype, np.integer)):
+        raise ValidationError(f"{name} must be a real-valued array, got dtype {array.dtype}")
+    rows, columns = shape
+    if array.ndim != 2 or array.shape[1] != columns or rows not in (None, array.shape[0]):
+        expected = f"({'n_nodes' if rows is None else rows}, {columns})"
+        raise ValidationError(f"{name} must have shape {expected}, got {array.shape}")
+    return np.ascontiguousarray(array, dtype=float)
+
+
 class TimeSeriesGraph:
     """Directed transition graph over subsequence patterns.
 
@@ -42,244 +127,162 @@ class TimeSeriesGraph:
     ----------
     length:
         Subsequence length ℓ this graph was built for.
-    n_series:
-        Number of time series in the dataset the graph embeds.
+    positions:
+        (n_nodes, 2) node positions.
+    patterns:
+        (n_nodes, ℓ) node patterns.
+    trajectories:
+        (n_series, n_windows) integer node ids in [0, n_nodes); row ``s``
+        is the node sequence series ``s`` visits.
+
+    Shape and dtype errors raise :class:`ValidationError`, node ids out of
+    range :class:`GraphConstructionError`; each message starts with the
+    name of the offending argument.  The arrays are treated as read-only.
     """
 
-    length: int
-    n_series: int
-    _nodes: Dict[int, NodeInfo] = field(default_factory=dict)
-    _edges: Dict[Edge, int] = field(default_factory=dict)
-    _node_series: Dict[int, Dict[int, int]] = field(default_factory=dict)
-    _edge_series: Dict[Edge, Dict[int, int]] = field(default_factory=dict)
-    _trajectories: Dict[int, List[int]] = field(default_factory=dict)
+    def __init__(self, length: int, positions, patterns, trajectories) -> None:
+        self.length = check_positive_int(length, "length")
+        self.positions = _float_matrix(positions, "positions", (None, 2))
+        n_nodes = self.positions.shape[0]
+        self.patterns = _float_matrix(patterns, "patterns", (n_nodes, self.length))
+        trajectories = np.asarray(trajectories)
+        if not np.issubdtype(trajectories.dtype, np.integer):
+            raise ValidationError(
+                f"trajectories must hold integer node ids, got dtype {trajectories.dtype}"
+            )
+        if trajectories.ndim != 2:
+            raise ValidationError(
+                f"trajectories must have shape (n_series, n_windows), got {trajectories.shape}"
+            )
+        if trajectories.size and (trajectories.min() < 0 or trajectories.max() >= n_nodes):
+            bad = trajectories[(trajectories < 0) | (trajectories >= n_nodes)][0]
+            raise GraphConstructionError(
+                f"trajectories hold node id {int(bad)}, outside [0, {n_nodes})"
+            )
+        self.trajectories = trajectories.astype(_index_dtype(n_nodes))
+
+        n_series, n_windows = trajectories.shape
+        visits = self.trajectories.ravel()
+        self.node_weights = np.bincount(visits, minlength=n_nodes)
+        self.node_crossings = Crossings.build(
+            visits, np.repeat(np.arange(n_series), n_windows), n_nodes, n_series
+        )
+        pairs = (
+            self.trajectories[:, :-1].astype(np.int64) * n_nodes + self.trajectories[:, 1:]
+        ).ravel()
+        self._edge_keys, self.edge_weights = _tally(pairs, n_nodes * n_nodes)
+        self.edge_array = np.column_stack(
+            [self._edge_keys // n_nodes, self._edge_keys % n_nodes]
+        ).astype(_index_dtype(n_nodes))
+        self.edge_crossings = Crossings.build(
+            _ranks(pairs, self._edge_keys, n_nodes * n_nodes),
+            np.repeat(np.arange(n_series), max(n_windows - 1, 0)),
+            self._edge_keys.size,
+            n_series,
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"TimeSeriesGraph(length={self.length}, n_series={self.n_series}, "
+            f"n_nodes={self.n_nodes}, n_edges={self.n_edges})"
+        )
 
     # ------------------------------------------------------------------ #
-    # construction
+    # lookups
     # ------------------------------------------------------------------ #
-    def add_node(self, node_id: int, position: Sequence[float], pattern: np.ndarray) -> None:
-        """Register a node with its 2-D position and representative pattern."""
-        if node_id in self._nodes:
-            raise GraphConstructionError(f"node {node_id} already exists")
-        if len(position) != 2:
-            raise ValidationError("node position must be 2-dimensional")
-        self._nodes[node_id] = NodeInfo(
-            node_id=node_id,
-            position=(float(position[0]), float(position[1])),
-            pattern=np.asarray(pattern, dtype=float),
-        )
-        self._node_series[node_id] = {}
+    def _node(self, node_id) -> int:
+        if isinstance(node_id, (int, np.integer)) and 0 <= node_id < self.n_nodes:
+            return int(node_id)
+        raise GraphConstructionError(f"unknown node {node_id}")
 
-    def record_visit(self, node_id: int, series_index: int) -> None:
-        """Record that a subsequence of ``series_index`` falls in ``node_id``.
+    def _edge(self, edge) -> Optional[int]:
+        """Row of ``edge`` in :attr:`edge_array`, ``None`` when absent."""
+        source, target = edge
+        n_nodes = self.n_nodes
+        if not (0 <= source < n_nodes and 0 <= target < n_nodes):
+            return None
+        key = source * n_nodes + target
+        row = int(np.searchsorted(self._edge_keys, key))
+        if row < self._edge_keys.size and self._edge_keys[row] == key:
+            return row
+        return None
 
-        Thin wrapper over the bulk :meth:`add_visits` API; prefer the bulk
-        call when recording many visits at once.
-        """
-        self.add_visits([node_id], [series_index])
-
-    def record_transition(self, source: int, target: int, series_index: int) -> None:
-        """Record a transition edge ``source -> target`` for ``series_index``.
-
-        Thin wrapper over the bulk :meth:`add_transitions` API; prefer the
-        bulk call when recording many transitions at once.
-        """
-        if source not in self._nodes or target not in self._nodes:
-            raise GraphConstructionError(f"unknown edge endpoint in ({source}, {target})")
-        self.add_transitions([source], [target], [series_index])
-
-    def add_visits(self, node_ids, series_indices) -> None:
-        """Record many (node, series) visits in one vectorised call.
-
-        ``node_ids`` and ``series_indices`` are equal-length integer arrays:
-        element ``t`` records that a subsequence of series
-        ``series_indices[t]`` falls in node ``node_ids[t]``.  Per-series
-        trajectories are extended in input order, so passing a dataset's
-        assignments grouped by series reproduces exactly what a loop of
-        :meth:`record_visit` calls would build, at NumPy speed: counts are
-        aggregated with ``np.bincount`` and only the distinct (node, series)
-        combinations touch Python dictionaries.
-        """
-        nodes = np.asarray(node_ids, dtype=int).ravel()
-        series = np.asarray(series_indices, dtype=int).ravel()
-        if nodes.shape[0] != series.shape[0]:
-            raise ValidationError(
-                f"node_ids and series_indices must have equal length, got "
-                f"{nodes.shape[0]} and {series.shape[0]}"
-            )
-        if nodes.size == 0:
-            return
-        if nodes.size == 1:
-            # Scalar fast path: keeps record_visit at its original per-call
-            # cost (no unique/bincount setup for a single element).
-            node_id, series_id = int(nodes[0]), int(series[0])
-            if node_id not in self._nodes:
-                raise GraphConstructionError(f"unknown node {node_id}")
-            bucket = self._node_series[node_id]
-            bucket[series_id] = bucket.get(series_id, 0) + 1
-            self._nodes[node_id].n_subsequences += 1
-            self._trajectories.setdefault(series_id, []).append(node_id)
-            return
-        unique_nodes, node_inverse = np.unique(nodes, return_inverse=True)
-        node_list = unique_nodes.tolist()
-        for node_id in node_list:
-            if node_id not in self._nodes:
-                raise GraphConstructionError(f"unknown node {node_id}")
-        unique_series, series_inverse = np.unique(series, return_inverse=True)
-        series_list = unique_series.tolist()
-
-        node_totals = np.bincount(node_inverse, minlength=unique_nodes.size)
-        for position, node_id in enumerate(node_list):
-            self._nodes[node_id].n_subsequences += int(node_totals[position])
-
-        key = node_inverse * unique_series.size + series_inverse
-        counts = np.bincount(key, minlength=unique_nodes.size * unique_series.size)
-        buckets = [self._node_series[node_id] for node_id in node_list]
-        occupied = np.flatnonzero(counts)
-        for flat, count in zip(occupied.tolist(), counts[occupied].tolist()):
-            bucket = buckets[flat // unique_series.size]
-            series_id = series_list[flat % unique_series.size]
-            bucket[series_id] = bucket.get(series_id, 0) + count
-
-        order = np.argsort(series, kind="stable")
-        boundaries = np.flatnonzero(np.diff(series[order])) + 1
-        for group in np.split(order, boundaries):
-            series_id = int(series[group[0]])
-            self._trajectories.setdefault(series_id, []).extend(
-                nodes[group].tolist()
-            )
-
-    def add_transitions(self, sources, targets, series_indices) -> None:
-        """Record many directed transitions in one vectorised call.
-
-        Element ``t`` records a traversal of edge
-        ``sources[t] -> targets[t]`` by series ``series_indices[t]``.  Edge
-        weights and per-edge series counts are aggregated with
-        ``np.bincount``; only distinct (edge, series) combinations touch
-        Python dictionaries, so recording a whole dataset's transitions is
-        O(total + distinct) instead of one dictionary update per traversal.
-        """
-        src = np.asarray(sources, dtype=int).ravel()
-        dst = np.asarray(targets, dtype=int).ravel()
-        series = np.asarray(series_indices, dtype=int).ravel()
-        if not (src.shape[0] == dst.shape[0] == series.shape[0]):
-            raise ValidationError(
-                f"sources, targets and series_indices must have equal length, "
-                f"got {src.shape[0]}, {dst.shape[0]} and {series.shape[0]}"
-            )
-        if src.size == 0:
-            return
-        if src.size == 1:
-            # Scalar fast path mirroring record_transition's original cost.
-            source, target = int(src[0]), int(dst[0])
-            series_id = int(series[0])
-            if source not in self._nodes or target not in self._nodes:
-                raise GraphConstructionError(
-                    f"unknown edge endpoint in ({source}, {target})"
-                )
-            edge = (source, target)
-            self._edges[edge] = self._edges.get(edge, 0) + 1
-            bucket = self._edge_series.setdefault(edge, {})
-            bucket[series_id] = bucket.get(series_id, 0) + 1
-            return
-        for node_id in np.unique(np.concatenate([src, dst])).tolist():
-            if node_id not in self._nodes:
-                raise GraphConstructionError(
-                    f"unknown edge endpoint in ({node_id}, ...)"
-                )
-        # Encode (source, target) pairs as one integer so the distinct
-        # edges come from a fast 1-D unique instead of np.unique(axis=0).
-        base = int(min(src.min(), dst.min()))
-        span = int(max(src.max(), dst.max())) - base + 1
-        unique_keys, pair_inverse = np.unique(
-            (src - base) * span + (dst - base), return_inverse=True
-        )
-        edge_list = [
-            (int(key) // span + base, int(key) % span + base)
-            for key in unique_keys.tolist()
-        ]
-        unique_series, series_inverse = np.unique(series, return_inverse=True)
-        series_list = unique_series.tolist()
-
-        edge_totals = np.bincount(pair_inverse, minlength=unique_keys.size)
-        for position, edge in enumerate(edge_list):
-            self._edges[edge] = self._edges.get(edge, 0) + int(edge_totals[position])
-
-        key = pair_inverse * unique_series.size + series_inverse
-        counts = np.bincount(key, minlength=unique_keys.size * unique_series.size)
-        buckets = [self._edge_series.setdefault(edge, {}) for edge in edge_list]
-        occupied = np.flatnonzero(counts)
-        for flat, count in zip(occupied.tolist(), counts[occupied].tolist()):
-            bucket = buckets[flat // unique_series.size]
-            series_id = series_list[flat % unique_series.size]
-            bucket[series_id] = bucket.get(series_id, 0) + count
+    @staticmethod
+    def _slice(crossings: Crossings, row: Optional[int]) -> slice:
+        if row is None:
+            return slice(0, 0)
+        return slice(int(crossings.ptr[row]), int(crossings.ptr[row + 1]))
 
     # ------------------------------------------------------------------ #
     # accessors
     # ------------------------------------------------------------------ #
     @property
+    def n_series(self) -> int:
+        """Number of time series in the dataset the graph embeds."""
+        return self.trajectories.shape[0]
+
+    @property
     def n_nodes(self) -> int:
         """Number of nodes."""
-        return len(self._nodes)
+        return self.positions.shape[0]
 
     @property
     def n_edges(self) -> int:
         """Number of distinct directed edges."""
-        return len(self._edges)
+        return self.edge_array.shape[0]
 
     def nodes(self) -> List[int]:
         """Sorted node identifiers."""
-        return sorted(self._nodes)
+        return list(range(self.n_nodes))
 
     def edges(self) -> List[Edge]:
         """Sorted directed edges."""
-        return sorted(self._edges)
-
-    def node_info(self, node_id: int) -> NodeInfo:
-        """Static attributes of ``node_id``."""
-        if node_id not in self._nodes:
-            raise GraphConstructionError(f"unknown node {node_id}")
-        return self._nodes[node_id]
+        return list(map(tuple, self.edge_array.tolist()))
 
     def edge_weight(self, edge: Edge) -> int:
         """Total transition count of ``edge`` (0 when absent)."""
-        return self._edges.get(tuple(edge), 0)
+        row = self._edge(edge)
+        return 0 if row is None else int(self.edge_weights[row])
 
     def node_weight(self, node_id: int) -> int:
         """Total number of subsequences mapped to ``node_id``."""
-        return self.node_info(node_id).n_subsequences
+        return int(self.node_weights[self._node(node_id)])
 
     def series_through_node(self, node_id: int) -> List[int]:
         """Indices of the time series that traverse ``node_id`` at least once."""
-        if node_id not in self._nodes:
-            raise GraphConstructionError(f"unknown node {node_id}")
-        return sorted(self._node_series[node_id])
+        crossings = self.node_crossings
+        return crossings.series[self._slice(crossings, self._node(node_id))].tolist()
 
     def series_through_edge(self, edge: Edge) -> List[int]:
         """Indices of the time series that traverse ``edge`` at least once."""
-        return sorted(self._edge_series.get(tuple(edge), {}))
+        crossings = self.edge_crossings
+        return crossings.series[self._slice(crossings, self._edge(edge))].tolist()
 
     def node_visit_counts(self, node_id: int) -> Dict[int, int]:
         """Mapping series index -> number of subsequences of it in ``node_id``."""
-        if node_id not in self._nodes:
-            raise GraphConstructionError(f"unknown node {node_id}")
-        return dict(self._node_series[node_id])
+        crossings = self.node_crossings
+        rows = self._slice(crossings, self._node(node_id))
+        return dict(zip(crossings.series[rows].tolist(), crossings.count[rows].tolist()))
 
     def edge_visit_counts(self, edge: Edge) -> Dict[int, int]:
         """Mapping series index -> number of traversals of ``edge``."""
-        return dict(self._edge_series.get(tuple(edge), {}))
+        crossings = self.edge_crossings
+        rows = self._slice(crossings, self._edge(edge))
+        return dict(zip(crossings.series[rows].tolist(), crossings.count[rows].tolist()))
 
     def trajectory(self, series_index: int) -> List[int]:
         """Node sequence visited by ``series_index`` (empty when unseen)."""
-        return list(self._trajectories.get(series_index, []))
+        if isinstance(series_index, (int, np.integer)) and 0 <= series_index < self.n_series:
+            return self.trajectories[series_index].tolist()
+        return []
 
     def node_positions(self) -> Dict[int, Tuple[float, float]]:
         """Mapping node -> 2-D position from the embedding projection."""
-        return {node_id: info.position for node_id, info in self._nodes.items()}
+        return dict(enumerate(map(tuple, self.positions.tolist())))
 
     def node_pattern(self, node_id: int) -> np.ndarray:
         """Representative (average) subsequence pattern of ``node_id``."""
-        return self.node_info(node_id).pattern.copy()
+        return self.patterns[self._node(node_id)].copy()
 
     # ------------------------------------------------------------------ #
     # matrices used by the Graph Clustering step
@@ -290,31 +293,11 @@ class TimeSeriesGraph:
         When ``normalize`` is true each row is divided by its sum so series of
         different lengths (or stride effects) are comparable.
         """
-        nodes = self.nodes()
-        index = {node_id: col for col, node_id in enumerate(nodes)}
-        matrix = np.zeros((self.n_series, len(nodes)))
-        for node_id, counts in self._node_series.items():
-            for series_index, count in counts.items():
-                matrix[series_index, index[node_id]] = count
-        if normalize:
-            sums = matrix.sum(axis=1, keepdims=True)
-            sums = np.where(sums == 0, 1.0, sums)
-            matrix = matrix / sums
-        return matrix
+        return self.node_crossings.dense(self.n_series, normalize)
 
     def edge_feature_matrix(self, normalize: bool = True) -> np.ndarray:
         """(n_series, n_edges) matrix of edge traversal counts."""
-        edges = self.edges()
-        index = {edge: col for col, edge in enumerate(edges)}
-        matrix = np.zeros((self.n_series, len(edges)))
-        for edge, counts in self._edge_series.items():
-            for series_index, count in counts.items():
-                matrix[series_index, index[edge]] = count
-        if normalize:
-            sums = matrix.sum(axis=1, keepdims=True)
-            sums = np.where(sums == 0, 1.0, sums)
-            matrix = matrix / sums
-        return matrix
+        return self.edge_crossings.dense(self.n_series, normalize)
 
     def feature_matrix(self, normalize: bool = True) -> np.ndarray:
         """Concatenated node + edge feature matrix (the paper's F_{D,ℓ})."""
@@ -324,11 +307,8 @@ class TimeSeriesGraph:
 
     def adjacency_matrix(self) -> np.ndarray:
         """(n_nodes, n_nodes) weighted adjacency matrix in node-sorted order."""
-        nodes = self.nodes()
-        index = {node_id: i for i, node_id in enumerate(nodes)}
-        matrix = np.zeros((len(nodes), len(nodes)))
-        for (source, target), weight in self._edges.items():
-            matrix[index[source], index[target]] = weight
+        matrix = np.zeros((self.n_nodes, self.n_nodes))
+        matrix[self.edge_array[:, 0], self.edge_array[:, 1]] = self.edge_weights
         return matrix
 
     # ------------------------------------------------------------------ #
@@ -339,108 +319,23 @@ class TimeSeriesGraph:
         import networkx as nx
 
         graph = nx.DiGraph(length=self.length, n_series=self.n_series)
-        for node_id, info in self._nodes.items():
-            graph.add_node(
-                node_id,
-                position=info.position,
-                weight=info.n_subsequences,
-                n_series=len(self._node_series[node_id]),
-            )
-        for (source, target), weight in self._edges.items():
+        series_counts = np.diff(self.node_crossings.ptr).tolist()
+        for node_id, (position, weight, n_series) in enumerate(
+            zip(self.node_positions().values(), self.node_weights.tolist(), series_counts)
+        ):
+            graph.add_node(node_id, position=position, weight=weight, n_series=n_series)
+        for (source, target), weight in zip(self.edges(), self.edge_weights.tolist()):
             graph.add_edge(source, target, weight=weight)
         return graph
 
     def summary(self) -> Dict[str, object]:
         """JSON-serialisable summary for the Under-the-hood frame."""
-        weights = [info.n_subsequences for info in self._nodes.values()]
+        weights = self.node_weights
         return {
             "length": self.length,
             "n_series": self.n_series,
             "n_nodes": self.n_nodes,
             "n_edges": self.n_edges,
-            "max_node_weight": int(max(weights)) if weights else 0,
-            "mean_node_weight": float(np.mean(weights)) if weights else 0.0,
+            "max_node_weight": int(weights.max()) if weights.size else 0,
+            "mean_node_weight": float(np.mean(weights)) if weights.size else 0.0,
         }
-
-    # ------------------------------------------------------------------ #
-    # lossless serialisation (model artifacts, see repro.serve.artifacts)
-    # ------------------------------------------------------------------ #
-    def to_payload(self) -> Dict[str, object]:
-        """The structural (non-array) part of the graph as a JSON payload.
-
-        Node patterns are excluded — they are float matrices and travel in
-        the artifact's ``.npz`` file instead, stacked in node-sorted order
-        (the same order the ``nodes`` list uses here).  The inverse is
-        :meth:`from_payload`.
-        """
-        return {
-            "length": int(self.length),
-            "n_series": int(self.n_series),
-            "nodes": [
-                {
-                    "id": int(node_id),
-                    "position": [float(info.position[0]), float(info.position[1])],
-                    "n_subsequences": int(info.n_subsequences),
-                }
-                for node_id, info in sorted(self._nodes.items())
-            ],
-            "edges": [
-                [int(source), int(target), int(weight)]
-                for (source, target), weight in sorted(self._edges.items())
-            ],
-            "node_series": {
-                str(node_id): {str(series): int(count) for series, count in counts.items()}
-                for node_id, counts in self._node_series.items()
-            },
-            "edge_series": [
-                [
-                    int(source),
-                    int(target),
-                    {str(series): int(count) for series, count in counts.items()},
-                ]
-                for (source, target), counts in sorted(self._edge_series.items())
-            ],
-            "trajectories": {
-                str(series): [int(node) for node in trajectory]
-                for series, trajectory in self._trajectories.items()
-            },
-        }
-
-    @classmethod
-    def from_payload(
-        cls, payload: Dict[str, object], patterns: np.ndarray
-    ) -> "TimeSeriesGraph":
-        """Rebuild a graph from :meth:`to_payload` output + its pattern matrix.
-
-        ``patterns`` rows must be in node-sorted order, matching the
-        ``nodes`` list of the payload.
-        """
-        node_rows = payload["nodes"]
-        if patterns.shape[0] != len(node_rows):
-            raise ValidationError(
-                f"graph for length {payload['length']} declares {len(node_rows)} "
-                f"nodes but the pattern matrix has {patterns.shape[0]} rows"
-            )
-        graph = cls(length=int(payload["length"]), n_series=int(payload["n_series"]))
-        for row, entry in enumerate(node_rows):
-            node_id = int(entry["id"])
-            graph._nodes[node_id] = NodeInfo(
-                node_id=node_id,
-                position=(float(entry["position"][0]), float(entry["position"][1])),
-                pattern=np.ascontiguousarray(patterns[row], dtype=float),
-                n_subsequences=int(entry["n_subsequences"]),
-            )
-            graph._node_series[node_id] = {}
-        for source, target, weight in payload["edges"]:
-            graph._edges[(int(source), int(target))] = int(weight)
-        for node_key, counts in payload["node_series"].items():
-            graph._node_series[int(node_key)] = {
-                int(series): int(count) for series, count in counts.items()
-            }
-        for source, target, counts in payload["edge_series"]:
-            graph._edge_series[(int(source), int(target))] = {
-                int(series): int(count) for series, count in counts.items()
-            }
-        for series_key, trajectory in payload["trajectories"].items():
-            graph._trajectories[int(series_key)] = [int(node) for node in trajectory]
-        return graph

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.core.kgraph import KGraph
 from repro.exceptions import ValidationError
-from repro.graph.graphoid import node_exclusivity, node_representativity
+from repro.graph.graphoid import score_matrix
 from repro.utils.normalization import znormalize, znormalize_dataset
 from repro.utils.validation import check_array, check_labels
 
@@ -110,40 +110,32 @@ def graphoid_representation(
     model._check_fitted()
     graph = model.result_.optimal_graph
     labels = model.result_.labels
-    exclusivity = node_exclusivity(graph, labels)
-    representativity = node_representativity(graph, labels)
+    clusters, exclusivity = score_matrix(graph, labels, edges=False, exclusivity=True)
+    _, representativity = score_matrix(graph, labels, edges=False, exclusivity=False)
 
     # The per-series node-visit distribution and the per-node patterns let the
     # quiz participant (human or simulated) place a query series on the graph,
     # which is exactly what the demo shows ("the subgraph corresponding to the
     # time series").
     node_features = graph.node_feature_matrix(normalize=True)
-    all_patterns = [znormalize(graph.node_pattern(node)) for node in graph.nodes()]
+    all_patterns = [znormalize(pattern) for pattern in graph.patterns]
 
     representations: Dict[int, ClusterRepresentation] = {}
-    for cluster in np.unique(labels):
-        cluster = int(cluster)
-        scores = {
-            node: exclusivity[cluster][node] * representativity[cluster][node]
-            for node in graph.nodes()
-        }
-        ranked = sorted(scores, key=scores.get, reverse=True)
-        patterns: List[np.ndarray] = []
-        pattern_scores: List[float] = []
-        for node in ranked[:max_patterns]:
-            if scores[node] <= 0:
-                continue
-            patterns.append(znormalize(graph.node_pattern(node)))
-            pattern_scores.append(float(scores[node]))
-        if not patterns:
+    for cluster, cluster_exclusivity, cluster_representativity in zip(
+        clusters.tolist(), exclusivity, representativity
+    ):
+        scores = cluster_exclusivity * cluster_representativity
+        # Best first; a stable sort keeps equal scores in node order.
+        ranked = np.argsort(-scores, kind="stable")[:max_patterns]
+        kept = ranked[scores[ranked] > 0]
+        patterns = [znormalize(graph.patterns[node]) for node in kept]
+        pattern_scores = scores[kept].tolist()
+        if not patterns and graph.n_nodes:
             # Fall back to the most representative node so the representation
             # is never empty (mirrors the GUI which always shows something).
-            best = max(
-                graph.nodes(), key=lambda n: representativity[cluster][n], default=None
-            )
-            if best is not None:
-                patterns.append(znormalize(graph.node_pattern(best)))
-                pattern_scores.append(float(representativity[cluster][best]))
+            best = int(np.argmax(cluster_representativity))
+            patterns.append(znormalize(graph.patterns[best]))
+            pattern_scores.append(float(cluster_representativity[best]))
         cluster_profile = node_features[labels == cluster].mean(axis=0)
         representations[cluster] = ClusterRepresentation(
             method="kgraph",

@@ -272,7 +272,9 @@ class EmbedStage(Stage):
     #: another order, so node positions differ from v2 in the last ulps.
     #: v4: OpenBLAS runs one thread (``repro.utils.blas``), so on a
     #: multi-core host the Gram matrix differs from v3 in the last ulps.
-    version = 4
+    #: v5: graphs are the array-native :class:`TimeSeriesGraph`; v4 disk
+    #: checkpoints pickle the dict-based class.
+    version = 5
     # Derived from the fields KGraphConfig tags with this stage, so the
     # cache-key inputs and the typed config can never drift apart.
     config_keys = KGraphConfig.stage_config_keys("embed")

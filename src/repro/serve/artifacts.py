@@ -1,22 +1,27 @@
 """Versioned on-disk artifacts for fitted, servable estimators.
 
-An artifact is a directory with three files:
+An artifact (format v4) is a directory with two files:
 
 * ``manifest.json`` — schema version, the estimator's registry name and
   typed config payload, fit metadata, per-length scores/partition
   diagnostics, graphoids, timings, and free-form user metadata.
   Everything a registry needs to *describe* the model without touching
   the heavy payloads.
-* ``arrays.npz``    — every numeric array (labels, consensus matrix, node
-  patterns, per-length partition labels and feature matrices for k-Graph;
-  labels, centroids and cluster ids for baseline estimators), stored
-  losslessly so ``load_model(save_model(m)).predict(X)`` is bit-identical
-  to ``m.predict(X)``.
-* ``graphs.json``   — the structural part of every per-length
-  :class:`~repro.graph.structure.TimeSeriesGraph`: nodes with positions and
-  visit counts, weighted edges, per-node/per-edge series multisets, and the
-  node trajectory of every training series (an empty list for estimators
-  without graphs).
+* ``arrays.npz``    — every numeric array, stored losslessly so
+  ``load_model(save_model(m)).predict(X)`` is bit-identical to
+  ``m.predict(X)``.  For k-Graph: labels, consensus matrix, per-length
+  partition labels and feature matrices, and the three arrays that
+  determine each per-length :class:`~repro.graph.structure.TimeSeriesGraph`
+  (``graph_{ℓ}_positions``, ``graph_{ℓ}_patterns`` and
+  ``graph_{ℓ}_trajectories``); for baseline estimators: labels, centroids
+  and cluster ids.
+
+Formats v1–v3 also held ``graphs.json``, the structural part of every graph
+as JSON.  They still load: each graph is rebuilt through the same
+validating constructor from the payload's node positions and trajectories
+plus the stored pattern matrix (every other payload field is derived, so it
+is not read).  :func:`required_files` is the one place that says which
+files each format version needs.
 
 The format deliberately avoids pickle: it is inspectable, diffable, safe to
 load from untrusted sources, and guarded by the shared schema-version check
@@ -30,7 +35,7 @@ import json
 import os
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -39,7 +44,13 @@ from repro.api.config import KGraphConfig
 from repro.core.graph_clustering import GraphPartition
 from repro.core.interpretability import LengthScore
 from repro.core.kgraph import KGraph, KGraphResult
-from repro.exceptions import ArtifactError, ConfigError, NotFittedError, ValidationError
+from repro.exceptions import (
+    ArtifactError,
+    ConfigError,
+    GraphConstructionError,
+    NotFittedError,
+    ValidationError,
+)
 from repro.graph.graphoid import Graphoid
 from repro.graph.structure import TimeSeriesGraph
 from repro.utils.schema import check_schema_version
@@ -56,12 +67,28 @@ LEGACY_ARTIFACT_FORMATS = frozenset({"kgraph-model"})
 #: ``config_version``, so any registered estimator with a prediction state
 #: can be exported and served.  Readers accept v1/v2 artifacts unchanged —
 #: they are k-Graph by definition, reconstructed from the legacy ``params``
-#: block (a version-1 config payload).
-ARTIFACT_SCHEMA_VERSION = 3
+#: block (a version-1 config payload).  v4 stores each graph as arrays in
+#: ``arrays.npz`` and writes no ``graphs.json``.
+ARTIFACT_SCHEMA_VERSION = 4
 
 MANIFEST_FILE = "manifest.json"
 ARRAYS_FILE = "arrays.npz"
-GRAPHS_FILE = "graphs.json"
+#: Written by formats v1-v3 only; see :func:`required_files`.
+LEGACY_GRAPHS_FILE = "graphs.json"
+#: The first format version that stores graphs as arrays.
+_ARRAY_GRAPHS_VERSION = 4
+#: The :class:`TimeSeriesGraph` arrays stored per length, in constructor order.
+_GRAPH_ARRAYS = ("positions", "patterns", "trajectories")
+
+
+def required_files(manifest: Dict[str, object]) -> Tuple[str, ...]:
+    """The payload files (besides the manifest) an artifact must hold.
+
+    ``manifest`` is a validated manifest (see :func:`read_manifest`).
+    """
+    if manifest["schema_version"] < _ARRAY_GRAPHS_VERSION:
+        return (ARRAYS_FILE, LEGACY_GRAPHS_FILE)
+    return (ARRAYS_FILE,)
 
 
 # --------------------------------------------------------------------------- #
@@ -122,7 +149,7 @@ def _prepare_artifact_dir(path: Union[str, Path]) -> Path:
     if path.exists() and not path.is_dir():
         raise ArtifactError(f"artifact path {path} exists and is not a directory")
     if path.is_dir():
-        expected = {MANIFEST_FILE, MANIFEST_FILE + ".tmp", ARRAYS_FILE, GRAPHS_FILE}
+        expected = {MANIFEST_FILE, MANIFEST_FILE + ".tmp", ARRAYS_FILE, LEGACY_GRAPHS_FILE}
         stray = [p.name for p in path.iterdir() if p.name not in expected]
         if stray:
             raise ArtifactError(
@@ -134,12 +161,9 @@ def _prepare_artifact_dir(path: Union[str, Path]) -> Path:
 
 
 def _write_artifact(
-    path: Path,
-    manifest: Dict[str, object],
-    arrays: Dict[str, np.ndarray],
-    graph_payloads: List[Dict[str, object]],
+    path: Path, manifest: Dict[str, object], arrays: Dict[str, np.ndarray]
 ) -> Path:
-    """Write payloads first, then the manifest atomically (commit marker).
+    """Write the arrays first, then the manifest atomically (commit marker).
 
     A crash mid-save leaves a directory without ``manifest.json``, which
     the registry ignores, instead of a listed-but-unloadable (or
@@ -150,12 +174,10 @@ def _write_artifact(
     manifest_path = path / MANIFEST_FILE
     if manifest_path.exists():
         manifest_path.unlink()
+    # An overwritten v1-v3 artifact leaves a graphs.json nothing reads.
+    (path / LEGACY_GRAPHS_FILE).unlink(missing_ok=True)
     with (path / ARRAYS_FILE).open("wb") as handle:
         np.savez_compressed(handle, **arrays)
-    with (path / GRAPHS_FILE).open("w", encoding="utf-8") as handle:
-        # json.dump always runs the pure-Python encoder; one json.dumps
-        # call runs the C encoder, several times faster, with the same bytes.
-        handle.write(json.dumps({"graphs": graph_payloads}, sort_keys=True))
     manifest_tmp = path / (MANIFEST_FILE + ".tmp")
     with manifest_tmp.open("w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
@@ -235,7 +257,7 @@ def _save_estimator_model(
     manifest["fitted"] = model.artifact_fitted()
     arrays = model.artifact_arrays()
     path = _prepare_artifact_dir(path)
-    return _write_artifact(path, manifest, arrays, graph_payloads=[])
+    return _write_artifact(path, manifest, arrays)
 
 
 def _save_kgraph_model(
@@ -257,16 +279,9 @@ def _save_kgraph_model(
         "labels": result.labels,
         "consensus_matrix": result.consensus_matrix,
     }
-    graph_payloads: List[Dict[str, object]] = []
-    for length in sorted(result.graphs):
-        graph = result.graphs[length]
-        graph_payloads.append(graph.to_payload())
-        nodes = graph.nodes()
-        arrays[f"graph_{length}_patterns"] = (
-            np.vstack([graph.node_pattern(node) for node in nodes])
-            if nodes
-            else np.empty((0, length))
-        )
+    for length, graph in sorted(result.graphs.items()):
+        for part in _GRAPH_ARRAYS:
+            arrays[f"graph_{length}_{part}"] = getattr(graph, part)
     partition_rows: List[Dict[str, object]] = []
     for partition in result.partitions:
         arrays[f"partition_{partition.length}_labels"] = partition.labels
@@ -318,7 +333,7 @@ def _save_kgraph_model(
         ),
     }
 
-    return _write_artifact(path, manifest, arrays, graph_payloads)
+    return _write_artifact(path, manifest, arrays)
 
 
 def read_manifest(path: Union[str, Path]) -> Dict[str, object]:
@@ -365,7 +380,7 @@ def load_model(path: Union[str, Path]):
     """
     path = Path(path)
     manifest = read_manifest(path)
-    for required in (ARRAYS_FILE, GRAPHS_FILE):
+    for required in required_files(manifest):
         if not (path / required).exists():
             raise ArtifactError(f"artifact {path} is incomplete: missing {required}")
 
@@ -374,16 +389,11 @@ def load_model(path: Union[str, Path]):
             arrays = {key: payload[key] for key in payload.files}
     except (OSError, ValueError) as exc:
         raise ArtifactError(f"could not read arrays of {path}: {exc}") from exc
-    try:
-        with (path / GRAPHS_FILE).open("r", encoding="utf-8") as handle:
-            graph_payloads = json.load(handle)["graphs"]
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
-        raise ArtifactError(f"could not read graphs of {path}: {exc}") from exc
 
     estimator_name = manifest.get("estimator", "kgraph")
     if estimator_name != "kgraph":
         return _load_estimator_model(path, estimator_name, manifest, arrays)
-    return _load_kgraph_model(path, manifest, arrays, graph_payloads)
+    return _load_kgraph_model(path, manifest, arrays)
 
 
 def _load_estimator_model(
@@ -462,11 +472,72 @@ def _kgraph_from_manifest(path: Path, manifest: Dict[str, object]) -> KGraph:
         ) from exc
 
 
+def _graph(path: Path, length: int, parts: Dict[str, object], source: str) -> TimeSeriesGraph:
+    """Build one graph; constructor errors name ``source`` + the bad argument."""
+    try:
+        return TimeSeriesGraph(length, *(parts[part] for part in _GRAPH_ARRAYS))
+    except (ValidationError, GraphConstructionError) as exc:
+        # The constructor's messages start with the offending argument's name.
+        raise ArtifactError(f"artifact {path} holds a corrupt graph: {source}{exc}") from exc
+
+
+def _array_graphs(
+    path: Path, manifest: Dict[str, object], arrays: Dict[str, np.ndarray]
+) -> Dict[int, TimeSeriesGraph]:
+    """The graphs of a v4 artifact, from its ``graph_{ℓ}_*`` arrays."""
+    n_series = int(manifest["fitted"]["n_series"])
+    graphs: Dict[int, TimeSeriesGraph] = {}
+    for length in map(int, manifest["fitted"]["lengths"]):
+        parts = {}
+        for part in _GRAPH_ARRAYS:
+            key = f"graph_{length}_{part}"
+            if key not in arrays:
+                raise ArtifactError(f"artifact {path} misses graph array {key!r}")
+            parts[part] = arrays[key]
+        if parts["trajectories"].shape[:1] != (n_series,):
+            raise ArtifactError(
+                f"artifact {path} array graph_{length}_trajectories has shape "
+                f"{parts['trajectories'].shape}, expected {n_series} rows (one per "
+                "training series)"
+            )
+        graphs[length] = _graph(path, length, parts, f"graph_{length}_")
+    return graphs
+
+
+def _legacy_graphs(path: Path, arrays: Dict[str, np.ndarray]) -> Dict[int, TimeSeriesGraph]:
+    """The graphs of a v1-v3 artifact, rebuilt from ``graphs.json``.
+
+    Only each payload's node positions and trajectories are read, with the
+    ``graph_{ℓ}_patterns`` array; edges, weights and series counts are
+    derived from them by the constructor.
+    """
+    graphs: Dict[int, TimeSeriesGraph] = {}
+    try:
+        with (path / LEGACY_GRAPHS_FILE).open("r", encoding="utf-8") as handle:
+            payloads = json.load(handle)["graphs"]
+        for payload in payloads:
+            length = int(payload["length"])
+            key = f"graph_{length}_patterns"
+            if key not in arrays:
+                raise ArtifactError(f"artifact {path} misses pattern matrix {key!r}")
+            trajectories = payload["trajectories"]
+            parts = {
+                "positions": np.array([node["position"] for node in payload["nodes"]], dtype=float),
+                "patterns": arrays[key],
+                "trajectories": np.array(
+                    [trajectories[str(series)] for series in range(int(payload["n_series"]))]
+                ),
+            }
+            graphs[length] = _graph(path, length, parts, f"{LEGACY_GRAPHS_FILE} length {length}: ")
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        raise ArtifactError(f"could not read graphs of {path}: {exc}") from exc
+    return graphs
+
+
 def _load_kgraph_model(
     path: Path,
     manifest: Dict[str, object],
     arrays: Dict[str, np.ndarray],
-    graph_payloads: List[Dict[str, object]],
 ) -> KGraph:
     for required in ("params", "fitted", "partitions", "length_scores"):
         if required not in manifest:
@@ -480,20 +551,13 @@ def _load_kgraph_model(
             )
     model = _kgraph_from_manifest(path, manifest)
 
-    graphs: Dict[int, TimeSeriesGraph] = {}
-    for payload in graph_payloads:
-        length = int(payload["length"])
-        key = f"graph_{length}_patterns"
-        if key not in arrays:
-            raise ArtifactError(f"artifact {path} misses pattern matrix {key!r}")
-        try:
-            graphs[length] = TimeSeriesGraph.from_payload(payload, arrays[key])
-        except ValidationError as exc:
-            raise ArtifactError(f"artifact {path} holds a corrupt graph: {exc}") from exc
-
     # Nested-field corruption (a row or graphoid missing a key) must surface
     # as ArtifactError, like every other failure mode of this module.
     try:
+        if manifest["schema_version"] < _ARRAY_GRAPHS_VERSION:
+            graphs = _legacy_graphs(path, arrays)
+        else:
+            graphs = _array_graphs(path, manifest, arrays)
         partitions: List[GraphPartition] = []
         for row in manifest["partitions"]:
             length = int(row["length"])

@@ -23,10 +23,9 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro.exceptions import ArtifactError, ModelNotFoundError, ValidationError
 from repro.serve.artifacts import (
-    ARRAYS_FILE,
-    GRAPHS_FILE,
     load_model,
     read_manifest,
+    required_files,
     save_model,
 )
 
@@ -197,7 +196,7 @@ class ModelRegistry:
         """
         artifact_dir = Path(artifact_dir)
         manifest = read_manifest(artifact_dir)
-        for required in (ARRAYS_FILE, GRAPHS_FILE):
+        for required in required_files(manifest):
             if not (artifact_dir / required).exists():
                 raise ArtifactError(
                     f"artifact {artifact_dir} is incomplete: missing {required}; "

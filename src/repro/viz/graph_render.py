@@ -100,8 +100,9 @@ def render_graph(
         )
 
     # Edges first so nodes draw on top.
-    max_weight = max((graph.edge_weight(edge) for edge in graph.edges()), default=1)
-    for edge in graph.edges():
+    edge_weights = graph.edge_weights.tolist()
+    max_weight = max(edge_weights, default=1)
+    for edge, weight in zip(graph.edges(), edge_weights):
         source, target = edge
         if source not in positions or target not in positions:
             continue
@@ -109,22 +110,22 @@ def render_graph(
         x2, y2 = to_pixels(positions[target])
         cluster = _dominant_cluster(edge_excl, edge, edge_repr, gamma_threshold, lambda_threshold)
         color = color_for_cluster(cluster) if cluster is not None else NEUTRAL_COLOR
-        weight = graph.edge_weight(edge)
         stroke_width = 0.5 + 2.5 * weight / max_weight
         canvas.arrow(x1, y1, x2, y2, stroke=color, stroke_width=stroke_width, opacity=0.55)
 
-    max_node_weight = max((graph.node_weight(node) for node in graph.nodes()), default=1)
-    for node in graph.nodes():
+    node_weights = graph.node_weights.tolist()
+    max_node_weight = max(node_weights, default=1)
+    for node, weight in enumerate(node_weights):
         if node not in positions:
             continue
         x_pixel, y_pixel = to_pixels(positions[node])
         cluster = _dominant_cluster(exclusivity, node, representativity, gamma_threshold, lambda_threshold)
         color = color_for_cluster(cluster) if cluster is not None else NEUTRAL_COLOR
-        radius = 4.0 + 10.0 * np.sqrt(graph.node_weight(node) / max_node_weight)
+        radius = 4.0 + 10.0 * np.sqrt(weight / max_node_weight)
         best_exclusivity = max(exclusivity[c].get(node, 0.0) for c in exclusivity)
         best_representativity = max(representativity[c].get(node, 0.0) for c in representativity)
         tooltip = (
-            f"node {node} | weight {graph.node_weight(node)} | "
+            f"node {node} | weight {weight} | "
             f"max exclusivity {best_exclusivity:.2f} | max representativity {best_representativity:.2f}"
         )
         canvas.circle(x_pixel, y_pixel, radius, fill=color, stroke="#333333", stroke_width=0.8, opacity=0.9, tooltip=tooltip)

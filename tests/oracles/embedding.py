@@ -3,7 +3,8 @@
 :meth:`GraphEmbedding.fit` never holds every subsequence at once; it walks
 blocks of series three times.  This oracle builds the full z-normalised
 subsequence matrix instead, assigns every subsequence to its nearest node
-over the whole matrix, and records the graph one subsequence at a time.
+over the whole matrix, and records the graph one subsequence at a time into
+the dict graph of :mod:`oracles.graph`.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.graph.structure import TimeSeriesGraph
+from oracles.graph import DictGraph
 from repro.utils.normalization import znormalize_dataset
 from repro.utils.windows import subsequences_of_dataset
 
@@ -50,9 +51,9 @@ def record_graph(
     series_index: np.ndarray,
     assignments: np.ndarray,
     node_positions: np.ndarray,
-) -> TimeSeriesGraph:
+) -> DictGraph:
     """Per-subsequence recording loop: node means, then visits and transitions."""
-    graph = TimeSeriesGraph(length=length, n_series=n_series)
+    graph = DictGraph(length, n_series)
     for new_id in range(node_positions.shape[0]):
         members = subsequences[assignments == new_id]
         pattern = members.mean(axis=0) if members.shape[0] else np.zeros(length)
@@ -71,7 +72,7 @@ def record_graph(
     return graph
 
 
-def embedding_graph_reference(embedding, data: np.ndarray) -> TimeSeriesGraph:
+def embedding_graph_reference(embedding, data: np.ndarray) -> DictGraph:
     """The graph ``embedding.fit(data)`` must build, from its fitted projection."""
     data = np.asarray(data, dtype=float)
     subsequences, series_index, assignments, node_positions = reference_inputs(

@@ -15,7 +15,8 @@ from pathlib import Path
 
 _FIT_DIGEST = textwrap.dedent(
     """
-    import hashlib, json, sys
+    import hashlib, sys
+    from oracles.graph import graph_arrays
     from repro import KGraph
     from repro.datasets.synthetic import make_cylinder_bell_funnel
 
@@ -24,22 +25,22 @@ _FIT_DIGEST = textwrap.dedent(
     model = KGraph(n_clusters=3, random_state=7, **parallel).fit(dataset.data)
     digest = hashlib.sha256()
     for length in sorted(model.result_.graphs):
-        graph = model.result_.graphs[length]
-        digest.update(json.dumps(graph.to_payload(), sort_keys=True).encode())
-        for node in graph.nodes():
-            digest.update(graph.node_pattern(node).tobytes())
+        for name, array in graph_arrays(model.result_.graphs[length]).items():
+            digest.update(f"{length}:{name}:{array.dtype.str}:{array.shape};".encode())
+            digest.update(array.tobytes())
     print(digest.hexdigest())
     """
 )
 
 
 def test_fit_is_identical_under_any_openblas_thread_setting():
-    src = str(Path(__file__).resolve().parents[1] / "src")
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join([str(root / "src"), str(root / "tests")])
     runs = [("1", "serial"), ("2", "serial"), ("2", "process")]
     workers = [
         subprocess.Popen(
             [sys.executable, "-c", _FIT_DIGEST, mode],
-            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,

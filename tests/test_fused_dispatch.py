@@ -22,6 +22,8 @@ from repro.exceptions import PipelineError, ValidationError
 from repro.parallel import ProcessBackend
 from repro.pipeline import KGRAPH_STAGE_NAMES, MemoryStageCache, PipelineContext, Stage
 
+from oracles.graph import assert_graphs_identical
+
 ALL_STAGES = list(KGRAPH_STAGE_NAMES)
 FUSED_PAIR = ["embed", "graph_cluster"]
 
@@ -47,10 +49,7 @@ def _assert_results_identical(a, b):
     assert np.array_equal(a.result_.consensus_matrix, b.result_.consensus_matrix)
     assert a.result_.optimal_length == b.result_.optimal_length
     for length in a.result_.graphs:
-        assert (
-            a.result_.graphs[length].to_payload()
-            == b.result_.graphs[length].to_payload()
-        )
+        assert_graphs_identical(a.result_.graphs[length], b.result_.graphs[length])
     for ours, theirs in zip(a.result_.partitions, b.result_.partitions):
         assert np.array_equal(ours.labels, theirs.labels)
         assert np.array_equal(ours.feature_matrix, theirs.feature_matrix)

@@ -9,11 +9,13 @@ import repro.utils.windows as windows_module
 from repro.datasets.synthetic import make_cylinder_bell_funnel
 from repro.exceptions import GraphConstructionError, ValidationError
 from repro.graph.embedding import GraphEmbedding, build_graph
+from repro.graph.structure import TimeSeriesGraph
 from repro.linalg.pca import PCA
 from repro.utils.normalization import znormalize_dataset
 from repro.utils.windows import subsequence_count, subsequences_of_dataset, window_blocks
 
 from oracles.embedding import embedding_graph_reference
+from oracles.graph import assert_graphs_identical, assert_matches_oracle
 
 
 class TestGraphEmbedding:
@@ -99,20 +101,12 @@ class TestGraphEmbedding:
 # --------------------------------------------------------------------- #
 # the blocked embedding: three passes over blocks of whole series
 # --------------------------------------------------------------------- #
-def _assert_same_graph(left, right, *, position_rtol=0.0):
-    """Equal structure and bit-identical patterns; positions to ``position_rtol``."""
-    left_payload, right_payload = left.to_payload(), right.to_payload()
-    left_nodes, right_nodes = left_payload.pop("nodes"), right_payload.pop("nodes")
-    assert left_payload == right_payload
-    assert [(n["id"], n["n_subsequences"]) for n in left_nodes] == [
-        (n["id"], n["n_subsequences"]) for n in right_nodes
-    ]
-    left_positions = np.array([n["position"] for n in left_nodes])
-    right_positions = np.array([n["position"] for n in right_nodes])
-    scale = np.max(np.abs(left_positions))
-    assert np.max(np.abs(left_positions - right_positions)) <= position_rtol * scale
-    for node in left.nodes():
-        assert np.array_equal(left.node_pattern(node), right.node_pattern(node))
+def _assert_same_graph(left, right, *, position_rtol):
+    """Bit-identical arrays, except positions, which agree to ``position_rtol``."""
+    scale = np.max(np.abs(left.positions))
+    assert np.max(np.abs(left.positions - right.positions)) <= position_rtol * scale
+    aligned = TimeSeriesGraph(right.length, left.positions, right.patterns, right.trajectories)
+    assert_graphs_identical(left, aligned)
 
 
 def _walks_with_constant_series(n_series=12, length=60, constant_row=4, seed=21):
@@ -139,7 +133,7 @@ class TestBlockedEmbedding:
 
         embedding = GraphEmbedding(length, stride=stride, random_state=0)
         graph = embedding.fit(data)
-        _assert_same_graph(graph, embedding_graph_reference(embedding, data))
+        assert_matches_oracle(graph, embedding_graph_reference(embedding, data))
 
     def test_block_boundaries_do_not_change_the_graph(self, monkeypatch):
         data = make_cylinder_bell_funnel(30, 128, noise=0.2, random_state=3).data

@@ -55,8 +55,6 @@ class TestLayouts:
     def test_single_node_graph(self):
         from repro.graph.structure import TimeSeriesGraph
 
-        graph = TimeSeriesGraph(length=4, n_series=1)
-        graph.add_node(0, (0.3, 0.7), np.zeros(4))
-        graph.record_visit(0, 0)
+        graph = TimeSeriesGraph(4, [(0.3, 0.7)], np.zeros((1, 4)), [[0]])
         assert force_directed_layout(graph) == {0: (0.5, 0.5)}
         assert pca_layout(graph)[0] is not None

@@ -7,76 +7,92 @@ from repro.exceptions import GraphConstructionError, ValidationError
 from repro.graph.structure import TimeSeriesGraph
 
 
+def _toy_arrays():
+    positions = [(float(node), 0.0) for node in range(3)]
+    patterns = np.vstack([np.full(4, float(node)) for node in range(3)])
+    trajectories = np.array([[0, 1, 0], [1, 2, 2], [2, 2, 2]])
+    return positions, patterns, trajectories
+
+
 @pytest.fixture()
 def toy_graph() -> TimeSeriesGraph:
-    """A small hand-built graph over 3 series and 3 nodes.
+    """A small graph over 3 series and 3 nodes.
 
-    Series 0 visits 0 -> 1 -> 0, series 1 visits 1 -> 2, series 2 visits 2 -> 2.
+    Series 0 visits 0 -> 1 -> 0, series 1 visits 1 -> 2 -> 2, series 2
+    visits 2 -> 2 -> 2.
     """
-    graph = TimeSeriesGraph(length=4, n_series=3)
-    for node in range(3):
-        graph.add_node(node, (float(node), 0.0), np.full(4, float(node)))
-    # series 0
-    graph.record_visit(0, 0)
-    graph.record_visit(1, 0)
-    graph.record_transition(0, 1, 0)
-    graph.record_visit(0, 0)
-    graph.record_transition(1, 0, 0)
-    # series 1
-    graph.record_visit(1, 1)
-    graph.record_visit(2, 1)
-    graph.record_transition(1, 2, 1)
-    # series 2
-    graph.record_visit(2, 2)
-    graph.record_visit(2, 2)
-    graph.record_transition(2, 2, 2)
-    return graph
+    return TimeSeriesGraph(4, *_toy_arrays())
 
 
 class TestConstruction:
     def test_counts(self, toy_graph):
+        assert toy_graph.n_series == 3
         assert toy_graph.n_nodes == 3
         assert toy_graph.n_edges == 4
         assert toy_graph.nodes() == [0, 1, 2]
         assert toy_graph.edges() == [(0, 1), (1, 0), (1, 2), (2, 2)]
 
-    def test_duplicate_node_rejected(self, toy_graph):
-        with pytest.raises(GraphConstructionError):
-            toy_graph.add_node(0, (0.0, 0.0), np.zeros(4))
-
     def test_bad_position_rejected(self):
-        graph = TimeSeriesGraph(length=4, n_series=1)
-        with pytest.raises(ValidationError):
-            graph.add_node(0, (0.0, 0.0, 0.0), np.zeros(4))
+        _, patterns, trajectories = _toy_arrays()
+        with pytest.raises(ValidationError, match="^positions"):
+            TimeSeriesGraph(4, np.zeros((3, 3)), patterns, trajectories)
 
-    def test_unknown_node_visit_rejected(self, toy_graph):
-        with pytest.raises(GraphConstructionError):
-            toy_graph.record_visit(9, 0)
-        with pytest.raises(GraphConstructionError):
-            toy_graph.record_transition(0, 9, 0)
+    def test_pattern_row_mismatch_rejected(self):
+        positions, _, trajectories = _toy_arrays()
+        with pytest.raises(ValidationError, match="^patterns"):
+            TimeSeriesGraph(4, positions, np.zeros((2, 4)), trajectories)
+        with pytest.raises(ValidationError, match="^patterns"):
+            TimeSeriesGraph(4, positions, np.zeros((3, 5)), trajectories)
+
+    def test_unknown_node_visit_rejected(self):
+        positions, patterns, trajectories = _toy_arrays()
+        for bad in (3, 9, -1):
+            corrupt = trajectories.copy()
+            corrupt[1, 2] = bad
+            with pytest.raises(GraphConstructionError, match=f"^trajectories .*{bad}"):
+                TimeSeriesGraph(4, positions, patterns, corrupt)
+
+    def test_unknown_node_lookup_rejected(self, toy_graph):
+        for lookup in (toy_graph.node_weight, toy_graph.node_pattern, toy_graph.series_through_node):
+            for node in (3, -1):
+                with pytest.raises(GraphConstructionError):
+                    lookup(node)
+
+    def test_storage_grows_with_distinct_pairs(self, toy_graph):
+        # One CSR entry per distinct (element, series) pair, int32 throughout.
+        assert toy_graph.node_crossings.series.tolist() == [0, 0, 1, 1, 2]
+        assert toy_graph.node_crossings.count.tolist() == [2, 1, 1, 2, 3]
+        assert toy_graph.edge_crossings.ptr.tolist() == [0, 1, 2, 3, 5]
+        for array in (*toy_graph.node_crossings, *toy_graph.edge_crossings):
+            assert array.dtype == np.int32
+        assert toy_graph.trajectories.dtype == np.int32
 
 
 class TestAccessors:
     def test_weights(self, toy_graph):
         assert toy_graph.node_weight(0) == 2
-        assert toy_graph.node_weight(2) == 3
-        assert toy_graph.edge_weight((2, 2)) == 1
+        assert toy_graph.node_weight(2) == 5
+        assert toy_graph.edge_weight((2, 2)) == 3
         assert toy_graph.edge_weight((0, 2)) == 0
+        assert toy_graph.edge_weight((0, 3)) == 0  # would alias (1, 0) unchecked
 
     def test_series_through(self, toy_graph):
         assert toy_graph.series_through_node(0) == [0]
         assert toy_graph.series_through_node(1) == [0, 1]
         assert toy_graph.series_through_node(2) == [1, 2]
         assert toy_graph.series_through_edge((1, 2)) == [1]
+        assert toy_graph.series_through_edge((2, 0)) == []
 
     def test_visit_counts(self, toy_graph):
         assert toy_graph.node_visit_counts(0) == {0: 2}
-        assert toy_graph.edge_visit_counts((2, 2)) == {2: 1}
+        assert toy_graph.edge_visit_counts((2, 2)) == {1: 1, 2: 2}
+        assert toy_graph.edge_visit_counts((2, 0)) == {}
 
     def test_trajectory(self, toy_graph):
         assert toy_graph.trajectory(0) == [0, 1, 0]
-        assert toy_graph.trajectory(2) == [2, 2]
+        assert toy_graph.trajectory(2) == [2, 2, 2]
         assert toy_graph.trajectory(99) == []
+        assert toy_graph.trajectory(-1) == []
 
     def test_node_pattern_copy(self, toy_graph):
         pattern = toy_graph.node_pattern(1)
@@ -89,7 +105,7 @@ class TestMatrices:
         matrix = toy_graph.node_feature_matrix(normalize=False)
         assert matrix.shape == (3, 3)
         assert matrix[0].tolist() == [2.0, 1.0, 0.0]
-        assert matrix[2].tolist() == [0.0, 0.0, 2.0]
+        assert matrix[2].tolist() == [0.0, 0.0, 3.0]
 
     def test_node_feature_matrix_normalized_rows_sum_to_one(self, toy_graph):
         matrix = toy_graph.node_feature_matrix(normalize=True)
@@ -98,7 +114,7 @@ class TestMatrices:
     def test_edge_feature_matrix(self, toy_graph):
         matrix = toy_graph.edge_feature_matrix(normalize=False)
         assert matrix.shape == (3, 4)
-        assert matrix.sum() == 4.0  # four recorded transitions
+        assert matrix.sum() == 6.0  # two transitions per series
 
     def test_combined_feature_matrix(self, toy_graph):
         combined = toy_graph.feature_matrix()
@@ -108,8 +124,8 @@ class TestMatrices:
         adjacency = toy_graph.adjacency_matrix()
         assert adjacency.shape == (3, 3)
         assert adjacency[1, 2] == 1
-        assert adjacency[2, 2] == 1
-        assert adjacency.sum() == 4
+        assert adjacency[2, 2] == 3
+        assert adjacency.sum() == 6
 
 
 class TestInterop:
@@ -126,33 +142,9 @@ class TestInterop:
         text = json.dumps(toy_graph.summary())
         assert '"n_nodes": 3' in text
 
-    def test_payload_round_trip_is_lossless(self, toy_graph):
-        import json
+    def test_pickle_round_trip_is_lossless(self, toy_graph):
+        import pickle
 
-        import numpy as np
+        from oracles.graph import assert_graphs_identical
 
-        from repro.graph.structure import TimeSeriesGraph
-
-        payload = json.loads(json.dumps(toy_graph.to_payload()))  # via real JSON
-        patterns = np.vstack([toy_graph.node_pattern(n) for n in toy_graph.nodes()])
-        restored = TimeSeriesGraph.from_payload(payload, patterns)
-        assert restored.nodes() == toy_graph.nodes()
-        assert restored.edges() == toy_graph.edges()
-        assert restored.node_positions() == toy_graph.node_positions()
-        assert np.array_equal(restored.feature_matrix(), toy_graph.feature_matrix())
-        assert np.array_equal(restored.adjacency_matrix(), toy_graph.adjacency_matrix())
-        for node in toy_graph.nodes():
-            assert restored.node_visit_counts(node) == toy_graph.node_visit_counts(node)
-        for series in range(toy_graph.n_series):
-            assert restored.trajectory(series) == toy_graph.trajectory(series)
-
-    def test_from_payload_rejects_pattern_mismatch(self, toy_graph):
-        import numpy as np
-        import pytest as _pytest
-
-        from repro.exceptions import ValidationError
-        from repro.graph.structure import TimeSeriesGraph
-
-        payload = toy_graph.to_payload()
-        with _pytest.raises(ValidationError, match="pattern matrix"):
-            TimeSeriesGraph.from_payload(payload, np.zeros((1, toy_graph.length)))
+        assert_graphs_identical(pickle.loads(pickle.dumps(toy_graph)), toy_graph)

@@ -21,20 +21,11 @@ from repro.graph.structure import TimeSeriesGraph
 def labelled_graph():
     """4 series in 2 clusters; node 0 exclusive to cluster 0, node 2 to cluster 1,
     node 1 shared by everyone."""
-    graph = TimeSeriesGraph(length=4, n_series=4)
-    for node in range(3):
-        graph.add_node(node, (float(node), 0.0), np.zeros(4))
     labels = np.array([0, 0, 1, 1])
-    # Cluster 0 members visit nodes 0 then 1.
-    for series in (0, 1):
-        graph.record_visit(0, series)
-        graph.record_visit(1, series)
-        graph.record_transition(0, 1, series)
-    # Cluster 1 members visit nodes 1 then 2.
-    for series in (2, 3):
-        graph.record_visit(1, series)
-        graph.record_visit(2, series)
-        graph.record_transition(1, 2, series)
+    # Cluster 0 members visit nodes 0 then 1; cluster 1 members 1 then 2.
+    trajectories = [[0, 1], [0, 1], [1, 2], [1, 2]]
+    positions = [(float(node), 0.0) for node in range(3)]
+    graph = TimeSeriesGraph(4, positions, np.zeros((3, 4)), trajectories)
     return graph, labels
 
 

@@ -31,6 +31,8 @@ from repro.pipeline import (
     resolve_stage_cache,
 )
 
+from oracles.graph import assert_graphs_identical
+
 ALL_STAGES = list(KGRAPH_STAGE_NAMES)
 
 
@@ -284,9 +286,8 @@ def _assert_fits_identical(fitted: KGraph, reference: KGraph) -> None:
     assert fitted.result_.optimal_length == reference.result_.optimal_length
     assert sorted(fitted.result_.graphs) == sorted(reference.result_.graphs)
     for length in fitted.result_.graphs:
-        assert (
-            fitted.result_.graphs[length].to_payload()
-            == reference.result_.graphs[length].to_payload()
+        assert_graphs_identical(
+            fitted.result_.graphs[length], reference.result_.graphs[length]
         )
     for ours, theirs in zip(fitted.result_.partitions, reference.result_.partitions):
         assert ours.length == theirs.length

@@ -1,7 +1,11 @@
 """Tests for the versioned model artifact format (repro.serve.artifacts)."""
 
-import io
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,48 @@ from repro.serve.artifacts import (
     read_manifest,
     save_model,
 )
+from repro.serve.registry import ModelRegistry
+
+from oracles.graph import assert_graphs_identical, record_trajectories
+
+
+def _read_arrays(artifact_dir):
+    with np.load(artifact_dir / "arrays.npz") as payload:
+        return {key: payload[key] for key in payload.files}
+
+
+def _write_arrays(artifact_dir, arrays):
+    with (artifact_dir / "arrays.npz").open("wb") as handle:
+        np.savez_compressed(handle, **arrays)
+
+
+def _write_legacy_layout(artifact_dir, model, schema_version):
+    """Rewrite a saved artifact as formats v1-v3 stored it.
+
+    Graphs go to ``graphs.json`` as the dict graph's payloads, written the
+    way those formats' ``save_model`` wrote them; only the pattern matrix
+    of each graph stays in ``arrays.npz``.
+    """
+    graphs = model.result_.graphs
+    payloads = [
+        record_trajectories(length, graph.positions, graph.patterns, graph.trajectories).to_payload()
+        for length, graph in sorted(graphs.items())
+    ]
+    (artifact_dir / "graphs.json").write_text(
+        json.dumps({"graphs": payloads}, sort_keys=True), encoding="utf-8"
+    )
+    arrays = _read_arrays(artifact_dir)
+    for length in graphs:
+        del arrays[f"graph_{length}_positions"], arrays[f"graph_{length}_trajectories"]
+    _write_arrays(artifact_dir, arrays)
+    manifest = read_manifest(artifact_dir)
+    manifest["schema_version"] = schema_version
+    if schema_version == 1:
+        # v1 predates the pipeline ledger and the estimator-generic fields.
+        manifest["format"] = "kgraph-model"
+        for field in ("pipeline", "estimator", "config", "config_version"):
+            del manifest[field]
+    (artifact_dir / "manifest.json").write_text(json.dumps(manifest))
 
 
 @pytest.fixture(scope="module")
@@ -39,25 +85,18 @@ class TestRoundTrip:
         assert np.array_equal(loaded.labels_, fitted_kgraph.labels_)
         assert np.array_equal(loaded.consensus_matrix_, fitted_kgraph.consensus_matrix_)
         for length, graph in fitted_kgraph.result_.graphs.items():
-            restored = loaded.result_.graphs[length]
-            assert np.array_equal(restored.feature_matrix(), graph.feature_matrix())
-            assert np.array_equal(restored.adjacency_matrix(), graph.adjacency_matrix())
-            assert restored.node_positions() == graph.node_positions()
-            for node in graph.nodes():
-                assert np.array_equal(restored.node_pattern(node), graph.node_pattern(node))
-                assert restored.node_visit_counts(node) == graph.node_visit_counts(node)
-            for series in range(graph.n_series):
-                assert restored.trajectory(series) == graph.trajectory(series)
-        # graphs.json holds exactly the bytes json.dump writes.
-        graphs = fitted_kgraph.result_.graphs
-        expected = io.StringIO()
-        json.dump(
-            {"graphs": [graphs[length].to_payload() for length in sorted(graphs)]},
-            expected,
-            sort_keys=True,
-        )
-        written = (artifact_dir / "graphs.json").read_bytes()
-        assert written == expected.getvalue().encode("utf-8")
+            assert_graphs_identical(loaded.result_.graphs[length], graph)
+        # Format v4: two files, the graphs as three arrays per length.
+        assert sorted(path.name for path in artifact_dir.iterdir()) == [
+            "arrays.npz",
+            "manifest.json",
+        ]
+        arrays = _read_arrays(artifact_dir)
+        for length, graph in fitted_kgraph.result_.graphs.items():
+            for part in ("positions", "patterns", "trajectories"):
+                stored = arrays[f"graph_{length}_{part}"]
+                assert stored.dtype == getattr(graph, part).dtype
+                assert np.array_equal(stored, getattr(graph, part))
 
     def test_partitions_and_scores_round_trip(self, fitted_kgraph, artifact_dir):
         loaded = load_model(artifact_dir)
@@ -154,16 +193,35 @@ class TestManifest:
         self, artifact_dir, fitted_kgraph, fresh_series
     ):
         # Backward compatibility: a pre-pipeline (schema v1) artifact has no
-        # "pipeline" manifest field and must load and predict identically.
-        manifest = read_manifest(artifact_dir)
-        manifest["schema_version"] = 1
-        del manifest["pipeline"]
-        (artifact_dir / "manifest.json").write_text(json.dumps(manifest))
+        # "pipeline" manifest field, keeps its graphs in graphs.json, and
+        # must load and predict identically.
+        _write_legacy_layout(artifact_dir, fitted_kgraph, schema_version=1)
         loaded = load_model(artifact_dir)
         assert loaded.pipeline_report_ is None
+        assert sorted(loaded.result_.graphs) == sorted(fitted_kgraph.result_.graphs)
+        for length, graph in fitted_kgraph.result_.graphs.items():
+            assert_graphs_identical(loaded.result_.graphs[length], graph)
         assert np.array_equal(
             loaded.predict(fresh_series), fitted_kgraph.predict(fresh_series)
         )
+
+    def test_v3_artifact_with_graphs_json_still_loads(
+        self, artifact_dir, fitted_kgraph, fresh_series, tmp_path
+    ):
+        _write_legacy_layout(artifact_dir, fitted_kgraph, schema_version=3)
+        loaded = load_model(artifact_dir)
+        for length, graph in fitted_kgraph.result_.graphs.items():
+            assert_graphs_identical(loaded.result_.graphs[length], graph)
+        assert np.array_equal(
+            loaded.predict(fresh_series), fitted_kgraph.predict(fresh_series)
+        )
+        # The registry imports the old layout with its graphs.json, and
+        # saving over it leaves a v4 artifact without one.
+        record = ModelRegistry(tmp_path / "registry").import_artifact(artifact_dir)
+        assert (record.path / "graphs.json").exists()
+        save_model(loaded, artifact_dir)
+        assert not (artifact_dir / "graphs.json").exists()
+        assert read_manifest(artifact_dir)["schema_version"] == ARTIFACT_SCHEMA_VERSION
 
 
 class TestValidation:
@@ -179,6 +237,16 @@ class TestValidation:
         (artifact_dir / "arrays.npz").unlink()
         with pytest.raises(ArtifactError, match="missing arrays.npz"):
             load_model(artifact_dir)
+
+    def test_legacy_artifact_without_graphs_json_is_incomplete(
+        self, artifact_dir, fitted_kgraph, tmp_path
+    ):
+        _write_legacy_layout(artifact_dir, fitted_kgraph, schema_version=3)
+        (artifact_dir / "graphs.json").unlink()
+        with pytest.raises(ArtifactError, match="missing graphs.json"):
+            load_model(artifact_dir)
+        with pytest.raises(ArtifactError, match="missing graphs.json"):
+            ModelRegistry(tmp_path / "registry").import_artifact(artifact_dir)
 
     def test_wrong_format_name(self, artifact_dir):
         manifest = json.loads((artifact_dir / "manifest.json").read_text())
@@ -213,3 +281,116 @@ class TestValidation:
         assert np.array_equal(
             load_model(artifact_dir).predict(fresh_series), fitted_kgraph.predict(fresh_series)
         )
+
+
+def _corrupt(part, arrays, length, n_nodes):
+    """Apply one corruption case to the graph arrays of ``length``."""
+    key = f"graph_{length}_{part.split(':')[0]}"
+    trajectories = arrays[f"graph_{length}_trajectories"]
+    if part == "trajectories:float":
+        arrays[key] = trajectories.astype(float)
+    elif part == "trajectories:too-large-id":
+        arrays[key] = trajectories.copy()
+        arrays[key][1, 2] = n_nodes
+    elif part == "trajectories:negative-id":
+        arrays[key] = trajectories.copy()
+        arrays[key][0, 0] = -1
+    elif part == "trajectories:rows":
+        arrays[key] = trajectories[:-1]
+    elif part == "positions:columns":
+        arrays[key] = np.hstack([arrays[key], arrays[key]])
+    elif part == "patterns:rows":
+        arrays[key] = arrays[key][:-1]
+    elif part == "positions:missing":
+        del arrays[key]
+    return key
+
+
+class TestCorruptGraphArrays:
+    """A corrupt graph array is an ArtifactError naming it, never an IndexError."""
+
+    CASES = [
+        "trajectories:float",
+        "trajectories:too-large-id",
+        "trajectories:negative-id",
+        "trajectories:rows",
+        "positions:columns",
+        "patterns:rows",
+        "positions:missing",
+    ]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_load_model_names_the_array(self, fitted_kgraph, artifact_dir, case):
+        length = fitted_kgraph.optimal_length_
+        arrays = _read_arrays(artifact_dir)
+        n_nodes = fitted_kgraph.result_.graphs[length].n_nodes
+        key = _corrupt(case, arrays, length, n_nodes)
+        _write_arrays(artifact_dir, arrays)
+        with pytest.raises(ArtifactError, match=key):
+            load_model(artifact_dir)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_registry_fetch_gives_the_typed_error(self, fitted_kgraph, tmp_path, case):
+        registry = ModelRegistry(tmp_path / "registry")
+        record = registry.publish(fitted_kgraph, "cbf")
+        length = fitted_kgraph.optimal_length_
+        arrays = _read_arrays(record.path)
+        key = _corrupt(case, arrays, length, fitted_kgraph.result_.graphs[length].n_nodes)
+        _write_arrays(record.path, arrays)
+        with pytest.raises(ArtifactError, match=key):
+            registry.fetch("cbf")
+
+
+_SAVE_SEEDED_MODEL = textwrap.dedent(
+    """
+    import sys
+    from repro import KGraph
+    from repro.datasets.synthetic import make_cylinder_bell_funnel
+    from repro.serve.artifacts import save_model
+
+    dataset = make_cylinder_bell_funnel(n_series=40, length=96, noise=0.2, random_state=3)
+    model = KGraph(n_clusters=3, n_lengths=3, random_state=3).fit(dataset.data)
+    save_model(model, sys.argv[1], dataset="cbf", metadata={"seeded": True})
+    """
+)
+
+
+def _comparable_manifest(artifact_dir):
+    manifest = read_manifest(artifact_dir)
+    del manifest["created_unix"], manifest["timings"]
+    for stage in manifest["pipeline"]["stages"]:
+        del stage["seconds"]
+    return manifest
+
+
+def test_saved_model_is_identical_across_interpreters(tmp_path):
+    """A seeded fit saves the same artifact in any interpreter.
+
+    Two fresh interpreters with different ``PYTHONHASHSEED`` values fit and
+    save the same seeded k-Graph.  Every ``arrays.npz`` entry must match in
+    name, dtype, shape and bytes, and the manifests must be equal except
+    for the wall-clock fields ``created_unix``, ``timings`` and each
+    pipeline stage's ``seconds``.  The ``.npz`` files are not compared
+    byte for byte: ``np.savez`` stamps each zip entry with the time.
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    targets = [tmp_path / "first", tmp_path / "second"]
+    runs = [
+        subprocess.Popen(
+            [sys.executable, "-c", _SAVE_SEEDED_MODEL, str(target)],
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed},
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        for target, hash_seed in zip(targets, ("1", "2"))
+    ]
+    for run in runs:
+        _, err = run.communicate(timeout=300)
+        assert run.returncode == 0, err
+    first, second = (_read_arrays(target) for target in targets)
+    assert sorted(first) == sorted(second)
+    for name, array in first.items():
+        other = second[name]
+        assert (array.dtype, array.shape) == (other.dtype, other.shape), name
+        assert array.tobytes() == other.tobytes(), name
+    assert _comparable_manifest(targets[0]) == _comparable_manifest(targets[1])

@@ -50,7 +50,7 @@ class TestEstimatorArtifactRoundTrip:
         path = save_model(fitted_kmeans, tmp_path / "km", dataset="cbf")
         manifest = read_manifest(path)
         assert manifest["format"] == ARTIFACT_FORMAT
-        assert manifest["schema_version"] == ARTIFACT_SCHEMA_VERSION == 3
+        assert manifest["schema_version"] == ARTIFACT_SCHEMA_VERSION == 4
         assert manifest["estimator"] == "kmeans"
         assert manifest["config_version"] == BaselineConfig.version
         assert BaselineConfig.from_dict(manifest["config"]) == fitted_kmeans.get_config()

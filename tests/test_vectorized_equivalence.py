@@ -2,7 +2,8 @@
 
 Every hot path vectorized for E13 keeps its original implementation as a
 reference: a ``*_reference`` twin in the library, or an oracle in
-``tests/oracles/`` (graph embedding, batched prediction).  These tests assert the two produce
+``tests/oracles/`` (graph embedding and the dict graph, batched prediction).
+These tests assert the two produce
 *bit-identical* outputs (``np.array_equal``, payload equality — not approx)
 on random and adversarial inputs: distance ties, single-node graphs,
 stride > 1 and constant series.
@@ -12,6 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.core.consensus import (
     build_consensus_matrix,
@@ -30,6 +33,7 @@ from repro.metrics.distances import (
 )
 
 from oracles.embedding import embedding_graph_reference
+from oracles.graph import assert_matches_oracle, record_trajectories
 from oracles.predict import predict_with_state_reference
 
 METRICS = ("euclidean", "zeuclidean", "sbd", "dtw")
@@ -210,12 +214,6 @@ class TestConsensusEquivalence:
 # --------------------------------------------------------------------- #
 # graph embedding / bulk recording
 # --------------------------------------------------------------------- #
-def _assert_graphs_identical(left: TimeSeriesGraph, right: TimeSeriesGraph) -> None:
-    assert left.to_payload() == right.to_payload()
-    for node in left.nodes():
-        assert np.array_equal(left.node_pattern(node), right.node_pattern(node))
-
-
 def _fit_and_reference(embedding: GraphEmbedding, data: np.ndarray):
     """The fitted graph, and the oracle's graph from the same fitted projection."""
     graph = embedding.fit(data)
@@ -229,14 +227,14 @@ class TestEmbeddingEquivalence:
         vectorized, reference = _fit_and_reference(
             GraphEmbedding(12, stride=stride, random_state=0), data
         )
-        _assert_graphs_identical(vectorized, reference)
+        assert_matches_oracle(vectorized, reference)
 
     def test_constant_series_single_node_graph(self):
         # All-constant series z-normalise to zero subsequences: the radial
         # scan collapses to one node and every transition is a self-loop.
         data = np.ones((6, 30))
         vectorized, reference = _fit_and_reference(GraphEmbedding(6, random_state=0), data)
-        _assert_graphs_identical(vectorized, reference)
+        assert_matches_oracle(vectorized, reference)
         assert vectorized.n_nodes == 1
         assert vectorized.edges() == [(0, 0)]
 
@@ -246,50 +244,86 @@ class TestEmbeddingEquivalence:
             [np.zeros(40), np.full(40, 2.5), rng.normal(size=(4, 40)).cumsum(axis=1)]
         )
         vectorized, reference = _fit_and_reference(GraphEmbedding(8, random_state=0), data)
-        _assert_graphs_identical(vectorized, reference)
+        assert_matches_oracle(vectorized, reference)
+
+
+def _assert_matches_recording(length, positions, patterns, trajectories) -> None:
+    """Every read accessor and matrix equals the dict graph's, bit for bit."""
+    graph = TimeSeriesGraph(length, positions, patterns, trajectories)
+    oracle = record_trajectories(length, positions, patterns, trajectories)
+    for read in ("n_series", "n_nodes", "n_edges"):
+        assert getattr(graph, read) == getattr(oracle, read)
+    for read in ("nodes", "edges", "node_positions", "summary"):
+        assert getattr(graph, read)() == getattr(oracle, read)()
+    for node in oracle.nodes():
+        assert graph.node_weight(node) == oracle.node_weight(node)
+        assert graph.series_through_node(node) == oracle.series_through_node(node)
+        assert graph.node_visit_counts(node) == oracle.node_visit_counts(node)
+        assert graph.node_pattern(node).tobytes() == oracle.node_pattern(node).tobytes()
+    # Every pair of nodes, plus out-of-range endpoints: present and absent edges.
+    for source in range(-1, graph.n_nodes + 1):
+        for target in range(-1, graph.n_nodes + 1):
+            edge = (source, target)
+            assert graph.edge_weight(edge) == oracle.edge_weight(edge)
+            assert graph.series_through_edge(edge) == oracle.series_through_edge(edge)
+            assert graph.edge_visit_counts(edge) == oracle.edge_visit_counts(edge)
+    for series in range(-1, graph.n_series + 1):
+        assert graph.trajectory(series) == oracle.trajectory(series)
+    for matrix in ("node_feature_matrix", "edge_feature_matrix", "feature_matrix"):
+        for normalize in (True, False):
+            ours = getattr(graph, matrix)(normalize)
+            theirs = getattr(oracle, matrix)(normalize)
+            assert ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes()
+    assert graph.adjacency_matrix().tobytes() == oracle.adjacency_matrix().tobytes()
 
 
 class TestBulkRecordingEquivalence:
-    def _empty_graph(self, n_nodes: int, n_series: int) -> TimeSeriesGraph:
-        graph = TimeSeriesGraph(length=4, n_series=n_series)
-        for node in range(n_nodes):
-            graph.add_node(node, (float(node), 0.0), np.zeros(4))
-        return graph
+    """The graph derived from its arrays vs the dict graph recorded visit by visit."""
 
-    def test_bulk_matches_loop(self):
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_bulk_matches_loop(self, data):
+        n_nodes = data.draw(st.integers(1, 12), label="n_nodes")
+        n_series = data.draw(st.integers(1, 8), label="n_series")
+        n_windows = data.draw(st.integers(0, 10), label="n_windows")
+        trajectories = data.draw(
+            arrays(np.int64, (n_series, n_windows), elements=st.integers(0, n_nodes - 1)),
+            label="trajectories",
+        )
+        coordinates = st.floats(-10, 10, allow_nan=False, width=64)
+        positions = data.draw(arrays(np.float64, (n_nodes, 2), elements=coordinates))
+        patterns = data.draw(arrays(np.float64, (n_nodes, 3), elements=coordinates))
+        _assert_matches_recording(3, positions, patterns, trajectories)
+
+    def test_sparse_keys_match_loop(self):
+        # Key spaces far larger than the number of keys take the sort path
+        # instead of dense counting; the answer must not change.
         rng = np.random.default_rng(10)
-        nodes = rng.integers(0, 5, size=200)
-        series = np.sort(rng.integers(0, 7, size=200))
-        bulk = self._empty_graph(5, 7)
-        bulk.add_visits(nodes, series)
-        same = series[1:] == series[:-1]
-        bulk.add_transitions(nodes[:-1][same], nodes[1:][same], series[1:][same])
-
-        loop = self._empty_graph(5, 7)
-        previous_series = previous_node = -1
-        for node, series_id in zip(nodes.tolist(), series.tolist()):
-            loop.record_visit(node, series_id)
-            if series_id == previous_series:
-                loop.record_transition(previous_node, node, series_id)
-            previous_series, previous_node = series_id, node
-        assert bulk.to_payload() == loop.to_payload()
+        n_nodes, n_series = 60, 50
+        trajectories = rng.integers(0, n_nodes, size=(n_series, 3))
+        positions = rng.normal(size=(n_nodes, 2))
+        _assert_matches_recording(4, positions, np.zeros((n_nodes, 4)), trajectories)
 
     def test_bulk_validation(self):
         from repro.exceptions import GraphConstructionError, ValidationError
 
-        graph = self._empty_graph(2, 2)
-        with pytest.raises(GraphConstructionError):
-            graph.add_visits([0, 9], [0, 1])
-        with pytest.raises(GraphConstructionError):
-            graph.add_transitions([0, 0], [1, 9], [0, 0])
-        with pytest.raises(ValidationError):
-            graph.add_visits([0, 1], [0])
-        with pytest.raises(ValidationError):
-            graph.add_transitions([0], [1, 0], [0])
-        # Empty bulk calls are no-ops.
-        graph.add_visits([], [])
-        graph.add_transitions([], [], [])
+        positions, patterns = np.zeros((2, 2)), np.zeros((2, 4))
+        for trajectories in ([[0.0, 1.0]], [[True, False]], [0, 1], [[[0, 1]]]):
+            with pytest.raises(ValidationError, match="^trajectories"):
+                TimeSeriesGraph(4, positions, patterns, np.array(trajectories))
+        with pytest.raises(GraphConstructionError, match="^trajectories"):
+            TimeSeriesGraph(4, positions, patterns, [[0, 2]])
+        with pytest.raises(ValidationError, match="^positions"):
+            TimeSeriesGraph(4, np.array([["a", "b"], ["c", "d"]]), patterns, [[0, 1]])
+        with pytest.raises(ValidationError, match="^patterns"):
+            TimeSeriesGraph(4, positions, patterns.astype(complex), [[0, 1]])
+        with pytest.raises(ValidationError, match="length"):
+            TimeSeriesGraph(0, positions, patterns, [[0, 1]])
+        # Series without subsequences: every weight and count is 0.
+        graph = TimeSeriesGraph(4, positions, patterns, np.empty((3, 0), dtype=int))
+        assert graph.n_series == 3 and graph.n_edges == 0
         assert graph.node_weight(0) == 0
+        assert graph.feature_matrix().tolist() == [[0.0, 0.0]] * 3
 
 
 # --------------------------------------------------------------------- #
