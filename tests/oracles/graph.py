@@ -16,7 +16,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.exceptions import GraphConstructionError, ValidationError
+from repro.exceptions import GraphConstructionError
 
 Edge = Tuple[int, int]
 
@@ -37,10 +37,6 @@ class DictGraph:
 
     # construction
     def add_node(self, node_id: int, position, pattern) -> None:
-        if node_id in self._positions:
-            raise GraphConstructionError(f"node {node_id} already exists")
-        if len(position) != 2:
-            raise ValidationError("node position must be 2-dimensional")
         self._positions[node_id] = (float(position[0]), float(position[1]))
         self._patterns[node_id] = np.asarray(pattern, dtype=float)
         self._weights[node_id] = 0
