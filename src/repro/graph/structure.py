@@ -38,33 +38,6 @@ def _index_dtype(upper: int) -> type:
     return np.int32 if upper <= _INT32_MAX else np.int64
 
 
-def _dense(keys: np.ndarray, n_keys: int) -> bool:
-    """Whether a table over the key space beats a sort of ``keys``.
-
-    Both ways give the same answer; the table wins whenever the key space
-    [0, n_keys) is not much larger than the number of keys.
-    """
-    return n_keys <= 4 * keys.size + 1024
-
-
-def _tally(keys: np.ndarray, n_keys: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The sorted distinct values of ``keys`` (all in [0, n_keys)) and their counts."""
-    if _dense(keys, n_keys):
-        counts = np.bincount(keys, minlength=n_keys)
-        distinct = np.flatnonzero(counts)
-        return distinct, counts[distinct]
-    return np.unique(keys, return_counts=True)
-
-
-def _ranks(keys: np.ndarray, distinct: np.ndarray, n_keys: int) -> np.ndarray:
-    """Position of every key in ``distinct``, the sorted distinct keys."""
-    if _dense(keys, n_keys):
-        table = np.empty(n_keys, dtype=np.intp)
-        table[distinct] = np.arange(distinct.size)
-        return table[keys]
-    return np.searchsorted(distinct, keys)
-
-
 class Crossings(NamedTuple):
     """Series counts of every node (or edge) in CSR form.
 
@@ -77,17 +50,34 @@ class Crossings(NamedTuple):
     count: np.ndarray
 
     @classmethod
-    def build(cls, element: np.ndarray, series: np.ndarray, n_elements: int, n_series: int) -> "Crossings":
-        """Aggregate parallel (element, series) arrays, one entry per occurrence."""
-        keys, count = _tally(element.astype(np.int64) * n_series + series, n_elements * n_series)
+    def build(
+        cls, element: np.ndarray, series: np.ndarray, n_series: int
+    ) -> Tuple[np.ndarray, "Crossings"]:
+        """Aggregate parallel (element, series) arrays, one entry per occurrence.
+
+        Returns the sorted distinct elements and their crossings, one row
+        each, from one sort of the (element, series) pairs.
+        """
+        keys, count = np.unique(element.astype(np.int64) * n_series + series, return_counts=True)
         owner = keys // n_series
-        ptr = np.zeros(n_elements + 1, dtype=_index_dtype(keys.size))
-        np.cumsum(np.bincount(owner, minlength=n_elements), out=ptr[1:])
-        return cls(
-            ptr,
+        starts = np.flatnonzero(np.diff(owner, prepend=-1))
+        crossings = cls(
+            np.append(starts, keys.size).astype(_index_dtype(keys.size)),
             (keys - owner * n_series).astype(_index_dtype(n_series)),
             count.astype(_index_dtype(element.size)),
         )
+        return owner[starts], crossings
+
+    def spread(self, elements: np.ndarray, n_elements: int) -> "Crossings":
+        """These crossings of the sorted ``elements`` as rows 0 .. n_elements - 1.
+
+        Rows of the ids missing from ``elements`` are empty.
+        """
+        return self._replace(ptr=self.ptr[np.searchsorted(elements, np.arange(n_elements + 1))])
+
+    def totals(self) -> np.ndarray:
+        """Sum of the counts of every element."""
+        return np.diff(np.concatenate([[0], np.cumsum(self.count)])[self.ptr])
 
     def owners(self) -> np.ndarray:
         """Element position of every entry."""
@@ -162,24 +152,19 @@ class TimeSeriesGraph:
         self.trajectories = trajectories.astype(_index_dtype(n_nodes))
 
         n_series, n_windows = trajectories.shape
-        visits = self.trajectories.ravel()
-        self.node_weights = np.bincount(visits, minlength=n_nodes)
-        self.node_crossings = Crossings.build(
-            visits, np.repeat(np.arange(n_series), n_windows), n_nodes, n_series
+        visited, crossings = Crossings.build(
+            self.trajectories.ravel(), np.repeat(np.arange(n_series), n_windows), n_series
         )
-        pairs = (
-            self.trajectories[:, :-1].astype(np.int64) * n_nodes + self.trajectories[:, 1:]
-        ).ravel()
-        self._edge_keys, self.edge_weights = _tally(pairs, n_nodes * n_nodes)
+        self.node_crossings = crossings.spread(visited, n_nodes)
+        self.node_weights = self.node_crossings.totals()
+        pairs = self.trajectories[:, :-1].astype(np.int64) * n_nodes + self.trajectories[:, 1:]
+        self._edge_keys, self.edge_crossings = Crossings.build(
+            pairs.ravel(), np.repeat(np.arange(n_series), pairs.shape[1]), n_series
+        )
+        self.edge_weights = self.edge_crossings.totals()
         self.edge_array = np.column_stack(
             [self._edge_keys // n_nodes, self._edge_keys % n_nodes]
         ).astype(_index_dtype(n_nodes))
-        self.edge_crossings = Crossings.build(
-            _ranks(pairs, self._edge_keys, n_nodes * n_nodes),
-            np.repeat(np.arange(n_series), max(n_windows - 1, 0)),
-            self._edge_keys.size,
-            n_series,
-        )
 
     def __repr__(self) -> str:
         return (

@@ -1,4 +1,4 @@
-"""Serving any registered estimator: manifest schema v3 + back-compat fixtures.
+"""Serving any registered estimator: manifest schema v4 + back-compat fixtures.
 
 Covers the estimator-generic artifact format (a non-KGraph estimator
 round-trips through ``save_model`` / ``load_model`` / the registry /
@@ -24,6 +24,8 @@ from repro.serve.artifacts import (
     ARTIFACT_SCHEMA_VERSION,
     read_manifest,
 )
+
+from oracles.graph import payload
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -143,6 +145,13 @@ class TestCommittedFixturesStillLoad:
         predictions = loaded.predict(fixture_series)
         assert predictions.shape == (fixture_series.shape[0],)
         assert set(predictions.tolist()) <= set(loaded.labels_.tolist())
+        # Loading reads only positions and trajectories from graphs.json and
+        # derives the rest; the derived edges, weights and series counts
+        # must equal what the earlier format stored.
+        stored = json.loads((path / "graphs.json").read_text(encoding="utf-8"))["graphs"]
+        assert sorted(loaded.result_.graphs) == sorted(entry["length"] for entry in stored)
+        for entry in stored:
+            assert payload(loaded.result_.graphs[entry["length"]]) == entry
 
     def test_v1_fixture_has_no_pipeline_provenance(self):
         loaded = load_model(FIXTURES / "artifact_v1")

@@ -295,15 +295,6 @@ class TestBulkRecordingEquivalence:
         patterns = data.draw(arrays(np.float64, (n_nodes, 3), elements=coordinates))
         _assert_matches_recording(3, positions, patterns, trajectories)
 
-    def test_sparse_keys_match_loop(self):
-        # Key spaces far larger than the number of keys take the sort path
-        # instead of dense counting; the answer must not change.
-        rng = np.random.default_rng(10)
-        n_nodes, n_series = 60, 50
-        trajectories = rng.integers(0, n_nodes, size=(n_series, 3))
-        positions = rng.normal(size=(n_nodes, 2))
-        _assert_matches_recording(4, positions, np.zeros((n_nodes, 4)), trajectories)
-
     def test_bulk_validation(self):
         from repro.exceptions import GraphConstructionError, ValidationError
 
