@@ -17,6 +17,9 @@ randomness — and verifies the recovery invariants cheaply:
    fault counters.
 4. **Fallback demotion**: a chain whose primary exhausts its pool-rebuild
    budget must demote and still return correct results.
+5. **Thread pool**: a seeded raise + hang on ``ThreadBackend(2)`` must be
+   retried and abandoned by the same scheduler, with results bit-identical
+   to a serial run.
 
 Exit status: 0 when every invariant holds, 1 otherwise.  The full matrix
 lives in ``tests/test_retry.py`` and ``tests/test_chaos.py``.
@@ -42,6 +45,7 @@ from repro.parallel import (
     ProcessBackend,
     RetryPolicy,
     SerialBackend,
+    ThreadBackend,
 )
 
 
@@ -152,12 +156,39 @@ def _fallback_phase(failures: list) -> None:
     )
 
 
+def _thread_phase(failures: list) -> None:
+    print("thread pool under a raise+hang plan (retry + watchdog abandon)")
+    jobs = [float(value) + 0.5 for value in range(8)]
+    plan = ChaosPlan.scatter(len(jobs), raises=1, hangs=1, seed=11, hang_seconds=60.0)
+    policy = RetryPolicy(max_attempts=2, timeout=0.5)
+    start = time.monotonic()
+    with ThreadBackend(2) as inner:
+        backend = ChaosBackend(inner, plan)
+        outcomes = backend.map_jobs(_square, jobs, retry=policy)
+    elapsed = time.monotonic() - start
+    serial = SerialBackend().map_jobs(_square, jobs)
+    _check(
+        [outcome.value for outcome in outcomes] == [outcome.value for outcome in serial]
+        and all(outcome.ok for outcome in outcomes),
+        "all 8 results bit-identical to the serial run",
+        failures,
+    )
+    victims = sorted(plan.raises | plan.hangs)
+    _check(
+        all(outcomes[index].attempts == 2 for index in victims),
+        f"the raised and hung jobs {victims} were retried once",
+        failures,
+    )
+    _check(elapsed < 20.0, f"the 60 s hang was abandoned ({elapsed:.1f} s)", failures)
+
+
 def main(argv=None) -> int:
     failures: list = []
     _kill_phase(failures)
     _hang_phase(failures)
     _kgraph_phase(failures)
     _fallback_phase(failures)
+    _thread_phase(failures)
     if failures:
         print(f"\nchaos smoke FAILED ({len(failures)} check(s)):", file=sys.stderr)
         for failure in failures:

@@ -8,11 +8,13 @@ callable), and outcomes come back through the JSON wire codec of
 :mod:`repro.parallel.wire` — bit-identical ndarrays, reconstructed
 exception types, fault fields intact.
 
-Fault tolerance is the process backend's: both run the same chunk
-scheduler (``repro.parallel.backends._ChunkScheduler``), and this class
-only moves chunks — it POSTs each to a round-robin live worker, classifies
-the answer and rebuilds by probing.  Every policy written for process pools
-therefore transfers unchanged:
+Fault tolerance is every backend's: serial, thread, process and
+distributed backends all run the one chunk scheduler
+(``repro.parallel.backends._ChunkScheduler``), and this class only moves
+chunks — it POSTs each to a round-robin live worker, classifies the
+answer and rebuilds by probing.  The HTTP request carries its own budget,
+so the scheduler does not time these chunks itself.  Every policy written
+for process pools therefore transfers unchanged:
 
 * an unreachable worker is a crashed worker: its in-flight chunks are
   *quarantined*, re-dispatched alone and bisected until a genuinely
@@ -55,12 +57,12 @@ from repro.distributed.registry import worker_function_name
 from repro.distributed.stagecache import StageDataPlane
 from repro.exceptions import ParallelExecutionError, ValidationError
 from repro.parallel.backends import (
-    ExecutionBackend,
     JobOutcome,
     OnResult,
     _Chunk,
     _ChunkScheduler,
     _failed,
+    _ScheduledBackend,
 )
 from repro.parallel.chaos import _ChaosRunner
 from repro.parallel.retry import RetryPolicy, WorkerCrashError
@@ -108,7 +110,7 @@ class _Worker:
         return f"_Worker({self.url!r}, {state})"
 
 
-class DistributedBackend(ExecutionBackend):
+class DistributedBackend(_ScheduledBackend):
     """Executes jobs on a pool of HTTP worker services (see module docs)."""
 
     name = "distributed"
@@ -317,7 +319,7 @@ class DistributedBackend(ExecutionBackend):
 
     # Transport hooks driven by the shared scheduler.
     def _submit(
-        self, spec: Tuple[str, bool], chunk: _Chunk, position: int, budget: float
+        self, spec: Tuple[str, bool], chunk: _Chunk, position: int, budget: Any
     ) -> Any:
         """POST ``chunk`` to a live worker, round-robin; ``None`` if none is."""
         alive = [worker for worker in self.workers if worker.alive]
@@ -328,9 +330,9 @@ class DistributedBackend(ExecutionBackend):
         body = self._encode_chunk(function_name, chunk, chaos)
         self.bytes_shipped += len(body)
         worker.dispatches += 1
-        budget = max(0.001, budget)
+        seconds = max(0.001, budget())
         return self._pool().submit(
-            lambda: (worker, self._dispatch_chunk(worker, body, budget))
+            lambda: (worker, self._dispatch_chunk(worker, body, seconds))
         )
 
     def _classify(self, future: Any, chunk: _Chunk) -> Tuple[str, Any]:

@@ -17,7 +17,9 @@ listing what the worker actually serves.
 The worker deliberately owns **no retry policy**: it runs each job once
 (attempt accounting and timeout budgets live in the coordinator's
 :class:`~repro.distributed.backend.DistributedBackend`, which runs the
-process backend's chunk scheduler).  Chaos
+chunk scheduler every backend shares).  A malformed chunk entry is a
+400 naming the entry, so the coordinator rejects it once instead of
+retrying it as a server error.  Chaos
 semantics cross the wire too: a chunk flagged ``"chaos": true`` is run
 through :class:`repro.parallel.chaos._ChaosRunner`, so an armed ``kill``
 fault takes the whole service down mid-request (the coordinator sees a
@@ -188,6 +190,8 @@ class WorkerApplication:
     ) -> Optional[StageDataPlane]:
         if payload is None:
             return None
+        if not isinstance(payload, dict):
+            raise ValidationError("the /jobs 'plane' field must be a JSON object")
         if self.data_plane_root is None:
             raise ValidationError(
                 "this worker has no data plane configured; start it with "
@@ -243,7 +247,7 @@ class WorkerApplication:
 
         try:
             plane = self._plane_from_payload(payload.get("plane"))
-        except (ValidationError, OSError, ValueError) as exc:
+        except (ValidationError, OSError, ValueError, TypeError) as exc:
             return json_error(400, str(exc))
 
         if payload.get("chaos"):
@@ -253,8 +257,18 @@ class WorkerApplication:
         # its own job (as a retryable PlaneMissError outcome), not the chunk.
         prepared: List[Tuple[int, Any]] = []
         failed: List[JobOutcome] = []
-        for entry in raw_jobs:
-            global_index, job = int(entry[0]), entry[1]
+        for position, entry in enumerate(raw_jobs):
+            if not (
+                isinstance(entry, (list, tuple))
+                and len(entry) == 2
+                and isinstance(entry[0], int)
+            ):
+                return json_error(
+                    400,
+                    f"job entry {position} must be an (index, job) pair with "
+                    f"an integer index, got {entry!r:.80}",
+                )
+            global_index, job = entry
             if plane is not None:
                 try:
                     job = plane.resolve(job)

@@ -45,9 +45,10 @@ backends — parallelism changes wall-clock time, never results.
 Fault tolerance: every backend accepts a :class:`RetryPolicy`
 (``map_jobs(..., retry=...)`` or ``resolve_backend(..., retry=...)``) for
 bounded retries with deterministic backoff, per-attempt timeouts and a
-whole-fan-out deadline; the process and distributed backends share one
-chunk scheduler, which recovers killed workers by rebuilding the pool and
-bisecting the implicated chunk until the poison job is isolated;
+whole-fan-out deadline; every backend shares one chunk scheduler, which
+applies the policy the same way everywhere and recovers the killed workers
+of process and distributed pools by rebuilding the pool and bisecting the
+implicated chunk until the poison job is isolated;
 :class:`FallbackBackend`
 (``resolve_backend(fallback=("process", "thread"))``) demotes to
 the next backend when a pool's rebuild budget is exhausted, with

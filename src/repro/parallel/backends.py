@@ -21,10 +21,12 @@ Design rules every backend must follow:
 Fault tolerance (see :mod:`repro.parallel.retry`): every backend accepts a
 :class:`~repro.parallel.retry.RetryPolicy` — per call
 (``map_jobs(..., retry=...)``) or as an instance default
-(``resolve_backend(..., retry=...)``).  The policy adds bounded retries
-with deterministic backoff, per-attempt timeouts enforced by watchdogs
-that abandon hung work, and a whole-fan-out deadline.  The process and
-distributed backends additionally recover from lost workers without a policy:
+(``resolve_backend(..., retry=...)``) — for bounded retries with
+deterministic backoff, per-attempt timeouts enforced by watchdogs that
+abandon hung work, and a whole-fan-out deadline.  Every backend's
+``map_jobs`` runs the one :class:`_ChunkScheduler`, which owns all of that;
+serial, thread, process and distributed backends only move chunks.  The
+process and distributed backends also recover lost workers without a policy:
 a broken pool is rebuilt (bounded by ``max_pool_rebuilds``), surviving
 chunks are re-dispatched in quarantine — one at a time, bisected on
 repeat breakage — so a single poison job is isolated to a single-job
@@ -51,12 +53,11 @@ from concurrent.futures import (
     Future,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
-    as_completed,
     wait,
 )
-from concurrent.futures import TimeoutError as _FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from functools import partial
 from typing import (
     Any,
     Callable,
@@ -104,8 +105,9 @@ class JobOutcome:
     duration_seconds:
         Wall-clock seconds the job spent executing in its worker.
     attempts:
-        Dispatches this job consumed (``1`` without retries; ``0`` when a
-        fan-out deadline expired before the job ever ran).
+        Attempts of this job that started, on every backend (``1`` without
+        retries; ``0`` when the fan-out deadline expired before the job
+        ever started, which always settles it ``timed_out``).
     retried:
         Whether the job was dispatched more than once.
     timed_out:
@@ -192,20 +194,15 @@ def _execute_one(fn: Callable[[Any], Any], index: int, job: Any) -> JobOutcome:
 _Chunk = List[Tuple[int, Any]]
 
 
-def _execute_chunk(fn: Callable[[Any], Any], chunk: _Chunk) -> List[JobOutcome]:
-    """Run a chunk of (index, job) pairs serially inside one worker."""
-    return [_execute_one(fn, index, job) for index, job in chunk]
-
-
 def _execute_pickled_chunk(blob: bytes) -> List[JobOutcome]:
     """Worker-side trampoline: unpickle ``(fn, chunk)`` and run the chunk."""
     fn, chunk = pickle.loads(blob)
-    return _execute_chunk(fn, chunk)
+    return [_execute_one(fn, index, job) for index, job in chunk]
 
 
-def _timeout_outcome(index: int, message: str) -> JobOutcome:
+def _timeout_outcome(index: int, message: str, **fields: Any) -> JobOutcome:
     """A ``timed_out`` failure outcome carrying a :class:`JobTimeoutError`."""
-    return _failed(index, JobTimeoutError(message), timed_out=True)
+    return _failed(index, JobTimeoutError(message), timed_out=True, **fields)
 
 
 def _execute_with_budget(
@@ -216,14 +213,15 @@ def _execute_with_budget(
     Without a budget the job runs inline.  With one, it runs on a daemon
     watchdog thread that is *abandoned* (not killed — Python cannot kill a
     thread) when the budget expires; the hung call keeps a daemon thread
-    busy but the fan-out moves on.
+    busy but the fan-out moves on.  A budget already spent means the
+    fan-out deadline expired before the job could start: the outcome says
+    so with ``attempts=0``.
     """
     if budget is None:
         return _execute_one(fn, index, job)
     if budget <= 0:
-        return _timeout_outcome(
-            index, f"job {index} had no time budget left before it could run"
-        )
+        message = f"the fan-out deadline expired before job {index} started"
+        return _timeout_outcome(index, message, attempts=0)
     box: List[JobOutcome] = []
     worker = threading.Thread(
         target=lambda: box.append(_execute_one(fn, index, job)),
@@ -239,34 +237,28 @@ def _execute_with_budget(
     )
 
 
-def _run_one_with_policy(
-    fn: Callable[[Any], Any],
-    index: int,
-    job: Any,
-    policy: RetryPolicy,
-    deadline_at: Optional[float],
-) -> JobOutcome:
-    """The in-process (serial/thread) attempt loop for one job."""
-    attempts = 0
-    while True:
-        attempts += 1
-        budget = policy.timeout
-        if deadline_at is not None:
-            remaining = deadline_at - time.monotonic()
-            budget = remaining if budget is None else min(budget, remaining)
-        outcome = _execute_with_budget(fn, index, job, budget)
-        outcome.attempts = attempts
-        outcome.retried = attempts > 1
-        if outcome.ok:
-            return outcome
-        past_deadline = deadline_at is not None and time.monotonic() >= deadline_at
-        if past_deadline or not policy.should_retry(outcome.exception, attempts):
-            return outcome
-        delay = policy.backoff_seconds(attempts + 1, index)
-        if delay > 0:
-            if deadline_at is not None:
-                delay = min(delay, max(0.0, deadline_at - time.monotonic()))
-            time.sleep(delay)
+def _execute_in_process(
+    fn: Callable[[Any], Any], chunk: _Chunk, budget: Callable[[], Optional[float]]
+) -> List[JobOutcome]:
+    """Run a chunk here, reading each job's budget as it starts: a job that
+    waited in a thread pool's queue must not run past the fan-out deadline."""
+    return [_execute_with_budget(fn, index, job, budget()) for index, job in chunk]
+
+
+class _Finished:
+    """The finished future of an inline run, without the locks that make a
+    ``Future`` cost microseconds per serial job."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: Any) -> None:
+        self.value = value
+
+    def done(self) -> bool:
+        return True
+
+    def result(self) -> Any:
+        return self.value
 
 
 class ExecutionBackend(ABC):
@@ -298,11 +290,13 @@ class ExecutionBackend(ABC):
 
         ``on_result`` is invoked once per job, on its *final* outcome, as
         soon as that outcome is settled: in submission order for
-        :class:`SerialBackend`, in completion order for the parallel
-        backends (callers needing strict streaming order should iterate the
-        returned list instead).  Implementations MUST invoke ``on_result``
-        from the thread that called ``map_jobs`` — callers rely on this to
-        keep their callbacks single-threaded.
+        :class:`SerialBackend`, before the next job starts, in completion
+        order for the parallel backends; a retried job's final outcome
+        follows its round's other outcomes (callers needing strict
+        streaming order should iterate the returned list instead).
+        Implementations MUST invoke ``on_result`` from the thread that
+        called ``map_jobs`` — callers rely on this to keep their callbacks
+        single-threaded.
 
         ``retry`` applies a :class:`~repro.parallel.retry.RetryPolicy` to
         this call (overriding the instance default); ``None`` keeps the
@@ -326,26 +320,43 @@ class ExecutionBackend(ABC):
     def __exit__(self, *_exc) -> None:
         self.close()
 
-    @staticmethod
-    def _collect(outcomes: List[Optional[JobOutcome]]) -> List[JobOutcome]:
-        """Validate that every submitted job produced exactly one outcome.
-
-        A lost job would silently desynchronise callers that group results
-        positionally, so it fails loudly here instead.
-        """
-        missing = [index for index, outcome in enumerate(outcomes) if outcome is None]
-        if missing:
-            raise ParallelExecutionError(
-                f"backend lost the outcomes of jobs {missing}; every job must "
-                "produce exactly one JobOutcome"
-            )
-        return outcomes  # type: ignore[return-value]
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"
 
 
-class SerialBackend(ExecutionBackend):
+class _ScheduledBackend(ExecutionBackend):
+    """A backend whose ``map_jobs`` is one :class:`_ChunkScheduler` run.
+
+    Subclasses are transports that implement ``_submit``; the other hooks
+    default to an in-process transport, which never loses a worker.
+    """
+
+    chunk_size = 1
+
+    #: Whether the scheduler times each chunk: only a process pool, whose
+    #: hung workers it can replace.  An in-process attempt has its own
+    #: watchdog instead, since a thread pool cannot be rebuilt around a
+    #: thread that never returns.
+    _scheduler_times_chunks = False
+
+    def map_jobs(
+        self,
+        fn: Callable[[Any], Any],
+        jobs: Sequence[Any],
+        *,
+        on_result: OnResult = None,
+        retry: Optional[RetryPolicy] = None,
+    ) -> List[JobOutcome]:
+        return _ChunkScheduler(self, fn, jobs, on_result, retry).run()
+
+    def _classify(self, future: Any, chunk: _Chunk) -> Tuple[str, Any]:
+        return "outcomes", future.result()
+
+    def _recover(self, lost: Optional[str]) -> bool:
+        return False
+
+
+class SerialBackend(_ScheduledBackend):
     """Executes jobs one after another in the calling thread.
 
     This is the default everywhere: it adds no overhead, keeps tracebacks
@@ -357,72 +368,32 @@ class SerialBackend(ExecutionBackend):
 
     name = "serial"
 
-    def map_jobs(
-        self,
-        fn: Callable[[Any], Any],
-        jobs: Sequence[Any],
-        *,
-        on_result: OnResult = None,
-        retry: Optional[RetryPolicy] = None,
-    ) -> List[JobOutcome]:
-        policy = self._effective_retry(retry)
-        deadline_at = (
-            time.monotonic() + policy.deadline
-            if policy is not None and policy.deadline is not None
-            else None
-        )
-        outcomes: List[JobOutcome] = []
-        for index, job in enumerate(jobs):
-            if policy is None:
-                outcome = _execute_one(fn, index, job)
-            elif deadline_at is not None and time.monotonic() >= deadline_at:
-                outcome = _timeout_outcome(
-                    index,
-                    f"fan-out deadline of {policy.deadline} s expired before "
-                    f"job {index} ran",
-                )
-                outcome.attempts = 0
-            else:
-                outcome = _run_one_with_policy(fn, index, job, policy, deadline_at)
-            self.attempts += outcome.attempts
-            if outcome.timed_out:
-                self.timeouts += 1
-            if on_result is not None:
-                on_result(outcome)
-            outcomes.append(outcome)
-        return outcomes
+    def _submit(self, fn: Any, chunk: _Chunk, position: int, budget: Any) -> _Finished:
+        return _Finished(_execute_in_process(fn, chunk, budget))
 
 
-class ThreadBackend(ExecutionBackend):
-    """Executes jobs on a thread pool: the in-host parallel path.
-
-    Best for NumPy-heavy jobs (the BLAS/linalg kernels release the GIL) and
-    for anything I/O-bound; jobs and results never cross a process boundary,
-    so nothing needs to be picklable.
-    """
-
-    name = "thread"
+class _PoolBackend(_ScheduledBackend):
+    """A transport over a ``concurrent.futures`` pool built on first use."""
 
     def __init__(self, n_workers: Optional[int] = None) -> None:
         if n_workers is not None and int(n_workers) < 1:
             raise ValidationError(f"n_workers must be >= 1, got {n_workers}")
         self.n_workers = None if n_workers is None else int(n_workers)
-        self._pool: Optional[ThreadPoolExecutor] = None
+        self._pool_size = self.n_workers or os.cpu_count() or 1
+        self._pool: Any = None
         self._pool_lock = threading.Lock()
 
-    def _executor(self) -> ThreadPoolExecutor:
+    def _executor(self) -> Any:
         # The pool is created lazily and reused across map_jobs calls, so a
         # pipeline with several fan-outs (per-length fit, length scoring,
         # graphoid extraction) pays the startup cost once.  max_workers is an
-        # upper bound: the executor starts threads on demand, so small
+        # upper bound: workers start as jobs are submitted, so small
         # fan-outs never hold idle workers.  Creation is locked because a
         # shared backend instance may be driven from several threads (e.g.
         # the per-model inference engines of repro.serve).
         with self._pool_lock:
             if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.n_workers or os.cpu_count() or 1
-                )
+                self._pool = self._new_pool(self._pool_size)
             return self._pool
 
     def close(self) -> None:
@@ -431,96 +402,56 @@ class ThreadBackend(ExecutionBackend):
         if pool is not None:
             pool.shutdown(wait=True)
 
-    def map_jobs(
-        self,
-        fn: Callable[[Any], Any],
-        jobs: Sequence[Any],
-        *,
-        on_result: OnResult = None,
-        retry: Optional[RetryPolicy] = None,
-    ) -> List[JobOutcome]:
-        jobs = list(jobs)
-        if not jobs:
-            return []
-        policy = self._effective_retry(retry)
-        deadline_at = (
-            time.monotonic() + policy.deadline
-            if policy is not None and policy.deadline is not None
-            else None
-        )
-        outcomes: List[Optional[JobOutcome]] = [None] * len(jobs)
-        pool = self._executor()
-        if policy is None:
-            futures = {
-                pool.submit(_execute_one, fn, index, job): index
-                for index, job in enumerate(jobs)
-            }
-        else:
-            # The attempt loop (with its timeout watchdogs) runs inside the
-            # pool worker; a hung attempt parks a daemon watchdog thread,
-            # never the pool worker itself, so close() cannot deadlock.
-            futures = {
-                pool.submit(
-                    _run_one_with_policy, fn, index, job, policy, deadline_at
-                ): index
-                for index, job in enumerate(jobs)
-            }
-        try:
-            remaining = (
-                None
-                if deadline_at is None
-                else max(0.0, deadline_at - time.monotonic())
-            )
-            for future in as_completed(futures, timeout=remaining):
-                outcome = future.result()
-                outcomes[outcome.index] = outcome
-                self.attempts += outcome.attempts
-                if outcome.timed_out:
-                    self.timeouts += 1
-                if on_result is not None:
-                    on_result(outcome)
-        except _FuturesTimeout:
-            # Fan-out deadline expired with jobs still queued/running: the
-            # queued ones are cancelled, the running ones are abandoned (the
-            # per-attempt watchdogs inside them expire on the same deadline).
-            for future, index in futures.items():
-                if outcomes[index] is not None:
-                    continue
-                future.cancel()
-                outcome = _timeout_outcome(
-                    index,
-                    f"fan-out deadline of {policy.deadline} s expired before "
-                    f"job {index} finished",
-                )
-                outcome.attempts = 0
-                outcomes[index] = outcome
-                self.timeouts += 1
-                if on_result is not None:
-                    on_result(outcome)
-        return self._collect(outcomes)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ThreadBackend(n_workers={self.n_workers})"
+        return f"{type(self).__name__}(n_workers={self.n_workers})"
+
+
+class ThreadBackend(_PoolBackend):
+    """Executes jobs on a thread pool: the in-host parallel path.
+
+    Best for NumPy-heavy jobs (the BLAS/linalg kernels release the GIL) and
+    for anything I/O-bound; jobs and results never cross a process boundary,
+    so nothing needs to be picklable.
+    """
+
+    name = "thread"
+    # perfbench traces ``ThreadBackend.__dict__["map_jobs"]``: the shared
+    # scheduler entry point, bound here under this class's own name.
+    map_jobs = _ScheduledBackend.map_jobs
+
+    def _new_pool(self, max_workers: int) -> ThreadPoolExecutor:
+        return ThreadPoolExecutor(max_workers=max_workers)
+
+    def _submit(self, fn: Any, chunk: _Chunk, position: int, budget: Any) -> Future:
+        # A timed attempt parks a daemon watchdog thread, never the pool
+        # worker itself, so close() cannot deadlock.
+        return self._executor().submit(_execute_in_process, fn, chunk, budget)
 
 
 class _ChunkScheduler:
     """The fault-tolerant chunk state machine of one ``map_jobs`` call.
 
-    Shared by :class:`ProcessBackend` and
-    :class:`~repro.distributed.DistributedBackend`, which only move chunks.
-    The scheduler owns chunking, the normal and quarantined queues,
-    per-job attempt counts, retries with backoff, the fan-out deadline and
-    the rebuild budget.  A chunk in flight when a worker died is
+    Every backend runs one: :class:`SerialBackend`, :class:`ThreadBackend`,
+    :class:`ProcessBackend` and :class:`~repro.distributed.DistributedBackend`
+    only move chunks.  The scheduler owns chunking, the normal and
+    quarantined queues, per-job attempt counts, retries with backoff (one
+    sleep per round, the round's largest delay), the fan-out deadline, the
+    rebuild budget, the ``attempts``/``timeouts`` counters and
+    ``on_result`` streaming.  A chunk in flight when a worker died is
     quarantined (re-dispatched alone), bisected if it loses its worker
     again, and a single-job chunk that still does records a
     :class:`WorkerCrashError` while its innocent chunk-mates recover.
 
-    The backend is the transport.  It supplies four hooks:
+    The backend is the transport.  It supplies four hooks (in-process
+    defaults in :class:`_ScheduledBackend`):
 
     * ``_submit(fn, chunk, position, budget)`` sends a chunk (``position``
-      is its place in the round, ``budget`` its seconds or ``None``) and
-      returns a future, or ``None`` when the pool cannot take work — that
-      chunk and the rest of the round then wait for the rebuilt pool;
+      is its place in the round) and returns a future, or ``None`` when
+      the pool cannot take work — that chunk and the rest of the round then
+      wait for the rebuilt pool.  ``budget()`` gives the seconds an attempt
+      of the chunk may take from now, or ``None``: the distributed
+      transport reads it at submission, the serial and thread transports
+      as each job starts;
     * ``_classify(future, chunk)`` reads a finished future as
       ``("outcomes", [JobOutcome, ...])``, ``("error", exc)`` (retryable),
       ``("rejected", exc)`` (final), ``("crash", detail)`` (the worker
@@ -530,13 +461,20 @@ class _ChunkScheduler:
     * ``_exhausted(rebuilds)`` says why jobs are abandoned once the
       rebuild budget is spent.
 
-    Timeouts follow the transport.  With ``request_timeout=None`` (process
-    pools) the scheduler watches each chunk's budget: a chunk that outlives
-    it has a hung worker, so it settles ``timed_out``, its in-flight
-    siblings are requeued and the whole pool is abandoned.  A transport
-    that bounds each request itself passes ``request_timeout`` (its budget
-    when the policy sets no per-attempt timeout) and classifies an expired
-    request as ``"timeout"``.
+    Timeouts follow the transport.  Only a process pool is timed by the
+    scheduler: a chunk that outlives its budget has a hung worker, so it
+    settles ``timed_out``, its in-flight siblings are requeued and the
+    whole pool is abandoned.  Its chunk's clock starts when a worker takes
+    it, not while it waits in the pool's queue.  Serial and thread attempts
+    run under their own watchdog.  A transport that bounds each request
+    itself passes ``request_timeout`` (its budget when the policy sets no
+    per-attempt timeout) and classifies an expired request as
+    ``"timeout"``.
+
+    An attempt counts when it starts: no chunk is submitted after the
+    deadline, and an in-process job that could not start in time reports
+    ``attempts=0``.  A future already done at submission is settled before
+    the next one, so serial streams job k's outcome before job k+1 starts.
 
     ``resolve`` maps every successful outcome's value on the calling thread
     before the retry decision; if it raises, only that job fails (and may
@@ -545,7 +483,7 @@ class _ChunkScheduler:
 
     def __init__(
         self,
-        backend: ExecutionBackend,
+        backend: "_ScheduledBackend",
         fn: Any,
         jobs: Sequence[Any],
         on_result: OnResult,
@@ -571,6 +509,11 @@ class _ChunkScheduler:
             if policy is None
             else int(policy.max_pool_rebuilds)
         )
+        #: The scheduler times a chunk only on a process pool, and only when
+        #: the policy gives it a budget; then at most one chunk per worker is
+        #: in flight, else every chunk of a round at once.
+        self.timed = backend._scheduler_times_chunks and self._budget([]) is not None
+        self.window = backend._pool_size if self.timed else len(self.jobs)
         self.outcomes: List[Optional[JobOutcome]] = [None] * len(self.jobs)
         self.attempts = [0] * len(self.jobs)
         indexed = list(enumerate(self.jobs))
@@ -589,7 +532,7 @@ class _ChunkScheduler:
         """Dispatch rounds until every job has a final outcome."""
         policy = self.policy
         while self.normal or self.quarantined:
-            if self.deadline_at is not None and time.monotonic() >= self.deadline_at:
+            if self._past_deadline():
                 self._drain(
                     lambda index: _timeout_outcome(
                         index,
@@ -627,77 +570,97 @@ class _ChunkScheduler:
             if self.backend._recover(self._round(batch, isolated)):
                 self.rebuilds += 1
                 self.backend.pool_rebuilds += 1
-        return self.backend._collect(self.outcomes)
+        # A lost job would silently desynchronise callers that group
+        # results positionally, so it fails loudly here instead.
+        missing = [index for index, outcome in enumerate(self.outcomes) if outcome is None]
+        if missing:
+            raise ParallelExecutionError(
+                f"backend lost the outcomes of jobs {missing}; every job must "
+                "produce exactly one JobOutcome"
+            )
+        return self.outcomes  # type: ignore[return-value]
+
+    def _past_deadline(self) -> bool:
+        return self.deadline_at is not None and time.monotonic() >= self.deadline_at
 
     def _round(self, batch: List[_Chunk], isolated: bool) -> Optional[str]:
         """Dispatch one batch and settle it; return how the pool was lost."""
         requeue = self.quarantined.append if isolated else self.normal.append
-        submitted: Dict[Any, _Chunk] = {}
+        queued = deque(batch)
+        in_flight: Dict[Any, _Chunk] = {}
         expiry: Dict[Any, float] = {}
         lost: Optional[str] = None
-        for position, chunk in enumerate(batch):
-            budget = self._budget(chunk)
-            future = self.backend._submit(self.fn, chunk, position, budget)
-            if future is None:
-                for left in batch[position:]:
-                    requeue(left)
-                lost = "broken"
-                break
-            self._count_attempt(chunk, 1)
-            submitted[future] = chunk
-            if self.request_timeout is None and budget is not None:
-                expiry[future] = time.monotonic() + budget
-
-        pending = set(submitted)
-        while pending:
-            expiries = [expiry[future] for future in pending if future in expiry]
-            done, pending = wait(
-                pending,
-                timeout=(
-                    max(0.0, min(expiries) - time.monotonic()) if expiries else None
-                ),
-                return_when=FIRST_COMPLETED,
-            )
-            for future in done:
-                chunk = submitted[future]
-                kind, payload = self.backend._classify(future, chunk)
-                if kind == "outcomes":
-                    for outcome in payload:
-                        self._settle(outcome)
-                elif kind == "error":
-                    for index, _ in chunk:
-                        self._settle(_failed(index, payload))
-                elif kind == "rejected":
-                    # The request itself is invalid: retrying cannot help.
-                    for index, _ in chunk:
-                        self._record(_failed(index, payload))
-                elif kind == "timeout":
-                    self._expire(chunk, payload)
-                else:
+        position = 0
+        while True:
+            while queued and lost is None and len(in_flight) < self.window:
+                if self._past_deadline():
+                    break
+                chunk = queued.popleft()
+                budget = partial(self._budget, chunk)
+                future = self.backend._submit(self.fn, chunk, position, budget)
+                position += 1
+                if future is None:
+                    queued.appendleft(chunk)
                     lost = "broken"
-                    self._crashed(chunk, payload, isolated)
-            if done:
-                continue
+                    break
+                self._count_attempt(chunk, 1)
+                if future.done():
+                    lost = self._take(future, chunk, isolated) or lost
+                    continue
+                in_flight[future] = chunk
+                if self.timed:
+                    expiry[future] = time.monotonic() + budget()
+            if not in_flight:
+                break
+            timeout = max(0.0, min(expiry.values()) - time.monotonic()) if expiry else None
+            done, _ = wait(in_flight, timeout=timeout, return_when=FIRST_COMPLETED)
+            for future in done:
+                expiry.pop(future, None)
+                lost = self._take(future, in_flight.pop(future), isolated) or lost
             now = time.monotonic()
-            expired = {
-                future for future in pending if future in expiry and expiry[future] <= now
-            }
-            if not expired:
+            expired = [future for future, at in expiry.items() if at <= now]
+            if done or not expired:
                 continue
             # Nothing finished within the shortest budget: the expired
             # chunks' workers are hung.  In-flight innocents are requeued (a
             # chunk cancelled before it started gets its attempt back).
             for future in expired:
-                self._expire(submitted[future], "its worker is hung")
-            for future in pending - expired:
+                self._expire(in_flight.pop(future), "its worker is hung")
+            for future, chunk in in_flight.items():
                 if future.cancel():
-                    self._count_attempt(submitted[future], -1)
-                requeue(submitted[future])
-            return "hung"
+                    self._count_attempt(chunk, -1)
+                requeue(chunk)
+            lost = "hung"
+            break
+        for chunk in queued:
+            requeue(chunk)
         return lost
 
+    def _take(self, future: Any, chunk: _Chunk, isolated: bool) -> Optional[str]:
+        """Settle one finished chunk; return ``"broken"`` if it lost its worker."""
+        kind, payload = self.backend._classify(future, chunk)
+        if kind == "outcomes":
+            for outcome in payload:
+                if not outcome.attempts:
+                    # The deadline expired before this job started.
+                    self._count_attempt([(outcome.index, None)], -1)
+                self._settle(outcome)
+        elif kind == "error":
+            for index, _ in chunk:
+                self._settle(_failed(index, payload))
+        elif kind == "rejected":
+            # The request itself is invalid: retrying cannot help.
+            for index, _ in chunk:
+                self._record(_failed(index, payload))
+        elif kind == "timeout":
+            self._expire(chunk, payload)
+        else:
+            self._crashed(chunk, payload, isolated)
+            return "broken"
+        return None
+
     def _budget(self, chunk: _Chunk) -> Optional[float]:
-        """Seconds one attempt of ``chunk`` may take, or ``None``."""
+        """Seconds one attempt of ``chunk`` may take from now, or ``None``."""
         timeout = None if self.policy is None else self.policy.timeout
         budget = self.request_timeout if timeout is None else float(timeout) * len(chunk)
         if self.deadline_at is not None:
@@ -735,7 +698,7 @@ class _ChunkScheduler:
         if (
             outcome.ok
             or policy is None
-            or (self.deadline_at is not None and time.monotonic() >= self.deadline_at)
+            or self._past_deadline()
             or not policy.should_retry(outcome.exception, self.attempts[index])
         ):
             self._record(outcome)
@@ -786,7 +749,7 @@ class _ChunkScheduler:
                 self._record(outcome_for(index))
 
 
-class ProcessBackend(ExecutionBackend):
+class ProcessBackend(_PoolBackend):
     """Executes jobs on a process pool.
 
     Sidesteps the GIL entirely, at the cost of pickling: the job function
@@ -807,15 +770,15 @@ class ProcessBackend(ExecutionBackend):
     """
 
     name = "process"
+    map_jobs = _ScheduledBackend.map_jobs  # for perfbench, see ThreadBackend
+    _scheduler_times_chunks = True
 
     def __init__(
         self, n_workers: Optional[int] = None, *, chunk_size: int = 1
     ) -> None:
-        if n_workers is not None and int(n_workers) < 1:
-            raise ValidationError(f"n_workers must be >= 1, got {n_workers}")
+        super().__init__(n_workers)
         if int(chunk_size) < 1:
             raise ValidationError(f"chunk_size must be >= 1, got {chunk_size}")
-        self.n_workers = None if n_workers is None else int(n_workers)
         self.chunk_size = int(chunk_size)
         #: Cumulative pickled ``(function, chunk)`` bytes submitted across
         #: every ``map_jobs`` call (not results) — callers snapshot it
@@ -823,29 +786,11 @@ class ProcessBackend(ExecutionBackend):
         #: Counted per *submitted chunk*, so a pool that breaks mid-fan-out
         #: never accounts for bytes that were never shipped.
         self.bytes_shipped = 0
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._pool_lock = threading.Lock()
 
-    def _executor(self) -> ProcessPoolExecutor:
-        # Lazily created and reused across map_jobs calls: one pool startup
-        # per backend instance, not per fan-out.  max_workers is an upper
-        # bound — worker processes are forked/spawned on demand as jobs are
-        # submitted, so small fan-outs never pay for idle workers; workers
-        # snapshot the parent process at creation (fork) or re-import it
-        # (spawn).  Creation is locked for multi-threaded callers (see
-        # ThreadBackend._executor).
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.n_workers or os.cpu_count() or 1
-                )
-            return self._pool
-
-    def close(self) -> None:
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
+    def _new_pool(self, max_workers: int) -> ProcessPoolExecutor:
+        # Workers snapshot the parent process at creation (fork) or
+        # re-import it (spawn).
+        return ProcessPoolExecutor(max_workers=max_workers)
 
     def _abandon_pool(self) -> None:
         """Forcefully drop a pool whose workers are hung.
@@ -874,20 +819,8 @@ class ProcessBackend(ExecutionBackend):
             except Exception:  # noqa: BLE001
                 pass
 
-    def map_jobs(
-        self,
-        fn: Callable[[Any], Any],
-        jobs: Sequence[Any],
-        *,
-        on_result: OnResult = None,
-        retry: Optional[RetryPolicy] = None,
-    ) -> List[JobOutcome]:
-        return _ChunkScheduler(self, fn, jobs, on_result, retry).run()
-
-    # Transport hooks driven by _ChunkScheduler.
-    def _submit(
-        self, fn: Callable[[Any], Any], chunk: _Chunk, position: int, budget: Optional[float]
-    ) -> Any:
+    # Transport hooks driven by _ChunkScheduler, which times these chunks.
+    def _submit(self, fn: Any, chunk: _Chunk, position: int, budget: Any) -> Any:
         pool = self._executor()
         # Pickle the chunk once, here: the blob's length is the shipped
         # volume, and the executor only has to copy the bytes.
@@ -1123,53 +1056,42 @@ def resolve_backend(
             members.append(member)
             if member is not spec:
                 owned.append(member)
-        chain = FallbackBackend(members, owned=owned)
-        if retry is not None:
-            chain.retry = retry
-        return chain
-    if isinstance(backend, ExecutionBackend):
+        resolved: ExecutionBackend = FallbackBackend(members, owned=owned)
+    elif isinstance(backend, ExecutionBackend):
         if n_jobs is not None:
             raise ValidationError(
                 "n_jobs cannot be combined with an ExecutionBackend instance; "
                 "configure the worker count on the instance instead"
             )
-        if retry is not None:
-            backend.retry = retry
-        return backend
-    if n_jobs is not None and int(n_jobs) < 1:
-        raise ValidationError(f"n_jobs must be >= 1, got {n_jobs}")
-    if backend is None:
-        if n_jobs is not None and int(n_jobs) > 1:
-            resolved: ExecutionBackend = ThreadBackend(int(n_jobs))
+        resolved = backend
+    elif backend is None or isinstance(backend, str):
+        if n_jobs is not None and int(n_jobs) < 1:
+            raise ValidationError(f"n_jobs must be >= 1, got {n_jobs}")
+        if backend is None:
+            key = "thread" if n_jobs is not None and int(n_jobs) > 1 else "serial"
         else:
-            resolved = SerialBackend()
-        if retry is not None:
-            resolved.retry = retry
-        return resolved
-    if isinstance(backend, str):
-        key = backend.strip().lower()
+            key = backend.strip().lower()
         if key == "distributed" or key.startswith("distributed:"):
             # Imported lazily: repro.distributed builds on this module.
             from repro.distributed.backend import DistributedBackend
 
             resolved = DistributedBackend.from_spec(backend.strip())
-            if retry is not None:
-                resolved.retry = retry
-            return resolved
-        if key not in _BACKENDS:
+        elif key not in _BACKENDS:
             raise ValidationError(
                 f"unknown backend {backend!r}; available: "
                 f"{sorted(set(_BACKENDS))} or "
                 "'distributed:HOST:PORT[,HOST:PORT...][@PLANE_DIR]'"
             )
-        cls = _BACKENDS[key]
-        resolved = SerialBackend() if cls is SerialBackend else cls(n_jobs)
-        if retry is not None:
-            resolved.retry = retry
-        return resolved
-    raise ValidationError(
-        f"backend must be None, a name, or an ExecutionBackend, got {type(backend).__name__}"
-    )
+        else:
+            cls = _BACKENDS[key]
+            resolved = SerialBackend() if cls is SerialBackend else cls(n_jobs)
+    else:
+        raise ValidationError(
+            f"backend must be None, a name, or an ExecutionBackend, got {type(backend).__name__}"
+        )
+    if retry is not None:
+        resolved.retry = retry
+    return resolved
 
 
 @contextmanager

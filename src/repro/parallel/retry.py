@@ -79,7 +79,8 @@ class RetryPolicy:
     timeout:
         Seconds one attempt of one job may run before it is abandoned with
         a ``timed_out`` outcome (chunked process dispatches get
-        ``timeout * len(chunk)``).
+        ``timeout * len(chunk)``).  The clock runs from when the attempt
+        starts, not while it waits for a free worker.
     deadline:
         Seconds the whole ``map_jobs`` call may take; on expiry the
         remaining jobs are recorded as ``timed_out`` and the call returns.

@@ -29,12 +29,13 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 import pickle
 from typing import Any, Dict, Optional
 
 import numpy as np
 
-from repro.exceptions import ParallelExecutionError
+from repro.exceptions import ParallelExecutionError, ValidationError
 
 
 class RemoteJobError(ParallelExecutionError):
@@ -138,17 +139,38 @@ def encode_value(value: Any) -> Dict[str, Any]:
 
 
 def decode_value(node: Dict[str, Any]) -> Any:
-    """Inverse of :func:`encode_value`."""
-    tag = node.get("t")
+    """Inverse of :func:`encode_value`.
+
+    A malformed node raises :class:`~repro.exceptions.ValidationError`
+    naming the node's tag and what is wrong with it.
+    """
+    tag = node.get("t") if isinstance(node, dict) else None
+    try:
+        return _decode_node(tag, node)
+    except ValidationError:
+        raise
+    except Exception as exc:  # noqa: BLE001 - NumPy, base64 and pickle fail many ways
+        raise ValidationError(
+            f"malformed {tag!r} wire value: {type(exc).__name__}: {exc}"
+        ) from exc
+
+
+def _decode_node(tag: Any, node: Dict[str, Any]) -> Any:
     if tag == "none":
         return None
     if tag == "json":
         return node["v"]
     if tag == "ndarray":
+        dtype = np.dtype(node["dtype"])
+        shape = [int(size) for size in node["shape"]]
         raw = _unb64(node["data"])
-        array = np.frombuffer(raw, dtype=np.dtype(node["dtype"]))
+        if len(raw) != dtype.itemsize * math.prod(shape):
+            raise ValidationError(
+                f"ndarray 'data' holds {len(raw)} bytes, which do not fit "
+                f"dtype {dtype.str} and shape {shape}"
+            )
         # frombuffer views the (read-only) bytes; copy to a writable array.
-        return array.reshape([int(size) for size in node["shape"]]).copy()
+        return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
     if tag == "npscalar":
         return np.frombuffer(_unb64(node["data"]), dtype=np.dtype(node["dtype"]))[0]
     if tag == "bytes":
@@ -161,7 +183,7 @@ def decode_value(node: Dict[str, Any]) -> Any:
         return {key: decode_value(item) for key, item in node["items"].items()}
     if tag == "pickle":
         return pickle.loads(_unb64(node["data"]))
-    raise ValueError(f"unknown wire tag {tag!r}")
+    raise ValidationError(f"unknown wire tag {tag!r}")
 
 
 def encode_exception(exc: BaseException) -> Dict[str, str]:
@@ -204,28 +226,52 @@ def encode_outcome(outcome) -> Dict[str, Any]:
     }
 
 
+def _field(node: Dict[str, Any], key: str, kinds: tuple, default: Any = None) -> Any:
+    """``node[key]``, checked to be one of ``kinds`` and, if an int, >= 0."""
+    value = node.get(key, default)
+    if (
+        not isinstance(value, kinds)
+        or (isinstance(value, bool) and bool not in kinds)
+        or (isinstance(value, int) and value < 0)
+    ):
+        raise ValidationError(f"outcome field {key!r} is missing or invalid: {value!r:.80}")
+    return value
+
+
 def decode_outcome(node: Dict[str, Any]):
-    """Inverse of :func:`encode_outcome` (returns a ``JobOutcome``)."""
+    """Inverse of :func:`encode_outcome` (returns a ``JobOutcome``).
+
+    A malformed payload raises :class:`~repro.exceptions.ValidationError`
+    naming the field at fault.
+    """
     from repro.parallel.backends import JobOutcome
 
-    error = node.get("error")
-    exception = None
-    if node.get("exception") is not None:
-        exception = decode_exception(node["exception"])
+    if not isinstance(node, dict):
+        raise ValidationError(
+            f"an outcome payload must be a JSON object, got {type(node).__name__}"
+        )
+    error = _field(node, "error", (str, type(None)))
+    exception = _field(node, "exception", (dict, type(None)))
+    if exception is not None:
+        exception = decode_exception(exception)
     elif error is not None:
         # A failed outcome must stay unwrap-able even when the worker could
         # not encode the exception itself.
-        exception = RemoteJobError(str(error))
+        exception = RemoteJobError(error)
+    try:
+        value = decode_value(node.get("value", {"t": "none"}))
+    except ValidationError as exc:
+        raise ValidationError(f"outcome field 'value': {exc}") from exc
     return JobOutcome(
-        index=int(node["index"]),
-        value=decode_value(node.get("value", {"t": "none"})),
+        index=_field(node, "index", (int,)),
+        value=value,
         error=error,
         exception=exception,
-        traceback=node.get("traceback"),
-        duration_seconds=float(node.get("duration_seconds", 0.0)),
-        attempts=int(node.get("attempts", 1)),
-        retried=bool(node.get("retried", False)),
-        timed_out=bool(node.get("timed_out", False)),
+        traceback=_field(node, "traceback", (str, type(None))),
+        duration_seconds=float(_field(node, "duration_seconds", (int, float), 0.0)),
+        attempts=_field(node, "attempts", (int,), 1),
+        retried=_field(node, "retried", (bool,), False),
+        timed_out=_field(node, "timed_out", (bool,), False),
     )
 
 

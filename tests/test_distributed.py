@@ -170,6 +170,23 @@ class TestWorkerApplication:
         assert status == 400
         assert "'jobs'" in json.loads(body)["error"]["message"]
 
+    @pytest.mark.parametrize("entry", [5, None, ("x", 1), (0,)])
+    def test_jobs_malformed_entry_is_a_400_naming_it(self, app, entry):
+        status, _, body = _post_jobs(app, canonical_name(square), [(0, 1.0), entry])
+        assert status == 400
+        assert "job entry 1" in json.loads(body)["error"]["message"]
+
+    @pytest.mark.parametrize("plane", [5, {"min_bytes": None}])
+    def test_jobs_malformed_plane_is_a_400(self, tmp_path, plane):
+        if isinstance(plane, dict):
+            plane = {**plane, "directory": str(tmp_path)}
+        app = WorkerApplication(data_plane=tmp_path)
+        try:
+            status, _, _ = _post_jobs(app, canonical_name(square), [(0, 1.0)], plane=plane)
+            assert status == 400
+        finally:
+            app.close()
+
     def test_jobs_oversized_chunk(self):
         app = WorkerApplication(max_chunk_jobs=2)
         try:

@@ -8,6 +8,8 @@ outcome/result instead of crashing the fan-out.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -111,14 +113,37 @@ class TestBackends:
 
     def test_serial_on_result_streams_in_order(self):
         seen = []
-        SerialBackend().map_jobs(_square, [1, 2, 3], on_result=seen.append)
+        # Each job returns how many outcomes were streamed before it started.
+        outcomes = SerialBackend().map_jobs(
+            lambda _: len(seen), [1, 2, 3], on_result=seen.append
+        )
         assert [o.index for o in seen] == [0, 1, 2]
+        assert [o.value for o in outcomes] == [0, 1, 2]
+
+    def test_serial_without_policy_starts_no_thread(self, monkeypatch):
+        started = []
+        real_start = threading.Thread.start
+
+        def recording_start(thread):
+            started.append(thread.name)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        outcomes = SerialBackend().map_jobs(lambda _: threading.get_ident(), range(4))
+        assert [o.value for o in outcomes] == [threading.get_ident()] * 4
+        assert started == []
 
     @pytest.mark.parametrize("name", ["thread", "process"])
     def test_parallel_on_result_sees_every_job(self, name):
-        seen = []
-        resolve_backend(name, 2).map_jobs(_square, [1, 2, 3, 4], on_result=seen.append)
+        seen, callers = [], []
+
+        def on_result(outcome):
+            seen.append(outcome)
+            callers.append(threading.get_ident())
+
+        resolve_backend(name, 2).map_jobs(_square, [1, 2, 3, 4], on_result=on_result)
         assert sorted(o.index for o in seen) == [0, 1, 2, 3]
+        assert callers == [threading.get_ident()] * 4  # the calling thread
 
     def test_process_chunking(self):
         backend = ProcessBackend(2, chunk_size=3)

@@ -209,6 +209,26 @@ class TestTimeouts:
         assert timed_out, "a 0.3 s deadline must expire over 2 s of sleeps"
         for outcome in timed_out:
             assert isinstance(outcome.exception, JobTimeoutError)
+        # An attempt counts when it starts: on two workers jobs 4-7 cannot
+        # start before 0.5 s (serially, jobs 2-7 before 0.5 s), after the
+        # deadline, and a job with no attempt is always timed out.
+        attempts = [outcome.attempts for outcome in outcomes]
+        first_unstarted = 2 if name == "serial" else 4
+        assert attempts[first_unstarted:] == [0] * (8 - first_unstarted), attempts
+        assert all(outcome.timed_out for outcome in outcomes if outcome.attempts == 0)
+
+    @pytest.mark.parametrize("name", ["thread", "process"])
+    def test_timeout_clock_starts_when_a_worker_takes_the_job(self, name):
+        # Six 0.3 s jobs on two workers: the last two wait 0.6 s for a
+        # worker, which must not count against their 0.5 s attempt budget.
+        policy = RetryPolicy(max_attempts=1, timeout=0.5)
+        jobs = [(index, 0.3) for index in range(6)]
+        with resolve_backend(name, 2) as backend:
+            backend.map_jobs(_square, [1, 2])  # start the workers first
+            outcomes = backend.map_jobs(_sleep_then_square, jobs, retry=policy)
+        assert [outcome.error for outcome in outcomes] == [None] * 6
+        assert [outcome.value for outcome in outcomes] == [i * i for i in range(6)]
+        assert backend.pool_rebuilds == 0
 
 
 class _ExhaustedBackend(ExecutionBackend):

@@ -1,5 +1,6 @@
 """Tests for the JSON wire codec behind ``JobOutcome.to_payload``."""
 
+import base64
 import json
 import pickle
 
@@ -210,3 +211,53 @@ class TestOutcomePayload:
         assert [node["index"] for node in document["outcomes"]] == [0, 1]
         restored = [decode_outcome(node) for node in document["outcomes"]]
         assert restored[0].ok and not restored[1].ok
+
+
+def _b64(data: bytes) -> str:
+    return base64.b64encode(data).decode("ascii")
+
+
+class TestMalformedPayloads:
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            ({}, "'index'"),
+            ({"index": "a"}, "'index'"),
+            ({"index": -1}, "'index'"),
+            ({"index": 0, "attempts": None}, "'attempts'"),
+            ({"index": 0, "duration_seconds": "fast"}, "'duration_seconds'"),
+            ({"index": 0, "retried": "yes"}, "'retried'"),
+            ({"index": 0, "error": 5}, "'error'"),
+            ({"index": 0, "exception": "boom"}, "'exception'"),
+            (
+                {
+                    "index": 0,
+                    "value": {"t": "ndarray", "dtype": "<f8", "shape": [2], "data": _b64(b"x" * 7)},
+                },
+                "'value'",
+            ),
+            (["index", 0], "JSON object"),
+        ],
+    )
+    def test_outcome_decoder_names_the_bad_field(self, payload, field):
+        with pytest.raises(ValidationError, match=field):
+            JobOutcome.from_payload(payload)
+
+    @pytest.mark.parametrize(
+        "node",
+        [
+            {"t": "ndarray", "dtype": "<f8", "shape": [2], "data": _b64(b"x" * 7)},
+            {"t": "ndarray", "dtype": "<f8", "shape": [3], "data": _b64(b"x" * 16)},
+            {"t": "ndarray", "dtype": "<f8", "shape": [2]},
+            {"t": "ndarray", "dtype": "no-such-dtype", "shape": [1], "data": _b64(b"x" * 8)},
+            {"t": "ndarray", "dtype": "|O", "shape": [1], "data": _b64(b"x" * 8)},
+            {"t": "npscalar", "dtype": "<f8", "data": ""},
+            {"t": "list", "items": 5},
+            {"t": "dict", "items": [1]},
+            {"t": "pickle", "data": _b64(b"not a pickle")},
+            "not a node",
+        ],
+    )
+    def test_malformed_value_node_is_a_validation_error(self, node):
+        with pytest.raises(ValidationError, match="wire|do not fit"):
+            decode_value(node)
