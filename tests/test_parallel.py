@@ -123,14 +123,16 @@ class TestBackends:
     def test_serial_without_policy_starts_no_thread(self, monkeypatch):
         started = []
         real_start = threading.Thread.start
+        caller = threading.get_ident()
 
         def recording_start(thread):
-            started.append(thread.name)
+            if threading.get_ident() == caller:  # ignore unrelated threads
+                started.append(thread.name)
             real_start(thread)
 
         monkeypatch.setattr(threading.Thread, "start", recording_start)
         outcomes = SerialBackend().map_jobs(lambda _: threading.get_ident(), range(4))
-        assert [o.value for o in outcomes] == [threading.get_ident()] * 4
+        assert [o.value for o in outcomes] == [caller] * 4
         assert started == []
 
     @pytest.mark.parametrize("name", ["thread", "process"])
