@@ -9,9 +9,13 @@ cache, then
 2. re-fits with one changed parameter (``feature_mode``) — the upstream
    ``embed`` stage must be skipped while every downstream stage re-runs,
    and the partially replayed fit must be bit-identical to a cold
-   reference fit of the changed configuration.
+   reference fit of the changed configuration;
+3. fits cold on a two-worker process pool into a fresh cache directory,
+   then re-fits serially — every stage must replay the checkpoints the
+   pool wrote, and the results must be bit-identical to the pool fit and
+   to a cold serial fit.
 
-With ``--cache-budget BYTES`` a third phase runs the same fits through a
+With ``--cache-budget BYTES`` a fourth phase runs the same fits through a
 byte-budgeted :class:`~repro.pipeline.DiskStageCache`: churning several
 configurations through a cache too small to hold them all must evict
 checkpoints (visible in ``stats()``), never exceed the budget on disk,
@@ -35,12 +39,18 @@ from __future__ import annotations
 import argparse
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 
 from repro.core.kgraph import KGraph
 from repro.datasets.synthetic import make_cylinder_bell_funnel
 from repro.pipeline import KGRAPH_STAGE_NAMES, DiskStageCache
+
+# The reference fit lives with the tests.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from oracles.graph import assert_graphs_identical  # noqa: E402
+from oracles.kgraph import fit_reference  # noqa: E402
 
 ALL_STAGES = list(KGRAPH_STAGE_NAMES)
 
@@ -50,6 +60,68 @@ def _check(condition: bool, message: str, failures: list) -> None:
     print(f"  [{status}] {message}")
     if not condition:
         failures.append(message)
+
+
+def _fits_identical(a: KGraph, b: KGraph) -> bool:
+    """Whether two fits agree on every result, graphs included, bit for bit."""
+    ours, theirs = a.result_, b.result_
+    try:
+        for length, graph in ours.graphs.items():
+            assert_graphs_identical(graph, theirs.graphs[length])
+    except (AssertionError, KeyError):
+        return False
+    return (
+        sorted(ours.graphs) == sorted(theirs.graphs)
+        and np.array_equal(a.labels_, b.labels_)
+        and np.array_equal(ours.consensus_matrix, theirs.consensus_matrix)
+        and ours.optimal_length == theirs.optimal_length
+        and ours.length_scores == theirs.length_scores
+        and all(
+            np.array_equal(p.labels, q.labels)
+            and np.array_equal(p.feature_matrix, q.feature_matrix)
+            for p, q in zip(ours.partitions, theirs.partitions)
+        )
+        and all(
+            {c: (g.nodes, g.edges) for c, g in getattr(ours, kind).items()}
+            == {c: (g.nodes, g.edges) for c, g in getattr(theirs, kind).items()}
+            for kind in ("lambda_graphoids", "gamma_graphoids")
+        )
+    )
+
+
+def _process_pool_phase(dataset, failures: list) -> None:
+    print("process-pool fit (its checkpoints must replay in a serial fit)")
+    with tempfile.TemporaryDirectory(prefix="kgraph-pool-cache-") as cache_dir:
+        params = dict(n_clusters=3, n_lengths=2, random_state=0)
+        pooled = KGraph(
+            **params, backend="process", n_jobs=2, stage_cache=DiskStageCache(cache_dir)
+        ).fit(dataset.data)
+        _check(
+            pooled.pipeline_report_.executed == ALL_STAGES,
+            f"every stage executed on the pool: {pooled.pipeline_report_.executed}",
+            failures,
+        )
+        serial = KGraph(**params, stage_cache=DiskStageCache(cache_dir)).fit(dataset.data)
+        _check(
+            serial.pipeline_report_.cached == ALL_STAGES,
+            f"every stage replayed serially: {serial.pipeline_report_.cached}",
+            failures,
+        )
+        _check(
+            serial.pipeline_report_.stage_keys == pooled.pipeline_report_.stage_keys,
+            "serial and pool fits derive the same stage keys",
+            failures,
+        )
+        _check(
+            _fits_identical(serial, pooled),
+            "serial replay is bit-identical to the pool fit",
+            failures,
+        )
+        _check(
+            _fits_identical(pooled, KGraph(**params).fit(dataset.data)),
+            "the pool fit is bit-identical to a cold serial fit",
+            failures,
+        )
 
 
 def _budgeted_phase(dataset, budget: int, policy: str, failures: list) -> None:
@@ -160,7 +232,7 @@ def main(argv=None) -> int:
             f"downstream stages re-ran: executed={partial.pipeline_report_.executed}",
             failures,
         )
-        reference = KGraph(**changed).fit_reference(dataset.data)
+        reference = fit_reference(KGraph(**changed), dataset.data)
         _check(
             np.array_equal(partial.labels_, reference.labels_)
             and np.array_equal(
@@ -171,6 +243,8 @@ def main(argv=None) -> int:
             "partially replayed fit is bit-identical to a cold reference fit",
             failures,
         )
+
+    _process_pool_phase(dataset, failures)
 
     if args.cache_budget is not None:
         _budgeted_phase(dataset, args.cache_budget, args.cache_policy, failures)

@@ -16,14 +16,6 @@ embedding, batched prediction); this experiment
 * asserts the acceptance floors — >= 5x on embedding graph construction
   and >= 10x on DTW / pairwise distances.
 
-The dispatch-cost entry ``fused_fit_dispatch`` times a
-two-stage pipeline whose stages declare :attr:`Stage.fusable_with`
-unfused vs fused on one warm :class:`~repro.parallel.ProcessBackend`
-(fusing eliminates the coordinator->worker re-ship of the intermediate
-plus one dispatch round trip).  It is transfer-bound by construction, so
-its speedup holds even on single-core runners where compute cannot
-parallelize.
-
 The experiment persists everything to ``benchmarks/out/hotpaths.json``.
 The CI perf-smoke job compares that fresh run against the committed baseline
 ``benchmarks/results/hotpaths.json`` (see ``benchmarks/compare_hotpaths.py``),
@@ -37,9 +29,8 @@ from __future__ import annotations
 import json
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List
 
 import numpy as np
 import pytest
@@ -59,9 +50,7 @@ from repro.metrics.distances import (
     pairwise_distances,
     pairwise_distances_reference,
 )
-from repro.parallel import ProcessBackend, SerialBackend
-from repro.pipeline import MemoryStageCache, Pipeline, PipelineContext, Stage
-from repro.utils.windows import subsequences_of_dataset
+from repro.pipeline import MemoryStageCache
 
 # The reference implementations that live with the tests.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
@@ -90,20 +79,9 @@ else:
     PREDICT_BATCH = 64
     PIPELINE_N_SERIES, PIPELINE_SERIES_LENGTH, PIPELINE_N_LENGTHS = 24, 96, 3
 
-# The fused-dispatch workload is transfer-bound at this shape in both
-# modes — the intermediate window tensors total ~17 MB — and the fused
-# speedup is a ratio of transfer volumes, not of compute, so the same
-# shape serves quick and full runs.
-FUSED_N_SERIES, FUSED_SERIES_LENGTH = 32, 512
-FUSED_LENGTHS = (32, 48, 64)
-#: Worker count for the fused-dispatch entry: both sides of the A/B use
-#: the same pool size, so the comparison is fair on any core count.
-FANOUT_WORKERS = 4
-
-# Acceptance floors (ISSUE 3): >= 5x on embedding graph construction and
-# >= 10x on DTW/pairwise; (ISSUE 4) >= 5x for a fully checkpoint-replayed
-# pipeline re-fit over a cold fit; (ISSUE 6) >= 1.5x for fused stage
-# dispatch over unfused.  The remaining hot paths are guarded by the looser
+# Acceptance floors: >= 5x on embedding graph construction, >= 10x on
+# DTW/pairwise, and >= 5x for a fully checkpoint-replayed pipeline re-fit
+# over a cold fit.  The remaining hot paths are guarded by the looser
 # committed-baseline comparison of the CI perf-smoke job (their
 # vectorized sides finish in single-digit milliseconds, where timing jitter
 # on shared runners makes a hard double-digit floor flaky).
@@ -112,7 +90,6 @@ SPEEDUP_FLOORS = {
     "dtw_single": 10.0,
     "dtw_pairwise": 10.0,
     "pipeline_cached_refit": 5.0,
-    "fused_fit_dispatch": 1.5,
 }
 
 
@@ -313,171 +290,6 @@ def _pipeline_entry() -> Dict[str, object]:
     return entry
 
 
-# --------------------------------------------------------------------- #
-# fused stage dispatch (ISSUE 6)
-# --------------------------------------------------------------------- #
-# A deliberately transfer-bound two-stage pipeline: stage one expands the
-# dataset into per-length window tensors (a memcpy), stage two runs two
-# cheap one-pass reductions over each tensor — norm and mean profiles —
-# as separate jobs.  Unfused, the window tensors come back to the
-# coordinator after stage one and are pickled *again* into every
-# stage-two job (twice per length, once per reduction); fused, one
-# dispatch computes everything on the worker, so each intermediate
-# crosses the process boundary once instead of three times.  Jobs and job
-# functions live at module level so the pool's workers can unpickle them
-# by reference.
-
-_BENCH_PROFILE_KINDS = ("norm", "mean")
-
-
-@dataclass(frozen=True)
-class _BenchWindowJob:
-    length: int
-    array: np.ndarray
-
-
-@dataclass(frozen=True)
-class _BenchProfileJob:
-    length: int
-    kind: str
-    windows: np.ndarray
-
-
-def _bench_expand_windows(job: _BenchWindowJob) -> np.ndarray:
-    windows, _, _ = subsequences_of_dataset(job.array, job.length, 1)
-    return windows
-
-
-def _bench_profile_windows(job: _BenchProfileJob) -> np.ndarray:
-    if job.kind == "norm":
-        return np.sqrt(np.einsum("ij,ij->i", job.windows, job.windows))
-    return job.windows.mean(axis=1)
-
-
-def _bench_expand_then_profile(
-    job: _BenchWindowJob,
-) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
-    windows = _bench_expand_windows(job)
-    return windows, {
-        kind: _bench_profile_windows(_BenchProfileJob(job.length, kind, windows))
-        for kind in _BENCH_PROFILE_KINDS
-    }
-
-
-class _BenchExpandStage(Stage):
-    name = "bench_expand"
-    inputs = ("bench_array", "bench_lengths")
-    outputs = ("bench_windows",)
-    fusable_with = "bench_profile"
-
-    def run(self, ctx: PipelineContext) -> Dict[str, object]:
-        array = ctx.require("bench_array")
-        jobs = [_BenchWindowJob(length, array) for length in ctx.require("bench_lengths")]
-        outcomes = ctx.dispatch(self.name, _bench_expand_windows, jobs)
-        return {
-            "bench_windows": {
-                job.length: outcome.unwrap() for job, outcome in zip(jobs, outcomes)
-            }
-        }
-
-    def run_fused(self, next_stage: Stage, ctx: PipelineContext):
-        array = ctx.require("bench_array")
-        jobs = [_BenchWindowJob(length, array) for length in ctx.require("bench_lengths")]
-        outcomes = ctx.dispatch(self.name, _bench_expand_then_profile, jobs)
-        windows: Dict[int, np.ndarray] = {}
-        profiles: Dict[Tuple[int, str], np.ndarray] = {}
-        for job, outcome in zip(jobs, outcomes):
-            windows[job.length], by_kind = outcome.unwrap()
-            for kind, profile in by_kind.items():
-                profiles[(job.length, kind)] = profile
-        return {"bench_windows": windows}, {"bench_profiles": profiles}
-
-
-class _BenchProfileStage(Stage):
-    name = "bench_profile"
-    inputs = ("bench_windows",)
-    outputs = ("bench_profiles",)
-
-    def run(self, ctx: PipelineContext) -> Dict[str, object]:
-        windows = ctx.require("bench_windows")
-        jobs = [
-            _BenchProfileJob(length, kind, array)
-            for length, array in windows.items()
-            for kind in _BENCH_PROFILE_KINDS
-        ]
-        outcomes = ctx.dispatch(self.name, _bench_profile_windows, jobs)
-        return {
-            "bench_profiles": {
-                (job.length, job.kind): outcome.unwrap()
-                for job, outcome in zip(jobs, outcomes)
-            }
-        }
-
-
-def _run_window_pipeline(backend, data: np.ndarray, fuse: bool):
-    pipeline = Pipeline(
-        [_BenchExpandStage(), _BenchProfileStage()],
-        seed_inputs=("bench_array", "bench_lengths"),
-    )
-    ctx = PipelineContext(
-        values={"bench_array": data, "bench_lengths": FUSED_LENGTHS}, backend=backend
-    )
-    pipeline.run(ctx, fuse=fuse)
-    return ctx.values["bench_windows"], ctx.values["bench_profiles"], ctx.bytes_shipped
-
-
-def _window_outputs_equal(ours, theirs) -> bool:
-    our_windows, our_profiles, _ = ours
-    their_windows, their_profiles, _ = theirs
-    return (
-        set(our_windows) == set(their_windows)
-        and all(np.array_equal(our_windows[k], their_windows[k]) for k in our_windows)
-        and all(np.array_equal(our_profiles[k], their_profiles[k]) for k in our_profiles)
-    )
-
-
-def _fused_dispatch_entry() -> Dict[str, object]:
-    rng = np.random.default_rng(10)
-    data = rng.normal(size=(FUSED_N_SERIES, FUSED_SERIES_LENGTH)).cumsum(axis=1)
-    serial = _run_window_pipeline(SerialBackend(), data, fuse=False)
-    backend = ProcessBackend(FANOUT_WORKERS)
-    try:
-        # Untimed warm-up forks the workers and faults in both code paths.
-        unfused_warm = _run_window_pipeline(backend, data, fuse=False)
-        fused_warm = _run_window_pipeline(backend, data, fuse=True)
-        assert _window_outputs_equal(unfused_warm, serial), "unfused != serial"
-        assert _window_outputs_equal(fused_warm, serial), "fused != serial"
-        # Interleaved paired timing instead of _entry's two back-to-back
-        # blocks: both sides are transfer-bound wall-clock measurements, so
-        # a background load spike during one block would skew the ratio;
-        # alternating the sides makes drift hit both equally.
-        unfused_seconds = fused_seconds = float("inf")
-        for _ in range(6):
-            start = time.perf_counter()
-            _run_window_pipeline(backend, data, fuse=False)
-            unfused_seconds = min(unfused_seconds, time.perf_counter() - start)
-            start = time.perf_counter()
-            _run_window_pipeline(backend, data, fuse=True)
-            fused_seconds = min(fused_seconds, time.perf_counter() - start)
-        entry = {
-            "hot_path": "fused_fit_dispatch",
-            "reference_seconds": unfused_seconds,
-            "vectorized_seconds": fused_seconds,
-            "speedup": unfused_seconds / max(fused_seconds, 1e-12),
-        }
-    finally:
-        backend.close()
-    entry["n_series"] = FUSED_N_SERIES
-    entry["series_length"] = FUSED_SERIES_LENGTH
-    entry["lengths"] = list(FUSED_LENGTHS)
-    entry["intermediate_bytes"] = int(
-        sum(array.nbytes for array in serial[0].values())
-    )
-    entry["bytes_shipped_unfused"] = {k: int(v) for k, v in unfused_warm[2].items()}
-    entry["bytes_shipped_fused"] = {k: int(v) for k, v in fused_warm[2].items()}
-    return entry
-
-
 def _run_hotpaths_experiment() -> Dict[str, object]:
     entries: List[Dict[str, object]] = [
         _embedding_entry(),
@@ -490,7 +302,6 @@ def _run_hotpaths_experiment() -> Dict[str, object]:
         _consensus_entry(),
         _predict_entry(),
         _pipeline_entry(),
-        _fused_dispatch_entry(),
     ]
     for entry in entries:
         floor = SPEEDUP_FLOORS.get(entry["hot_path"])

@@ -407,7 +407,7 @@ class KGraphConfig(EstimatorConfig):
                     f"lengths must be a list of integers >= 2 or None, got "
                     f"{type(self.lengths).__name__}"
                 )
-            values = [check_positive_int(int(v), "length", minimum=2) for v in self.lengths]
+            values = [check_positive_int(v, "length", minimum=2) for v in self.lengths]
             if not values:
                 raise ValidationError(
                     "lengths must not be empty; omit it (or pass None) to use "

@@ -25,15 +25,9 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.api.config import KGraphConfig
-from repro.core.consensus import consensus_clustering
-from repro.core.graph_clustering import GraphPartition, cluster_graph
-from repro.core.interpretability import (
-    LengthScore,
-    interpretability_scores,
-    select_optimal_length,
-)
+from repro.core.graph_clustering import GraphPartition
+from repro.core.interpretability import LengthScore
 from repro.exceptions import NotFittedError, ValidationError
-from repro.graph.embedding import GraphEmbedding
 from repro.graph.graphoid import (
     Graphoid,
     extract_gamma_graphoid,
@@ -47,7 +41,6 @@ from repro.utils.normalization import (
     znormalization_stats,
 )
 from repro.utils.rng import spawn_rng
-from repro.utils.timing import Stopwatch
 from repro.utils.validation import (
     check_probability,
     check_random_state,
@@ -98,7 +91,7 @@ class KGraphResult:
     timings: Dict[str, float] = field(default_factory=dict)
     #: Per-stage pickled payload bytes shipped to process backends during
     #: the fit (stage name -> bytes); empty for serial/thread fits and for
-    #: models fitted by the reference monolith or loaded from artifacts.
+    #: models loaded from artifacts.
     bytes_shipped: Dict[str, int] = field(default_factory=dict)
 
     @property
@@ -123,8 +116,8 @@ class KGraphResult:
 
         Extracted from the ``stage:<name>`` Stopwatch sections the pipeline
         records around each stage (including near-zero entries for stages
-        replayed from a cache).  Empty for models fitted by the retained
-        reference monolith or loaded from pre-pipeline artifacts.
+        replayed from a cache).  Empty for models loaded from pre-pipeline
+        artifacts.
         """
         prefix = "stage:"
         return {
@@ -158,68 +151,6 @@ class KGraphResult:
                 name: int(value) for name, value in self.bytes_shipped.items()
             },
         }
-
-
-@dataclass(frozen=True)
-class _LengthFitJob:
-    """Picklable payload for one per-length embedding+clustering stage.
-
-    The generator is pre-spawned by the parent (one child stream per length,
-    see :func:`repro.utils.rng.spawn_rng`), so dispatching the job to a
-    thread or another process consumes exactly the same random stream as the
-    serial path — results are bit-identical across backends.
-    """
-
-    length: int
-    array: np.ndarray
-    stride: int
-    n_sectors: int
-    feature_mode: str
-    n_clusters: int
-    rng: np.random.Generator
-
-
-@dataclass
-class _LengthFit:
-    """What one per-length stage sends back to the parent."""
-
-    length: int
-    graph: TimeSeriesGraph
-    partition: GraphPartition
-    timings: Dict[str, float]
-    counts: Dict[str, int]
-
-
-def _fit_one_length(job: _LengthFitJob) -> _LengthFit:
-    """Pure per-length pipeline stage: graph embedding then graph clustering.
-
-    Module-level (hence picklable) so a :class:`~repro.parallel.ProcessBackend`
-    can run the M independent stages of Figure 1 concurrently.  Timings are
-    collected on a worker-local stopwatch and merged by the parent.
-    """
-    watch = Stopwatch()
-    with watch.section("graph_embedding"):
-        embedding = GraphEmbedding(
-            job.length,
-            stride=job.stride,
-            n_sectors=job.n_sectors,
-            random_state=job.rng,
-        )
-        graph = embedding.fit(job.array)
-    with watch.section("graph_clustering"):
-        partition = cluster_graph(
-            graph,
-            job.n_clusters,
-            feature_mode=job.feature_mode,
-            random_state=job.rng,
-        )
-    return _LengthFit(
-        length=job.length,
-        graph=graph,
-        partition=partition,
-        timings=watch.totals(),
-        counts=watch.counts(),
-    )
 
 
 @dataclass(frozen=True)
@@ -346,28 +277,6 @@ def predict_with_state(state: PredictionState, array: np.ndarray) -> np.ndarray:
     return predictions
 
 
-@dataclass(frozen=True)
-class _GraphoidJob:
-    """Picklable payload for extracting one cluster's graphoids."""
-
-    graph: TimeSeriesGraph
-    labels: np.ndarray
-    cluster: int
-    lambda_threshold: float
-    gamma_threshold: float
-
-
-def _extract_cluster_graphoids(job: _GraphoidJob) -> Tuple[int, Graphoid, Graphoid]:
-    """Extract the λ- and γ-graphoid of one cluster (deterministic)."""
-    lam = extract_lambda_graphoid(
-        job.graph, job.labels, job.cluster, job.lambda_threshold
-    )
-    gam = extract_gamma_graphoid(
-        job.graph, job.labels, job.cluster, job.gamma_threshold
-    )
-    return job.cluster, lam, gam
-
-
 #: Sentinel distinguishing "kwarg not passed" from any real value, so the
 #: constructor shim can tell explicit overrides apart from defaults.
 _UNSET = object()
@@ -410,7 +319,7 @@ class KGraph:
         Seed or generator controlling every stochastic sub-step.
     backend, n_jobs:
         Execution backend for the embarrassingly parallel pipeline stages
-        (per-length embedding+clustering, length scoring, graphoid
+        (per-length embedding and clustering, length scoring, graphoid
         extraction).  Defaults to serial execution; ``n_jobs=4`` selects a
         4-worker thread pool, ``backend="process"`` a process pool.  Results
         are bit-identical across backends for a fixed ``random_state`` —
@@ -432,12 +341,6 @@ class KGraph:
         unchanged and re-executes only the affected stages — results are
         identical either way.  ``fit`` records what happened on
         ``pipeline_report_``.
-    fuse_stages:
-        Fused dispatch of the embed→graph_cluster stage pair: ``None``
-        (default) fuses automatically when both stages run on one shared
-        process backend, ``True`` forces fusing, ``False`` disables it.
-        A runtime-only knob like ``backend`` — it never changes results or
-        cache keys, only how many process round-trips the fit costs.
     retry:
         Optional :class:`~repro.parallel.RetryPolicy` applied to every
         stage fan-out (bounded retries, per-attempt timeouts, fan-out
@@ -478,7 +381,6 @@ class KGraph:
         n_jobs: Optional[int] = None,
         stage_backends: Optional[Dict[str, Union[str, ExecutionBackend]]] = None,
         stage_cache=None,
-        fuse_stages: Optional[bool] = None,
         retry: Optional[RetryPolicy] = None,
         fallback: Union[None, str, ExecutionBackend, Sequence] = None,
     ) -> None:
@@ -536,11 +438,6 @@ class KGraph:
             )
         self.stage_backends = stage_backends
         self.stage_cache = stage_cache
-        if fuse_stages is not None and not isinstance(fuse_stages, bool):
-            raise ValidationError(
-                f"fuse_stages must be None, True or False, got {fuse_stages!r}"
-            )
-        self.fuse_stages = fuse_stages
         if retry is not None and not isinstance(retry, RetryPolicy):
             raise ValidationError(
                 f"retry must be a RetryPolicy or None, got {type(retry).__name__}"
@@ -552,7 +449,7 @@ class KGraph:
         self.labels_: Optional[np.ndarray] = None
         #: Per-stage ledger of the last pipeline-driven fit (cache keys,
         #: cached-vs-executed flags, wall-clock seconds); ``None`` before
-        #: fitting, after :meth:`fit_reference`, and on loaded artifacts.
+        #: fitting and on loaded artifacts.
         self.pipeline_report_ = None
 
     # ------------------------------------------------------------------ #
@@ -622,7 +519,6 @@ class KGraph:
         n_jobs: Optional[int] = None,
         stage_backends: Optional[Dict[str, Union[str, ExecutionBackend]]] = None,
         stage_cache=None,
-        fuse_stages: Optional[bool] = None,
         retry: Optional[RetryPolicy] = None,
         fallback: Union[None, str, ExecutionBackend, Sequence] = None,
     ) -> "KGraph":
@@ -630,8 +526,8 @@ class KGraph:
 
         ``from_config(est.get_config())`` refits bit-identically to ``est``
         under the same seed: the config carries every result-affecting
-        parameter, and the runtime knobs (backend, jobs, caches, fusing,
-        retry policy, fallback chain) never change results.
+        parameter, and the runtime knobs (backend, jobs, caches, retry
+        policy, fallback chain) never change results.
         """
         return cls(
             config=config,
@@ -639,7 +535,6 @@ class KGraph:
             n_jobs=n_jobs,
             stage_backends=stage_backends,
             stage_cache=stage_cache,
-            fuse_stages=fuse_stages,
             retry=retry,
             fallback=fallback,
         )
@@ -697,12 +592,12 @@ class KGraph:
 
         The fit is driven by the five-stage pipeline of
         :mod:`repro.pipeline.kgraph_stages` (embed -> graph_cluster ->
-        consensus -> length_selection -> interpretability): results are
-        bit-identical to the retained :meth:`fit_reference` monolith, but
-        each stage is individually timeable, checkpointable
-        (``stage_cache=``) and dispatchable on its own backend
-        (``stage_backends=``).  The per-stage ledger of what ran versus
-        what was replayed lands on :attr:`pipeline_report_`.
+        consensus -> length_selection -> interpretability).  Each stage is
+        individually timeable, checkpointable (``stage_cache=``) and
+        dispatchable on its own backend (``stage_backends=``), and results
+        are bit-identical whichever backends run the stages and whichever
+        stages replay a checkpoint.  The per-stage ledger of what ran
+        versus what was replayed lands on :attr:`pipeline_report_`.
 
         The keyword-only arguments override the estimator's runtime knobs
         for this fit only (``None`` falls back to the instance values) —
@@ -756,9 +651,8 @@ class KGraph:
             )
         lengths = self._resolve_lengths(array.shape[1])
         # Pre-spawn one child stream per length (plus one for the consensus
-        # step), exactly as the reference monolith does, so the stages stay
-        # deterministic no matter which backend runs them or which
-        # checkpoints are replayed.
+        # step), so the stages stay deterministic no matter which backend
+        # runs them or which checkpoints are replayed.
         child_rngs = spawn_rng(rng, len(lengths) + 1)
         consensus_rng, per_length_rngs = child_rngs[0], child_rngs[1:]
 
@@ -779,10 +673,7 @@ class KGraph:
             retry=retry,
         )
         report = pipeline.run(
-            ctx,
-            cache=cache,
-            config_hash=self.config.config_hash(),
-            fuse=self.fuse_stages,
+            ctx, cache=cache, config_hash=self.config.config_hash()
         )
 
         self.result_ = KGraphResult(
@@ -799,97 +690,6 @@ class KGraph:
         )
         self.labels_ = self.result_.labels
         self.pipeline_report_ = report
-        return self
-
-    def fit_reference(self, data) -> "KGraph":
-        """Run the retained pre-pipeline monolith (the seed fit path).
-
-        Kept as the implementation the stage pipeline is equivalence-tested
-        against — the same idiom as the vectorized kernels' ``*_reference``
-        twins.  Labels, consensus matrix, graphs, partitions, scores and
-        graphoids are bit-identical to :meth:`fit` for a fixed
-        ``random_state``; only the timing sections differ (no ``stage:*``
-        entries) and :attr:`pipeline_report_` stays ``None``.
-        """
-        array = self.validate_fit_input(data)
-        rng = check_random_state(self.random_state)
-        with backend_scope(self.backend, self.n_jobs) as backend:
-            return self._fit_reference(array, rng, backend)
-
-    def _fit_reference(
-        self, array: np.ndarray, rng: np.random.Generator, backend: ExecutionBackend
-    ) -> "KGraph":
-        watch = Stopwatch()
-
-        lengths = self._resolve_lengths(array.shape[1])
-        # Pre-spawn one child stream per length (plus one for the consensus
-        # step) so the per-length stages stay deterministic no matter which
-        # backend runs them, or in which order they complete.
-        child_rngs = spawn_rng(rng, len(lengths) + 1)
-        consensus_rng, per_length_rngs = child_rngs[0], child_rngs[1:]
-
-        jobs = [
-            _LengthFitJob(
-                length=length,
-                array=array,
-                stride=self.stride,
-                n_sectors=self.n_sectors,
-                feature_mode=self.feature_mode,
-                n_clusters=self.n_clusters,
-                rng=length_rng,
-            )
-            for length, length_rng in zip(lengths, per_length_rngs)
-        ]
-        graphs: Dict[int, TimeSeriesGraph] = {}
-        partitions: List[GraphPartition] = []
-        for outcome in backend.map_jobs(_fit_one_length, jobs):
-            fitted: _LengthFit = outcome.unwrap()
-            graphs[fitted.length] = fitted.graph
-            partitions.append(fitted.partition)
-            watch.merge(fitted.timings, fitted.counts)
-
-        with watch.section("consensus_clustering"):
-            labels, consensus = consensus_clustering(
-                [partition.labels for partition in partitions],
-                self.n_clusters,
-                random_state=consensus_rng,
-            )
-
-        with watch.section("interpretability"):
-            scores = interpretability_scores(graphs, partitions, labels, backend=backend)
-            optimal_length = select_optimal_length(scores)
-            optimal_graph = graphs[optimal_length]
-            clusters = [int(cluster) for cluster in np.unique(labels)]
-            graphoid_jobs = [
-                _GraphoidJob(
-                    graph=optimal_graph,
-                    labels=labels,
-                    cluster=cluster,
-                    lambda_threshold=self.lambda_threshold,
-                    gamma_threshold=self.gamma_threshold,
-                )
-                for cluster in clusters
-            ]
-            lambda_graphoids: Dict[int, Graphoid] = {}
-            gamma_graphoids: Dict[int, Graphoid] = {}
-            for outcome in backend.map_jobs(_extract_cluster_graphoids, graphoid_jobs):
-                cluster, lam, gam = outcome.unwrap()
-                lambda_graphoids[cluster] = lam
-                gamma_graphoids[cluster] = gam
-
-        self.result_ = KGraphResult(
-            labels=labels,
-            graphs=graphs,
-            partitions=partitions,
-            consensus_matrix=consensus,
-            length_scores=scores,
-            optimal_length=optimal_length,
-            lambda_graphoids=lambda_graphoids,
-            gamma_graphoids=gamma_graphoids,
-            timings=watch.totals(),
-        )
-        self.labels_ = labels
-        self.pipeline_report_ = None
         return self
 
     def fit_predict(self, data) -> np.ndarray:
@@ -1049,10 +849,3 @@ class KGraph:
                 zip(representativity.T.tolist(), exclusivity.T.tolist())
             )
         }
-
-
-# Registered so distributed workers can run per-length fits by name (see
-# repro.distributed.registry).
-from repro.distributed.registry import register_worker_function  # noqa: E402
-
-register_worker_function(_fit_one_length)

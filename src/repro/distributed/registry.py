@@ -42,7 +42,6 @@ _DEFAULT_MODULES = (
     "repro.benchmark.runner",
     "repro.pipeline.kgraph_stages",
     "repro.core.interpretability",
-    "repro.core.kgraph",
     "repro.metrics.distances",
 )
 

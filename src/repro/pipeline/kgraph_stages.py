@@ -1,9 +1,4 @@
-"""The k-Graph method of Figure 1, re-expressed as pipeline stages.
-
-The monolithic ``KGraph._fit_reference`` runs embedding, clustering,
-consensus, length selection and graphoid extraction in one sweep; this
-module decomposes the exact same computation into five cacheable
-:class:`~repro.pipeline.Stage` objects:
+"""The k-Graph method of Figure 1 as five cacheable pipeline stages.
 
 ``embed -> graph_cluster -> consensus -> length_selection -> interpretability``
 
@@ -13,19 +8,19 @@ depends only on the data, the length grid, the stride and the sector count,
 so sweeping ``feature_mode``, ``n_clusters`` or the graphoid thresholds
 replays the embedding checkpoints instead of rebuilding M graphs.
 
-Determinism contract (bit-identity with the reference path): the driver
-pre-spawns one child generator per length plus one for the consensus step,
-exactly as the monolith does.  :class:`GraphEmbedding` never draws from its
-generator, so the per-length streams arrive at ``graph_cluster`` in the
-same pristine state the monolith's fused per-length job hands to
-``cluster_graph`` — the ``embed`` stage still threads the post-embedding
-generators through the context (``cluster_rngs``) so the contract survives
-an embedding that *does* start drawing randomness.
+Determinism contract (bit-identity with the serial reference fit in
+``tests/oracles/kgraph.py``): the driver pre-spawns one child generator per
+length plus one for the consensus step, exactly as the reference does.
+Each length's generator goes through ``embed`` and on to ``graph_cluster``:
+:class:`GraphEmbedding` never draws from it, so it reaches ``cluster_graph``
+in the same state as in the reference, and the ``embed`` stage still
+threads the post-embedding generators through the context
+(``cluster_rngs``) so the contract survives an embedding that *does* start
+drawing randomness.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Tuple
 
@@ -169,74 +164,6 @@ def _cluster_one_graph(job: _ClusterJob) -> _ClusterFit:
 
 
 @dataclass(frozen=True)
-class _FusedLengthJob:
-    """One per-length embed→cluster job for the fused dispatch path."""
-
-    length: int
-    array: np.ndarray
-    stride: int
-    n_sectors: int
-    feature_mode: str
-    n_clusters: int
-    rng: np.random.Generator
-
-
-@dataclass
-class _FusedLengthFit:
-    """What one fused job sends back: both stages' per-length outputs.
-
-    ``post_embed_rng`` is the generator snapshotted *between* the two
-    stages — it is what the unfused ``embed`` stage would have emitted as
-    this length's ``cluster_rngs`` entry, so the checkpointed ``embed``
-    outputs (and every replay of them) are identical either way.
-    """
-
-    length: int
-    graph: TimeSeriesGraph
-    post_embed_rng: np.random.Generator
-    partition: GraphPartition
-    timings: Dict[str, float]
-    counts: Dict[str, int]
-
-
-def _embed_and_cluster_one_length(job: _FusedLengthJob) -> _FusedLengthFit:
-    """Worker-side fused stage pair: embed, snapshot the rng, cluster.
-
-    One process round-trip instead of two — the intermediate
-    :class:`TimeSeriesGraph` never crosses the boundary as a *job* again
-    (it still travels back once, as an output).  Randomness consumption is
-    exactly the unfused sequence: embedding sees the pristine stream,
-    clustering continues the same stream, and the boundary snapshot
-    preserves what the embed checkpoint must record.
-    """
-    watch = Stopwatch()
-    with watch.section("graph_embedding"):
-        embedding = GraphEmbedding(
-            job.length,
-            stride=job.stride,
-            n_sectors=job.n_sectors,
-            random_state=job.rng,
-        )
-        graph = embedding.fit(job.array)
-    post_embed_rng = copy.deepcopy(job.rng)
-    with watch.section("graph_clustering"):
-        partition = cluster_graph(
-            graph,
-            job.n_clusters,
-            feature_mode=job.feature_mode,
-            random_state=job.rng,
-        )
-    return _FusedLengthFit(
-        length=job.length,
-        graph=graph,
-        post_embed_rng=post_embed_rng,
-        partition=partition,
-        timings=watch.totals(),
-        counts=watch.counts(),
-    )
-
-
-@dataclass(frozen=True)
 class _GraphoidJob:
     """Picklable payload for extracting one cluster's graphoids."""
 
@@ -278,10 +205,6 @@ class EmbedStage(Stage):
     # Derived from the fields KGraphConfig tags with this stage, so the
     # cache-key inputs and the typed config can never drift apart.
     config_keys = KGraphConfig.stage_config_keys("embed")
-    #: embed→graph_cluster is the fan-out pair worth fusing: both iterate
-    #: the same per-length jobs, and fusing saves shipping M graphs out to
-    #: the workers a second time.
-    fusable_with = "graph_cluster"
 
     def run(self, ctx: PipelineContext) -> Mapping[str, object]:
         array = ctx.require("array")
@@ -305,46 +228,6 @@ class EmbedStage(Stage):
             cluster_rngs.append(fitted.rng)
             ctx.watch.merge(fitted.timings, fitted.counts)
         return {"graphs": graphs, "cluster_rngs": cluster_rngs}
-
-    def run_fused(
-        self, next_stage: Stage, ctx: PipelineContext
-    ) -> Tuple[Mapping[str, object], Mapping[str, object]]:
-        """Embed and cluster every length in one ``map_jobs`` round-trip.
-
-        The per-length graph is built and clustered inside the same worker,
-        so it crosses the process boundary once (as a result) instead of
-        twice (result, then job again).  Outputs are bit-identical to the
-        unfused pair: the fused job consumes the same generator stream and
-        snapshots it at the stage boundary (see :class:`_FusedLengthFit`).
-        """
-        array = ctx.require("array")
-        lengths = ctx.require("lengths")
-        rngs = ctx.require("per_length_rngs")
-        jobs = [
-            _FusedLengthJob(
-                length=int(length),
-                array=array,
-                stride=int(ctx.config["stride"]),
-                n_sectors=int(ctx.config["n_sectors"]),
-                feature_mode=str(ctx.config["feature_mode"]),
-                n_clusters=int(ctx.config["n_clusters"]),
-                rng=rng,
-            )
-            for length, rng in zip(lengths, rngs)
-        ]
-        graphs: Dict[int, TimeSeriesGraph] = {}
-        cluster_rngs: List[np.random.Generator] = []
-        partitions: List[GraphPartition] = []
-        for outcome in ctx.dispatch(self.name, _embed_and_cluster_one_length, jobs):
-            fitted: _FusedLengthFit = outcome.unwrap()
-            graphs[fitted.length] = fitted.graph
-            cluster_rngs.append(fitted.post_embed_rng)
-            partitions.append(fitted.partition)
-            ctx.watch.merge(fitted.timings, fitted.counts)
-        return (
-            {"graphs": graphs, "cluster_rngs": cluster_rngs},
-            {"partitions": partitions},
-        )
 
 
 class GraphClusterStage(Stage):
@@ -483,5 +366,4 @@ from repro.distributed.registry import register_worker_function  # noqa: E402
 
 register_worker_function(_embed_one_length)
 register_worker_function(_cluster_one_graph)
-register_worker_function(_embed_and_cluster_one_length)
 register_worker_function(_extract_cluster_graphoids)

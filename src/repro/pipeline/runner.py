@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.exceptions import PipelineError
-from repro.parallel import ProcessBackend
 from repro.pipeline.cache import CacheEntryMeta, StageCache
 from repro.pipeline.fingerprint import fingerprint
 from repro.pipeline.stage import PipelineContext, Stage
@@ -44,17 +43,13 @@ class StageRecord:
     cached: bool
     seconds: float
     outputs: List[str] = field(default_factory=list)
-    #: Whether this stage executed as half of a fused dispatch pair.
-    fused: bool = False
     #: Pickled payload bytes this stage shipped to a process backend (0 for
-    #: serial/thread dispatches and cache replays; a fused pair's volume is
-    #: attributed to the pair's *first* record, which ran the dispatch).
+    #: serial/thread dispatches and cache replays).
     bytes_shipped: int = 0
     #: Fault-tolerance counters for this stage's dispatches (see
     #: :class:`~repro.parallel.ExecutionBackend`): job dispatches consumed,
     #: jobs whose final outcome timed out, and worker pools rebuilt.  All
-    #: zero for cache replays; a fused pair's activity is attributed to the
-    #: pair's first record, like ``bytes_shipped``.
+    #: zero for cache replays.
     attempts: int = 0
     timeouts: int = 0
     pool_rebuilds: int = 0
@@ -66,7 +61,6 @@ class StageRecord:
             "cached": self.cached,
             "seconds": float(self.seconds),
             "outputs": list(self.outputs),
-            "fused": self.fused,
             "bytes_shipped": int(self.bytes_shipped),
             "attempts": int(self.attempts),
             "timeouts": int(self.timeouts),
@@ -95,11 +89,6 @@ class PipelineReport:
     def stage_keys(self) -> Dict[str, str]:
         """Mapping stage name -> cache key (see :meth:`Pipeline.stage_key`)."""
         return {record.name: record.key for record in self.records}
-
-    @property
-    def fused(self) -> List[str]:
-        """Names of the stages that executed inside a fused dispatch pair."""
-        return [record.name for record in self.records if record.fused]
 
     @property
     def stage_bytes_shipped(self) -> Dict[str, int]:
@@ -220,41 +209,12 @@ class Pipeline:
                 digest.update(fingerprint(ctx.require(name)).encode())
         return digest.hexdigest()
 
-    def _fusion_partner(
-        self, stage: Stage, index: int, ctx: PipelineContext, fuse: Optional[bool]
-    ) -> Optional[Stage]:
-        """The next stage, iff ``stage`` should fuse with it this run.
-
-        ``fuse=None`` (auto) fuses only when both stages dispatch on the
-        *same* :class:`~repro.parallel.ProcessBackend` instance — that is
-        when the intermediate outputs would otherwise cross the process
-        boundary twice; ``fuse=True`` forces fusing every declared pair
-        (any backend), ``fuse=False`` disables fusing entirely.
-        """
-        if fuse is False or stage.fusable_with is None:
-            return None
-        if index + 1 >= len(self.stages):
-            return None
-        partner = self.stages[index + 1]
-        if partner.name != stage.fusable_with:
-            return None
-        if fuse is True:
-            return partner
-        first = ctx.backend_for(stage.name)
-        return (
-            partner
-            if first is ctx.backend_for(partner.name)
-            and isinstance(first, ProcessBackend)
-            else None
-        )
-
     def run(
         self,
         ctx: PipelineContext,
         *,
         cache: Optional[StageCache] = None,
         config_hash: Optional[str] = None,
-        fuse: Optional[bool] = None,
     ) -> PipelineReport:
         """Execute every stage (or replay its checkpoint) and report.
 
@@ -267,15 +227,6 @@ class Pipeline:
         manifests) with a canonical config identity — e.g. the typed
         :meth:`repro.api.EstimatorConfig.config_hash` — instead of the
         ad-hoc fingerprint of the stages' config subset used as fallback.
-
-        ``fuse`` controls fused dispatch of adjacent stage pairs that
-        declare it (see :attr:`Stage.fusable_with`): ``None`` fuses
-        automatically when the pair shares one process backend, ``True``
-        forces it, ``False`` disables it.  Fusing only kicks in when the
-        pair's first stage misses the cache — a hit replays unfused, so
-        downstream-only re-runs keep their checkpoints — and both stages'
-        entries are still keyed, stored and reported individually, so a
-        fused run leaves the cache bit-identical to an unfused one.
         """
         missing_seed = [name for name in self.seed_inputs if name not in ctx.values]
         if missing_seed:
@@ -289,9 +240,7 @@ class Pipeline:
         report = PipelineReport(config_hash=config_hash)
         # Value name -> key of the stage that produced it in this run.
         produced_by: Dict[str, str] = {}
-        index = 0
-        while index < len(self.stages):
-            stage = self.stages[index]
+        for stage in self.stages:
             key = self.stage_key(stage, ctx, produced_by)
             produced_by.update(dict.fromkeys(stage.outputs, key))
             start = time.perf_counter()
@@ -308,20 +257,16 @@ class Pipeline:
                         outputs=sorted(cached_outputs),
                     )
                 )
-                index += 1
-                continue
-            partner = self._fusion_partner(stage, index, ctx, fuse)
-            if partner is not None:
-                self._run_fused_pair(
-                    stage, partner, key, ctx, cache, report, produced_by, start
-                )
-                index += 2
                 continue
             bytes_before = ctx.bytes_shipped.get(stage.name, 0)
             faults_before = _fault_snapshot(ctx, stage.name)
             with ctx.watch.section(f"stage:{stage.name}"):
                 outputs = dict(stage.run(ctx))
-            self._check_outputs(stage, outputs)
+            if set(outputs) != set(stage.outputs):
+                raise PipelineError(
+                    f"stage {stage.name!r} returned outputs {sorted(outputs)} "
+                    f"but declared {sorted(stage.outputs)}"
+                )
             ctx.values.update(outputs)
             self.run_counts[stage.name] += 1
             seconds = time.perf_counter() - start
@@ -352,105 +297,4 @@ class Pipeline:
                     - faults_before["pool_rebuilds"],
                 )
             )
-            index += 1
         return report
-
-    @staticmethod
-    def _check_outputs(stage: Stage, outputs: Dict[str, object]) -> None:
-        if set(outputs) != set(stage.outputs):
-            raise PipelineError(
-                f"stage {stage.name!r} returned outputs {sorted(outputs)} "
-                f"but declared {sorted(stage.outputs)}"
-            )
-
-    def _run_fused_pair(
-        self,
-        stage: Stage,
-        partner: Stage,
-        key: str,
-        ctx: PipelineContext,
-        cache: Optional[StageCache],
-        report: PipelineReport,
-        produced_by: Dict[str, str],
-        start: float,
-    ) -> None:
-        """Execute a declared stage pair through one fused dispatch.
-
-        The cache layer still sees two independent entries: the first
-        stage's outputs are stored under the key computed before running,
-        the partner's under a key chained from it — exactly the keys the
-        unfused path derives, because the partner's produced inputs are
-        named by the same producer keys either way (and the fused job
-        reproduces the stage-boundary state, including generator snapshots,
-        bit-identically).  The combined wall-clock lands in the first stage's
-        ``stage:<name>`` section; the worker-side sections keep the true
-        split.
-        """
-        bytes_before = ctx.bytes_shipped.get(stage.name, 0)
-        faults_before = _fault_snapshot(ctx, stage.name)
-        with ctx.watch.section(f"stage:{stage.name}"):
-            first_outputs, second_outputs = stage.run_fused(partner, ctx)
-            first_outputs = dict(first_outputs)
-            second_outputs = dict(second_outputs)
-        self._check_outputs(stage, first_outputs)
-        self._check_outputs(partner, second_outputs)
-        ctx.values.update(first_outputs)
-        self.run_counts[stage.name] += 1
-        first_seconds = time.perf_counter() - start
-        if cache is not None:
-            cache.put(
-                key,
-                first_outputs,
-                CacheEntryMeta(
-                    key=key,
-                    stage=stage.name,
-                    outputs=sorted(first_outputs),
-                    seconds=first_seconds,
-                    created_unix=time.time(),
-                ),
-            )
-        second_start = time.perf_counter()
-        second_key = self.stage_key(partner, ctx, produced_by)
-        produced_by.update(dict.fromkeys(partner.outputs, second_key))
-        with ctx.watch.section(f"stage:{partner.name}"):
-            ctx.values.update(second_outputs)
-        self.run_counts[partner.name] += 1
-        second_seconds = time.perf_counter() - second_start
-        if cache is not None:
-            cache.put(
-                second_key,
-                second_outputs,
-                CacheEntryMeta(
-                    key=second_key,
-                    stage=partner.name,
-                    outputs=sorted(second_outputs),
-                    seconds=second_seconds,
-                    created_unix=time.time(),
-                ),
-            )
-        faults_after = _fault_snapshot(ctx, stage.name)
-        report.records.append(
-            StageRecord(
-                name=stage.name,
-                key=key,
-                cached=False,
-                seconds=first_seconds,
-                outputs=sorted(first_outputs),
-                fused=True,
-                bytes_shipped=ctx.bytes_shipped.get(stage.name, 0) - bytes_before,
-                attempts=faults_after["attempts"] - faults_before["attempts"],
-                timeouts=faults_after["timeouts"] - faults_before["timeouts"],
-                pool_rebuilds=faults_after["pool_rebuilds"]
-                - faults_before["pool_rebuilds"],
-            )
-        )
-        report.records.append(
-            StageRecord(
-                name=partner.name,
-                key=second_key,
-                cached=False,
-                seconds=second_seconds,
-                outputs=sorted(second_outputs),
-                fused=True,
-            )
-        )

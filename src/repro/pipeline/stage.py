@@ -171,13 +171,6 @@ class Stage(ABC):
     version:
         Bump when the stage's implementation changes behaviour, so stale
         disk checkpoints from older code are never reused.
-    fusable_with:
-        Name of the immediately-following stage this stage can execute in
-        one fused dispatch (``None`` for most stages).  A stage declaring
-        it must implement :meth:`run_fused`; the pipeline decides per run
-        whether fusing is worthwhile (both stages on the same process
-        backend) and still records **both** stages' cache entries, so
-        downstream-only re-runs and cache hits are preserved bit-identically.
     """
 
     name: str = "abstract"
@@ -185,27 +178,10 @@ class Stage(ABC):
     outputs: Tuple[str, ...] = ()
     config_keys: Tuple[str, ...] = ()
     version: int = 1
-    fusable_with: Optional[str] = None
 
     @abstractmethod
     def run(self, ctx: PipelineContext) -> Mapping[str, object]:
         """Execute the stage and return its declared outputs."""
-
-    def run_fused(
-        self, next_stage: "Stage", ctx: PipelineContext
-    ) -> Tuple[Mapping[str, object], Mapping[str, object]]:
-        """Execute this stage and ``next_stage`` in one fused dispatch.
-
-        Returns ``(own_outputs, next_outputs)`` — each mapping must carry
-        exactly the respective stage's declared outputs, and both must be
-        bit-identical to what the two unfused ``run`` calls would have
-        produced (including any generators threaded between the stages,
-        which the fused job must snapshot at the stage boundary).  Only
-        stages that declare ``fusable_with`` implement this.
-        """
-        raise PipelineError(
-            f"stage {self.name!r} declares no fused execution path"
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

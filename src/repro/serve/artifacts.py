@@ -46,7 +46,6 @@ from repro.core.interpretability import LengthScore
 from repro.core.kgraph import KGraph, KGraphResult
 from repro.exceptions import (
     ArtifactError,
-    ConfigError,
     GraphConstructionError,
     NotFittedError,
     ValidationError,
@@ -111,21 +110,69 @@ def _graphoid_to_payload(graphoid: Graphoid) -> Dict[str, object]:
     }
 
 
-def _graphoid_from_payload(payload: Dict[str, object]) -> Graphoid:
-    return Graphoid(
-        cluster=int(payload["cluster"]),
-        nodes=[int(node) for node in payload["nodes"]],
-        edges=[(int(source), int(target)) for source, target in payload["edges"]],
-        node_scores={
-            int(node): float(score) for node, score in payload["node_scores"].items()
-        },
-        edge_scores={
-            (int(source), int(target)): float(score)
-            for source, target, score in payload["edge_scores"]
-        },
-        kind=str(payload["kind"]),
-        threshold=float(payload["threshold"]),
-    )
+def _read_field(path: Path, field: str, parse, value):
+    """``parse(value)``; a value it rejects is an ArtifactError naming ``field``."""
+    try:
+        return parse(value)
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise ArtifactError(
+            f"artifact {path} manifest field {field} is malformed: {exc}"
+        ) from exc
+
+
+def _read_row(path: Path, field: str, row: object, parsers) -> Dict[str, object]:
+    """Read the JSON object ``row`` with one parser per key.
+
+    A row that is not an object, a missing key and a value its parser
+    rejects are each an :class:`ArtifactError` naming the field.
+    """
+    if not isinstance(row, dict):
+        raise ArtifactError(
+            f"artifact {path} manifest field {field} must be an object, "
+            f"got {type(row).__name__}"
+        )
+    values = {}
+    for key, parse in parsers.items():
+        if key not in row:
+            raise ArtifactError(f"artifact {path} manifest field {field} is missing {key!r}")
+        values[key] = _read_field(path, f"{field}.{key}", parse, row[key])
+    return values
+
+
+def _read_rows(path: Path, field: str, rows: object, parsers) -> List[Dict[str, object]]:
+    """:func:`_read_row` over each entry of the JSON list ``rows``."""
+    if not isinstance(rows, list):
+        raise ArtifactError(
+            f"artifact {path} manifest field {field} must be a list, "
+            f"got {type(rows).__name__}"
+        )
+    return [
+        _read_row(path, f"{field}[{index}]", row, parsers)
+        for index, row in enumerate(rows)
+    ]
+
+
+#: Parsers of the k-Graph manifest rows, one per key (see :func:`_read_row`).
+_FITTED_FIELDS = {
+    "n_series": int,
+    "optimal_length": int,
+    "lengths": lambda lengths: [int(length) for length in lengths],
+}
+_PARTITION_FIELDS = {"length": int, "inertia": float, "n_nodes": int, "n_edges": int}
+_LENGTH_SCORE_FIELDS = {"length": int, "consistency": float, "interpretability": float}
+_GRAPHOID_FIELDS = {
+    "cluster": int,
+    "nodes": lambda nodes: [int(node) for node in nodes],
+    "edges": lambda edges: [(int(source), int(target)) for source, target in edges],
+    "node_scores": lambda scores: {
+        int(node): float(score) for node, score in scores.items()
+    },
+    "edge_scores": lambda scores: {
+        (int(source), int(target)): float(score) for source, target, score in scores
+    },
+    "kind": str,
+    "threshold": float,
+}
 
 
 def _model_params(model: KGraph) -> Dict[str, object]:
@@ -425,7 +472,7 @@ def _load_estimator_model(
         ) from exc
     try:
         config = spec.config_cls.from_dict(manifest["config"])
-    except ConfigError as exc:
+    except ValidationError as exc:
         raise ArtifactError(
             f"artifact {path} holds an unreadable estimator config: {exc}"
         ) from exc
@@ -466,7 +513,7 @@ def _kgraph_from_manifest(path: Path, manifest: Dict[str, object]) -> KGraph:
         payload = {**manifest["params"], "version": 1}
     try:
         return KGraph(config=KGraphConfig.from_dict(payload))
-    except ConfigError as exc:
+    except ValidationError as exc:
         raise ArtifactError(
             f"artifact {path} holds an unreadable k-Graph config: {exc}"
         ) from exc
@@ -482,12 +529,12 @@ def _graph(path: Path, length: int, parts: Dict[str, object], source: str) -> Ti
 
 
 def _array_graphs(
-    path: Path, manifest: Dict[str, object], arrays: Dict[str, np.ndarray]
+    path: Path, fitted: Dict[str, object], arrays: Dict[str, np.ndarray]
 ) -> Dict[int, TimeSeriesGraph]:
     """The graphs of a v4 artifact, from its ``graph_{ℓ}_*`` arrays."""
-    n_series = int(manifest["fitted"]["n_series"])
+    n_series = fitted["n_series"]
     graphs: Dict[int, TimeSeriesGraph] = {}
-    for length in map(int, manifest["fitted"]["lengths"]):
+    for length in fitted["lengths"]:
         parts = {}
         for part in _GRAPH_ARRAYS:
             key = f"graph_{length}_{part}"
@@ -551,62 +598,72 @@ def _load_kgraph_model(
             )
     model = _kgraph_from_manifest(path, manifest)
 
-    # Nested-field corruption (a row or graphoid missing a key) must surface
-    # as ArtifactError, like every other failure mode of this module.
-    try:
-        if manifest["schema_version"] < _ARRAY_GRAPHS_VERSION:
-            graphs = _legacy_graphs(path, arrays)
-        else:
-            graphs = _array_graphs(path, manifest, arrays)
-        partitions: List[GraphPartition] = []
-        for row in manifest["partitions"]:
-            length = int(row["length"])
-            labels_key = f"partition_{length}_labels"
-            features_key = f"partition_{length}_features"
-            if labels_key not in arrays or features_key not in arrays:
-                raise ArtifactError(
-                    f"artifact {path} misses partition payloads for length {length}"
-                )
-            partitions.append(
-                GraphPartition(
-                    length=length,
-                    labels=arrays[labels_key],
-                    feature_matrix=arrays[features_key],
-                    inertia=float(row["inertia"]),
-                    n_nodes=int(row["n_nodes"]),
-                    n_edges=int(row["n_edges"]),
-                )
+    fitted = _read_row(path, "fitted", manifest["fitted"], _FITTED_FIELDS)
+    if manifest["schema_version"] < _ARRAY_GRAPHS_VERSION:
+        graphs = _legacy_graphs(path, arrays)
+    else:
+        graphs = _array_graphs(path, fitted, arrays)
+
+    def check_length(field: str, length: int) -> None:
+        if length not in graphs:
+            raise ArtifactError(
+                f"artifact {path} manifest field {field} is {length}, which is "
+                f"not a length of the stored graphs {sorted(graphs)}"
             )
 
-        graphoids = manifest.get("graphoids", {})
-        lambda_graphoids = {
-            int(p["cluster"]): _graphoid_from_payload(p) for p in graphoids.get("lambda", [])
-        }
-        gamma_graphoids = {
-            int(p["cluster"]): _graphoid_from_payload(p) for p in graphoids.get("gamma", [])
-        }
-
-        model.result_ = KGraphResult(
-            labels=arrays["labels"],
-            graphs=graphs,
-            partitions=partitions,
-            consensus_matrix=arrays["consensus_matrix"],
-            length_scores=[
-                LengthScore(
-                    length=int(row["length"]),
-                    consistency=float(row["consistency"]),
-                    interpretability=float(row["interpretability"]),
-                )
-                for row in manifest["length_scores"]
-            ],
-            optimal_length=int(manifest["fitted"]["optimal_length"]),
-            lambda_graphoids=lambda_graphoids,
-            gamma_graphoids=gamma_graphoids,
-            timings={str(k): float(v) for k, v in manifest.get("timings", {}).items()},
+    check_length("fitted.optimal_length", fitted["optimal_length"])
+    partitions: List[GraphPartition] = []
+    rows = _read_rows(path, "partitions", manifest["partitions"], _PARTITION_FIELDS)
+    for index, row in enumerate(rows):
+        length = row["length"]
+        check_length(f"partitions[{index}].length", length)
+        labels_key = f"partition_{length}_labels"
+        features_key = f"partition_{length}_features"
+        if labels_key not in arrays or features_key not in arrays:
+            raise ArtifactError(
+                f"artifact {path} misses partition payloads for length {length}"
+            )
+        partitions.append(
+            GraphPartition(
+                labels=arrays[labels_key], feature_matrix=arrays[features_key], **row
+            )
         )
-    except KeyError as exc:
+
+    graphoid_rows = manifest.get("graphoids", {})
+    if not isinstance(graphoid_rows, dict):
         raise ArtifactError(
-            f"artifact {path} manifest is missing field {exc}"
-        ) from exc
+            f"artifact {path} manifest field graphoids must be an object, "
+            f"got {type(graphoid_rows).__name__}"
+        )
+    graphoids = {
+        kind: {
+            row["cluster"]: Graphoid(**row)
+            for row in _read_rows(
+                path, f"graphoids.{kind}", graphoid_rows.get(kind, []), _GRAPHOID_FIELDS
+            )
+        }
+        for kind in ("lambda", "gamma")
+    }
+    length_scores = _read_rows(
+        path, "length_scores", manifest["length_scores"], _LENGTH_SCORE_FIELDS
+    )
+    timings = _read_field(
+        path,
+        "timings",
+        lambda values: {str(name): float(value) for name, value in values.items()},
+        manifest.get("timings", {}),
+    )
+
+    model.result_ = KGraphResult(
+        labels=arrays["labels"],
+        graphs=graphs,
+        partitions=partitions,
+        consensus_matrix=arrays["consensus_matrix"],
+        length_scores=[LengthScore(**row) for row in length_scores],
+        optimal_length=fitted["optimal_length"],
+        lambda_graphoids=graphoids["lambda"],
+        gamma_graphoids=graphoids["gamma"],
+        timings=timings,
+    )
     model.labels_ = model.result_.labels
     return model

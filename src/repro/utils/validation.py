@@ -52,7 +52,7 @@ def check_probability(value: float, name: str, *, inclusive: bool = True) -> flo
     """Validate that ``value`` lies in [0, 1] (or (0, 1) when not inclusive)."""
     try:
         value = float(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{name} must be a float in [0, 1], got {value!r}") from exc
     if np.isnan(value):
         raise ValidationError(f"{name} must not be NaN")

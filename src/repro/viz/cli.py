@@ -22,7 +22,7 @@ Sub-commands:
   k-Graph pipeline with checkpointing; ``--resume`` replays unchanged
   stages from the cache, ``--stage-backend embed=thread`` picks a backend
   per stage, ``--cache-budget BYTES --cache-policy lru|lfu`` bound the
-  checkpoint directory, ``--fuse``/``--no-fuse`` control fused dispatch
+  checkpoint directory
 * ``graphint pipeline inspect --cache DIR`` — list the checkpoints of a
   pipeline cache directory
 * ``graphint estimators list`` — every estimator registry name (k-Graph
@@ -342,20 +342,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("lru", "lfu"),
         default="lru",
         help="eviction order under --cache-budget (default: lru)",
-    )
-    pipeline_run.add_argument(
-        "--fuse",
-        dest="fuse",
-        action="store_true",
-        default=None,
-        help="force fused dispatch of adjacent fusable stages "
-        "(default: automatic when both share one process backend)",
-    )
-    pipeline_run.add_argument(
-        "--no-fuse",
-        dest="fuse",
-        action="store_false",
-        help="disable fused stage dispatch",
     )
     pipeline_run.add_argument(
         "--stage-backend",
@@ -681,7 +667,6 @@ def _cmd_pipeline_run(args: argparse.Namespace) -> int:
         fallback=fallback,
         stage_backends=stage_backends or None,
         stage_cache=cache,
-        fuse_stages=args.fuse,
     ).fit(dataset.data)
 
     report = model.pipeline_report_
@@ -697,7 +682,7 @@ def _cmd_pipeline_run(args: argparse.Namespace) -> int:
         f"{'att':>4} {'t/o':>4} {'rbld':>5}  key"
     )
     for record in report.records:
-        status = "cached" if record.cached else ("fused" if record.fused else "ran")
+        status = "cached" if record.cached else "ran"
         print(
             f"{record.name:<18} {status:<8} {record.seconds:>9.4f} "
             f"{record.bytes_shipped:>10} {record.attempts:>4} "

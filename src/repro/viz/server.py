@@ -243,8 +243,13 @@ class _Handler(BaseHTTPRequestHandler):
                 self.send_header("Retry-After", str(int(retry_after)))
             except (json.JSONDecodeError, KeyError, TypeError, ValueError):
                 pass
-        self.end_headers()
-        self.wfile.write(payload)
+        try:
+            self.end_headers()
+            self.wfile.write(payload)
+        except (BrokenPipeError, ConnectionResetError):
+            # The client hung up (a coordinator drops requests it timed
+            # out): the request is finished, and there is nothing to log.
+            self.close_connection = True
 
     def do_GET(self) -> None:  # noqa: N802 - http.server naming convention
         self._dispatch("GET")

@@ -93,6 +93,36 @@ class TestConfigRoundTrip:
             KGraphConfig.from_options(overrides={"striide": 2})
 
 
+#: Malformed field values as they arrive from JSON (``from_dict``, model
+#: manifests, ``--set``) or from callers, with the error each must raise.
+MALFORMED_FIELDS = [
+    pytest.param("lengths", [2.7, 10.9], "length must be an integer", id="float"),
+    pytest.param("lengths", [[1]], "length must be an integer", id="nested-list"),
+    pytest.param("lengths", [None], "length must be an integer", id="none"),
+    pytest.param("lengths", [{}], "length must be an integer", id="object"),
+    pytest.param("lengths", ["a"], "length must be an integer", id="string"),
+    pytest.param("lengths", [float("nan")], "length must be an integer", id="nan"),
+    pytest.param("lengths", [float("inf")], "length must be an integer", id="inf"),
+    pytest.param("lengths", [True], "length must be an integer", id="bool"),
+    pytest.param("lambda_threshold", 10**400, "lambda_threshold must be a float", id="huge-int"),
+]
+
+
+class TestMalformedFields:
+    """A malformed value is a ValidationError naming it, never a silent cast."""
+
+    @pytest.mark.parametrize(("name", "value", "message"), MALFORMED_FIELDS)
+    def test_constructor_rejects(self, name, value, message):
+        with pytest.raises(ValidationError, match=message):
+            KGraphConfig(**{name: value})
+
+    @pytest.mark.parametrize(("name", "value", "message"), MALFORMED_FIELDS)
+    def test_from_dict_rejects(self, name, value, message):
+        payload = {**KGraphConfig().to_dict(), name: value}
+        with pytest.raises(ValidationError, match=message):
+            KGraphConfig.from_dict(payload)
+
+
 class TestMigration:
     def test_version_1_payload_fills_defaults(self):
         # v1 = the legacy manifest-params layout: flat, no version key,

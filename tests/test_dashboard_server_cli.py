@@ -1,8 +1,10 @@
 """Tests for the session, dashboard assembly, HTTP server routing and CLI."""
 
 import hashlib
+import io
 import json
 import os
+import socket
 import subprocess
 import sys
 import textwrap
@@ -16,7 +18,7 @@ from repro.datasets.synthetic import make_cylinder_bell_funnel
 from repro.exceptions import ValidationError
 from repro.viz.cli import main as cli_main
 from repro.viz.dashboard import build_dashboard
-from repro.viz.server import DashboardApplication
+from repro.viz.server import DashboardApplication, serve_application
 from repro.viz.session import GraphintSession
 
 
@@ -223,6 +225,40 @@ class TestServerRouting:
         assert first is second
 
 
+class TestHungUpClient:
+    @pytest.mark.parametrize("error", [BrokenPipeError, ConnectionResetError])
+    def test_a_client_that_hung_up_is_a_finished_request(self, error):
+        # A client that hangs up before the response is written (a
+        # coordinator dropping a request it timed out) must not reach the
+        # server's handle_error, which prints a traceback per request.
+        class Stub:
+            def handle_request(self, method, path, body=None):
+                return 200, "application/json", "{}"
+
+        class HungUpWriter(io.BytesIO):
+            def write(self, data):
+                raise error()
+
+        server = serve_application(Stub(), port=0, poll=False)
+
+        class HungUpHandler(server.RequestHandlerClass):
+            def setup(self):
+                super().setup()
+                self.wfile = HungUpWriter()
+
+        server.RequestHandlerClass = HungUpHandler
+        errors = []
+        server.handle_error = lambda request, address: errors.append(sys.exc_info()[1])
+        ours, client = socket.socketpair()
+        try:
+            client.sendall(b"GET /healthz HTTP/1.0\r\n\r\n")
+            server.process_request_thread(ours, ("127.0.0.1", 0))
+        finally:
+            client.close()
+            server.server_close()
+        assert errors == []
+
+
 class TestCLI:
     def test_datasets_command(self, capsys):
         assert cli_main(["datasets"]) == 0
@@ -299,7 +335,7 @@ class TestCLI:
 
         # The serve command mounts the model API next to the dashboard.
         from repro.serve import ModelRegistry, ServeApplication
-        from repro.viz.server import DashboardApplication
+        from repro.viz.server import DashboardApplication, serve_application
         from repro.serve.service import CombinedApplication
 
         combined = CombinedApplication(

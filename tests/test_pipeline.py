@@ -1,12 +1,11 @@
 """Tests for :mod:`repro.pipeline`: the stage framework, the
 content-addressed cache, and the equivalence of the pipeline-driven
-``KGraph.fit`` with the retained reference monolith.
+``KGraph.fit`` with the serial reference fit of ``oracles.kgraph``.
 
 The acceptance bar of the refactor is asserted here:
 
 * ``fit`` / ``fit_predict`` / ``prediction_state`` through the pipeline are
-  **bit-identical** to ``fit_reference`` (the seed monolith) on every
-  execution backend;
+  **bit-identical** to ``fit_reference`` on every execution backend;
 * with a :class:`StageCache`, a one-parameter change re-executes only the
   stages downstream of the change (verified via the per-run stage records
   and the pipeline's stage-run counters) and still produces results
@@ -19,6 +18,7 @@ import pytest
 from repro.benchmark.runner import BenchmarkRunner
 from repro.core.kgraph import KGraph
 from repro.exceptions import PipelineError, ValidationError
+from repro.parallel import ProcessBackend
 from repro.pipeline import (
     KGRAPH_STAGE_NAMES,
     DiskStageCache,
@@ -32,6 +32,7 @@ from repro.pipeline import (
 )
 
 from oracles.graph import assert_graphs_identical
+from oracles.kgraph import fit_reference
 
 ALL_STAGES = list(KGRAPH_STAGE_NAMES)
 
@@ -276,7 +277,7 @@ class TestStageCaches:
 
 
 # --------------------------------------------------------------------------- #
-# KGraph equivalence: pipeline vs the retained reference monolith
+# KGraph equivalence: pipeline vs the serial reference fit
 # --------------------------------------------------------------------------- #
 def _assert_fits_identical(fitted: KGraph, reference: KGraph) -> None:
     assert np.array_equal(fitted.labels_, reference.labels_)
@@ -317,8 +318,8 @@ class TestKGraphPipelineEquivalence:
         fitted = KGraph(
             n_clusters=3, n_lengths=2, random_state=11, backend=backend, n_jobs=jobs
         ).fit(small_dataset.data)
-        reference = KGraph(n_clusters=3, n_lengths=2, random_state=11).fit_reference(
-            small_dataset.data
+        reference = fit_reference(
+            KGraph(n_clusters=3, n_lengths=2, random_state=11), small_dataset.data
         )
         _assert_fits_identical(fitted, reference)
 
@@ -326,8 +327,8 @@ class TestKGraphPipelineEquivalence:
         pipeline_labels = KGraph(
             n_clusters=3, n_lengths=3, random_state=0
         ).fit_predict(small_dataset.data)
-        reference = KGraph(n_clusters=3, n_lengths=3, random_state=0).fit_reference(
-            small_dataset.data
+        reference = fit_reference(
+            KGraph(n_clusters=3, n_lengths=3, random_state=0), small_dataset.data
         )
         assert np.array_equal(pipeline_labels, reference.labels_)
 
@@ -339,8 +340,8 @@ class TestKGraphPipelineEquivalence:
             stage_backends={"embed": "thread", "interpretability": "serial"},
             n_jobs=2,
         ).fit(small_dataset.data)
-        reference = KGraph(n_clusters=3, n_lengths=2, random_state=4).fit_reference(
-            small_dataset.data
+        reference = fit_reference(
+            KGraph(n_clusters=3, n_lengths=2, random_state=4), small_dataset.data
         )
         _assert_fits_identical(fitted, reference)
 
@@ -360,9 +361,9 @@ class TestKGraphPipelineEquivalence:
         summary = model.result_.summary()
         assert list(summary["stage_timings"]) == ALL_STAGES
         assert all(seconds >= 0.0 for seconds in summary["stage_timings"].values())
-        # The reference monolith records no stage sections.
-        reference = KGraph(n_clusters=3, n_lengths=2, random_state=0).fit_reference(
-            small_dataset.data
+        # The reference fit records no stage sections.
+        reference = fit_reference(
+            KGraph(n_clusters=3, n_lengths=2, random_state=0), small_dataset.data
         )
         assert reference.pipeline_report_ is None
         assert reference.result_.stage_timings() == {}
@@ -421,7 +422,7 @@ class TestKGraphResume:
             name for name in ALL_STAGES if name not in expected_cached
         ]
         # The warm, partially replayed fit must equal a cold fit bit for bit.
-        cold = KGraph(**params).fit_reference(small_dataset.data)
+        cold = fit_reference(KGraph(**params), small_dataset.data)
         _assert_fits_identical(warm, cold)
 
     def test_seed_change_invalidates_everything(self, small_dataset):
@@ -504,6 +505,60 @@ class TestKGraphResume:
         ).fit(small_dataset.data)
         assert second.pipeline_report_.cached == ALL_STAGES
         _assert_fits_identical(second, first)
+
+    def test_process_fit_cache_replays_in_serial_fit(self, small_dataset):
+        # Stage keys never name the backend and jobs carry their own
+        # generators, so checkpoints a process pool wrote replay in a serial
+        # fit and equal a cold serial fit.
+        params = dict(n_clusters=3, n_lengths=2, random_state=11)
+        cache = MemoryStageCache()
+        backend = ProcessBackend(2)
+        try:
+            pooled = KGraph(**params, backend=backend, stage_cache=cache).fit(
+                small_dataset.data
+            )
+        finally:
+            backend.close()
+        replay = KGraph(**params, stage_cache=cache).fit(small_dataset.data)
+        cold = KGraph(**params).fit(small_dataset.data)
+        assert pooled.pipeline_report_.executed == ALL_STAGES
+        assert replay.pipeline_report_.cached == ALL_STAGES
+        assert replay.pipeline_report_.stage_keys == pooled.pipeline_report_.stage_keys
+        assert cold.pipeline_report_.stage_keys == pooled.pipeline_report_.stage_keys
+        _assert_fits_identical(replay, cold)
+
+
+# --------------------------------------------------------------------------- #
+# transfer accounting: what each stage pickled across the process boundary
+# --------------------------------------------------------------------------- #
+class TestBytesShipped:
+    def test_process_backend_accounts_shipped_bytes(self, small_dataset):
+        backend = ProcessBackend(2)
+        try:
+            model = KGraph(
+                n_clusters=3, n_lengths=2, random_state=11, backend=backend
+            ).fit(small_dataset.data)
+        finally:
+            backend.close()
+        summary = model.result_.summary()
+        by_name = {record.name: record for record in model.pipeline_report_.records}
+        # embed ships the data out; graph_cluster ships the graphs back out.
+        for name in ("embed", "graph_cluster"):
+            assert model.result_.bytes_shipped.get(name, 0) > 0
+            assert model.pipeline_report_.stage_bytes_shipped[name] > 0
+            assert summary["stage_bytes_shipped"][name] > 0
+            assert by_name[name].as_dict()["bytes_shipped"] > 0
+
+    def test_serial_backend_ships_nothing(self, small_dataset):
+        model = KGraph(n_clusters=3, n_lengths=2, random_state=11).fit(
+            small_dataset.data
+        )
+        # Nothing crosses a process boundary: the context never accumulates
+        # transfer, and every stage record reports zero bytes.
+        assert model.result_.bytes_shipped == {}
+        shipped = model.pipeline_report_.stage_bytes_shipped
+        assert set(shipped) == set(ALL_STAGES)
+        assert all(value == 0 for value in shipped.values())
 
 
 # --------------------------------------------------------------------------- #

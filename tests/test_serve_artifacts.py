@@ -23,6 +23,7 @@ from repro.serve.artifacts import (
 from repro.serve.registry import ModelRegistry
 
 from oracles.graph import assert_graphs_identical, record_trajectories
+from oracles.kgraph import fit_reference
 
 
 def _read_arrays(artifact_dir):
@@ -183,8 +184,8 @@ class TestManifest:
             assert stage["seconds"] >= 0.0
 
     def test_reference_fit_records_no_pipeline(self, small_dataset, tmp_path):
-        model = KGraph(n_clusters=3, n_lengths=2, random_state=0).fit_reference(
-            small_dataset.data
+        model = fit_reference(
+            KGraph(n_clusters=3, n_lengths=2, random_state=0), small_dataset.data
         )
         path = save_model(model, tmp_path / "m")
         assert read_manifest(path)["pipeline"] is None
@@ -338,6 +339,73 @@ class TestCorruptGraphArrays:
         key = _corrupt(case, arrays, length, fitted_kgraph.result_.graphs[length].n_nodes)
         _write_arrays(record.path, arrays)
         with pytest.raises(ArtifactError, match=key):
+            registry.fetch("cbf")
+
+
+def _drop_a_partition_graph(manifest, model):
+    """Drop a non-selected length from ``fitted.lengths``; its partition stays."""
+    dropped = next(length for length in model.result_.graphs if length != model.optimal_length_)
+    manifest["fitted"]["lengths"].remove(dropped)
+
+
+#: Manifest corruptions, each with the field its ArtifactError must name.
+MANIFEST_CASES = [
+    pytest.param(
+        lambda m, _: m["partitions"][0].update(length="x"), r"partitions\[0\]\.length", id="length-string"
+    ),
+    pytest.param(
+        lambda m, _: m["partitions"][0].update(length=None), r"partitions\[0\]\.length", id="length-null"
+    ),
+    pytest.param(lambda m, _: m["partitions"].__setitem__(0, [8, 1.0]), r"partitions\[0\]", id="row-list"),
+    pytest.param(lambda m, _: m.__setitem__("partitions", 5), r"field partitions", id="partitions-number"),
+    pytest.param(
+        lambda m, _: m["partitions"][0].update(inertia="abc"), r"partitions\[0\]\.inertia", id="inertia"
+    ),
+    pytest.param(
+        lambda m, _: m["graphoids"]["lambda"][0].update(nodes="ab"),
+        r"graphoids\.lambda\[0\]\.nodes",
+        id="graphoid-nodes",
+    ),
+    pytest.param(
+        lambda m, _: m["graphoids"]["gamma"][0].update(edges=[[1]]),
+        r"graphoids\.gamma\[0\]\.edges",
+        id="graphoid-edges",
+    ),
+    pytest.param(lambda m, _: m.__setitem__("graphoids", [1]), r"field graphoids", id="graphoids-list"),
+    pytest.param(
+        lambda m, _: m["length_scores"][0].update(consistency="q"),
+        r"length_scores\[0\]\.consistency",
+        id="score",
+    ),
+    pytest.param(
+        lambda m, _: m["fitted"].update(optimal_length=9999), r"fitted\.optimal_length", id="optimal-length"
+    ),
+    pytest.param(_drop_a_partition_graph, r"partitions\[\d\]\.length", id="partition-without-graph"),
+    pytest.param(lambda m, _: m["config"].update(lengths=[2.5]), r"k-Graph config", id="config-lengths"),
+]
+
+
+def _corrupt_manifest(artifact_dir, corrupt, model):
+    manifest = read_manifest(artifact_dir)
+    corrupt(manifest, model)
+    (artifact_dir / "manifest.json").write_text(json.dumps(manifest))
+
+
+class TestCorruptManifestRows:
+    """A malformed manifest row is an ArtifactError naming its field."""
+
+    @pytest.mark.parametrize(("corrupt", "field"), MANIFEST_CASES)
+    def test_load_model_names_the_field(self, fitted_kgraph, artifact_dir, corrupt, field):
+        _corrupt_manifest(artifact_dir, corrupt, fitted_kgraph)
+        with pytest.raises(ArtifactError, match=field):
+            load_model(artifact_dir)
+
+    @pytest.mark.parametrize(("corrupt", "field"), MANIFEST_CASES)
+    def test_registry_fetch_gives_the_typed_error(self, fitted_kgraph, tmp_path, corrupt, field):
+        registry = ModelRegistry(tmp_path / "registry")
+        record = registry.publish(fitted_kgraph, "cbf")
+        _corrupt_manifest(record.path, corrupt, fitted_kgraph)
+        with pytest.raises(ArtifactError, match=field):
             registry.fetch("cbf")
 
 
