@@ -335,7 +335,7 @@ class TestCLI:
 
         # The serve command mounts the model API next to the dashboard.
         from repro.serve import ModelRegistry, ServeApplication
-        from repro.viz.server import DashboardApplication, serve_application
+        from repro.viz.server import DashboardApplication
         from repro.serve.service import CombinedApplication
 
         combined = CombinedApplication(
