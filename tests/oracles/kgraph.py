@@ -4,7 +4,7 @@ The whole method of Figure 1 as one serial loop: embed and cluster each
 length, build the consensus, score the lengths and extract the graphoids of
 the selected graph.  It spawns the same child generators as ``KGraph.fit``,
 so the pipeline must match it bit for bit on every backend and whichever
-stages replay a checkpoint.
+stages replay a checkpoint; :func:`assert_fits_identical` checks that.
 """
 
 import numpy as np
@@ -17,6 +17,8 @@ from repro.graph.embedding import GraphEmbedding
 from repro.graph.graphoid import extract_gamma_graphoid, extract_lambda_graphoid
 from repro.utils.rng import spawn_rng
 from repro.utils.validation import check_random_state
+
+from oracles.graph import assert_graphs_identical
 
 
 def fit_reference(model: KGraph, data) -> KGraph:
@@ -70,3 +72,36 @@ def fit_reference(model: KGraph, data) -> KGraph:
     model.labels_ = labels
     model.pipeline_report_ = None
     return model
+
+
+def assert_fits_identical(fitted: KGraph, reference: KGraph) -> None:
+    """Assert that two fitted models hold the same results, bit for bit."""
+    assert np.array_equal(fitted.labels_, reference.labels_)
+    assert np.array_equal(
+        fitted.result_.consensus_matrix, reference.result_.consensus_matrix
+    )
+    assert fitted.result_.optimal_length == reference.result_.optimal_length
+    assert sorted(fitted.result_.graphs) == sorted(reference.result_.graphs)
+    for length in fitted.result_.graphs:
+        assert_graphs_identical(
+            fitted.result_.graphs[length], reference.result_.graphs[length]
+        )
+    for ours, theirs in zip(fitted.result_.partitions, reference.result_.partitions):
+        assert ours.length == theirs.length
+        assert np.array_equal(ours.labels, theirs.labels)
+        assert np.array_equal(ours.feature_matrix, theirs.feature_matrix)
+    for score_a, score_b in zip(
+        fitted.result_.length_scores, reference.result_.length_scores
+    ):
+        assert score_a == score_b
+    for kind in ("lambda_graphoids", "gamma_graphoids"):
+        ours, theirs = getattr(fitted.result_, kind), getattr(reference.result_, kind)
+        assert set(ours) == set(theirs)
+        for cluster in ours:
+            assert ours[cluster].nodes == theirs[cluster].nodes
+            assert ours[cluster].edges == theirs[cluster].edges
+    state_a, state_b = fitted.prediction_state(), reference.prediction_state()
+    assert state_a.length == state_b.length
+    assert np.array_equal(state_a.patterns, state_b.patterns)
+    assert np.array_equal(state_a.centroids, state_b.centroids)
+    assert np.array_equal(state_a.clusters, state_b.clusters)

@@ -31,8 +31,7 @@ from repro.pipeline import (
     resolve_stage_cache,
 )
 
-from oracles.graph import assert_graphs_identical
-from oracles.kgraph import fit_reference
+from oracles.kgraph import assert_fits_identical, fit_reference
 
 ALL_STAGES = list(KGRAPH_STAGE_NAMES)
 
@@ -279,38 +278,6 @@ class TestStageCaches:
 # --------------------------------------------------------------------------- #
 # KGraph equivalence: pipeline vs the serial reference fit
 # --------------------------------------------------------------------------- #
-def _assert_fits_identical(fitted: KGraph, reference: KGraph) -> None:
-    assert np.array_equal(fitted.labels_, reference.labels_)
-    assert np.array_equal(
-        fitted.result_.consensus_matrix, reference.result_.consensus_matrix
-    )
-    assert fitted.result_.optimal_length == reference.result_.optimal_length
-    assert sorted(fitted.result_.graphs) == sorted(reference.result_.graphs)
-    for length in fitted.result_.graphs:
-        assert_graphs_identical(
-            fitted.result_.graphs[length], reference.result_.graphs[length]
-        )
-    for ours, theirs in zip(fitted.result_.partitions, reference.result_.partitions):
-        assert ours.length == theirs.length
-        assert np.array_equal(ours.labels, theirs.labels)
-        assert np.array_equal(ours.feature_matrix, theirs.feature_matrix)
-    for score_a, score_b in zip(
-        fitted.result_.length_scores, reference.result_.length_scores
-    ):
-        assert score_a == score_b
-    for kind in ("lambda_graphoids", "gamma_graphoids"):
-        ours, theirs = getattr(fitted.result_, kind), getattr(reference.result_, kind)
-        assert set(ours) == set(theirs)
-        for cluster in ours:
-            assert ours[cluster].nodes == theirs[cluster].nodes
-            assert ours[cluster].edges == theirs[cluster].edges
-    state_a, state_b = fitted.prediction_state(), reference.prediction_state()
-    assert state_a.length == state_b.length
-    assert np.array_equal(state_a.patterns, state_b.patterns)
-    assert np.array_equal(state_a.centroids, state_b.centroids)
-    assert np.array_equal(state_a.clusters, state_b.clusters)
-
-
 class TestKGraphPipelineEquivalence:
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     def test_bit_identical_to_reference_across_backends(self, small_dataset, backend):
@@ -321,7 +288,7 @@ class TestKGraphPipelineEquivalence:
         reference = fit_reference(
             KGraph(n_clusters=3, n_lengths=2, random_state=11), small_dataset.data
         )
-        _assert_fits_identical(fitted, reference)
+        assert_fits_identical(fitted, reference)
 
     def test_fit_predict_matches_reference(self, small_dataset):
         pipeline_labels = KGraph(
@@ -343,7 +310,7 @@ class TestKGraphPipelineEquivalence:
         reference = fit_reference(
             KGraph(n_clusters=3, n_lengths=2, random_state=4), small_dataset.data
         )
-        _assert_fits_identical(fitted, reference)
+        assert_fits_identical(fitted, reference)
 
     def test_unknown_stage_backend_rejected(self, small_dataset):
         model = KGraph(n_clusters=3, stage_backends={"embedding": "thread"})
@@ -392,7 +359,7 @@ class TestKGraphResume:
         ).fit(small_dataset.data)
         assert first.pipeline_report_.executed == ALL_STAGES
         assert second.pipeline_report_.cached == ALL_STAGES
-        _assert_fits_identical(second, first)
+        assert_fits_identical(second, first)
 
     @pytest.mark.parametrize(
         ("override", "expected_cached"),
@@ -423,7 +390,7 @@ class TestKGraphResume:
         ]
         # The warm, partially replayed fit must equal a cold fit bit for bit.
         cold = fit_reference(KGraph(**params), small_dataset.data)
-        _assert_fits_identical(warm, cold)
+        assert_fits_identical(warm, cold)
 
     def test_seed_change_invalidates_everything(self, small_dataset):
         cache = MemoryStageCache()
@@ -504,28 +471,7 @@ class TestKGraphResume:
             n_clusters=3, n_lengths=2, random_state=0, stage_cache=str(cache_dir)
         ).fit(small_dataset.data)
         assert second.pipeline_report_.cached == ALL_STAGES
-        _assert_fits_identical(second, first)
-
-    def test_process_fit_cache_replays_in_serial_fit(self, small_dataset):
-        # Stage keys never name the backend and jobs carry their own
-        # generators, so checkpoints a process pool wrote replay in a serial
-        # fit and equal a cold serial fit.
-        params = dict(n_clusters=3, n_lengths=2, random_state=11)
-        cache = MemoryStageCache()
-        backend = ProcessBackend(2)
-        try:
-            pooled = KGraph(**params, backend=backend, stage_cache=cache).fit(
-                small_dataset.data
-            )
-        finally:
-            backend.close()
-        replay = KGraph(**params, stage_cache=cache).fit(small_dataset.data)
-        cold = KGraph(**params).fit(small_dataset.data)
-        assert pooled.pipeline_report_.executed == ALL_STAGES
-        assert replay.pipeline_report_.cached == ALL_STAGES
-        assert replay.pipeline_report_.stage_keys == pooled.pipeline_report_.stage_keys
-        assert cold.pipeline_report_.stage_keys == pooled.pipeline_report_.stage_keys
-        _assert_fits_identical(replay, cold)
+        assert_fits_identical(second, first)
 
 
 # --------------------------------------------------------------------------- #
