@@ -63,7 +63,7 @@ def test_bench_dashboard_generation(benchmark):
         format_table(rows, ["step", "seconds"])
         + f"\n\ndashboard size: {len(page) / 1024:.0f} KiB, embedded SVG plots: {page.count('<svg')}"
         + f"\nframes present: {', '.join(present)}"
-        + f"\nwritten to {RESULTS_DIR / 'graphint_dashboard.html'}"
+        + f"\nwritten to {(RESULTS_DIR / 'graphint_dashboard.html').relative_to(RESULTS_DIR.parents[1])}"
     )
     report("E10: Dashboard generation (Fig. 2 system overview)", summary)
     benchmark.extra_info["dashboard_kib"] = round(len(page) / 1024)

@@ -214,7 +214,10 @@ class EstimatorConfig:
         """Inverse of :meth:`to_json`."""
         try:
             payload = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError: malformed JSON, or an integer literal past the
+            # interpreter's digit limit.  RecursionError: arrays nested
+            # deeper than the parser can follow.
             raise ConfigError(f"{cls.__name__} payload is not valid JSON: {exc}") from exc
         return cls.from_dict(payload)
 

@@ -392,7 +392,10 @@ def read_manifest(path: Union[str, Path]) -> Dict[str, object]:
     try:
         with manifest_path.open("r", encoding="utf-8") as handle:
             manifest = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError: undecodable bytes, malformed JSON, or an integer
+        # literal past the interpreter's digit limit.  RecursionError:
+        # arrays nested deeper than the parser can follow.
         raise ArtifactError(f"could not read manifest of {path}: {exc}") from exc
     if not isinstance(manifest, dict):
         raise ArtifactError(f"manifest of {path} must be a JSON object")

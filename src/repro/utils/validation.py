@@ -53,7 +53,10 @@ def check_probability(value: float, name: str, *, inclusive: bool = True) -> flo
     try:
         value = float(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{name} must be a float in [0, 1], got {value!r}") from exc
+        # An integer past float range is named by its size: its repr can be
+        # past the interpreter's digit limit, and then raises itself.
+        shown = f"an integer of {value.bit_length()} bits" if isinstance(value, int) else repr(value)
+        raise ValidationError(f"{name} must be a float in [0, 1], got {shown}") from exc
     if np.isnan(value):
         raise ValidationError(f"{name} must not be NaN")
     if inclusive:

@@ -13,13 +13,7 @@ from typing import Optional, Sequence, Union
 
 from repro.benchmark.runner import BenchmarkResult
 from repro.exceptions import VisualizationError
-from repro.viz.frames import (
-    build_benchmark_frame,
-    build_clustering_comparison_frame,
-    build_graph_frame,
-    build_interpretability_frame,
-    build_under_the_hood_frame,
-)
+from repro.viz.frames import build_benchmark_frame, build_graph_frame
 from repro.viz.session import GraphintSession
 
 _STYLE = """
@@ -75,6 +69,12 @@ def build_dashboard(
 ) -> str:
     """Render the full dashboard for one fitted session.
 
+    Only the benchmark and graph frames are rendered per call.  The other
+    three frames and the graph layout depend on the session alone and come
+    from it, rendered on the session's first page
+    (:meth:`GraphintSession.static_frames`,
+    :meth:`GraphintSession.graph_layout`).
+
     Parameters
     ----------
     session:
@@ -94,33 +94,30 @@ def build_dashboard(
     session.fit()
     session.build_quizzes()
 
+    head, *tail = session.static_frames()
     frames = []
-    frames.append(
-        build_clustering_comparison_frame(session.dataset, session.method_labels)
-    )
     if benchmark_results:
         frames.append(build_benchmark_frame(benchmark_results, measure=measure))
     frames.append(
         build_graph_frame(
             session.kgraph,
             session.dataset,
+            positions=session.graph_layout(),
             lambda_threshold=lambda_threshold,
             gamma_threshold=gamma_threshold,
             selected_node=selected_node,
-            random_state=session.random_state,
         )
     )
-    frames.append(build_interpretability_frame(session.quizzes, session.quiz_scores))
-    frames.append(build_under_the_hood_frame(session.kgraph))
+    sections = [head, *((frame.frame_id, frame.to_html()) for frame in frames), *tail]
 
-    body = "\n".join(frame.to_html() for frame in frames)
+    body = "\n".join(text for _, text in sections)
     summary = session.summary()
     subtitle = (
         f"dataset: {session.dataset.name} | {session.dataset.n_series} series x "
         f"{session.dataset.length} points | k = {session.n_clusters} | "
         f"k-Graph ARI = {summary['ari']['kgraph']:.3f}"
     )
-    page = _page("Graphint", subtitle, body, [frame.frame_id for frame in frames])
+    page = _page("Graphint", subtitle, body, [frame_id for frame_id, _ in sections])
 
     if output_path is not None:
         path = Path(output_path)

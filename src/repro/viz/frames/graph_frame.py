@@ -8,12 +8,13 @@ and the per-cluster graphoid summary.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.core.kgraph import KGraph
 from repro.exceptions import VisualizationError
+from repro.graph.layout import Position
 from repro.utils.containers import TimeSeriesDataset
 from repro.utils.normalization import znormalize
 from repro.viz.frames.base import Frame, Panel, html_table
@@ -44,14 +45,16 @@ def build_graph_frame(
     model: KGraph,
     dataset: TimeSeriesDataset,
     *,
+    positions: Dict[int, Position],
     lambda_threshold: Optional[float] = None,
     gamma_threshold: Optional[float] = None,
     selected_node: Optional[int] = None,
-    layout: str = "force",
-    random_state=None,
 ) -> Frame:
     """Build the Graph frame from a fitted model and its dataset.
 
+    ``positions`` places the optimal graph's nodes (see
+    :func:`~repro.viz.graph_render.render_graph`); the dashboard passes the
+    session's force layout, computed once per session.
     ``lambda_threshold`` / ``gamma_threshold`` default to the model's values;
     the dashboard server passes the slider values here on every request.
     """
@@ -97,11 +100,10 @@ def build_graph_frame(
             svg=render_graph(
                 graph,
                 labels,
+                positions=positions,
                 lambda_threshold=lam,
                 gamma_threshold=gam,
-                layout=layout,
                 selected_node=selected_node,
-                random_state=random_state,
             ),
             caption="Node size = number of captured subsequences; edge width = transition count.",
         )

@@ -13,14 +13,13 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.exceptions import VisualizationError
 from repro.graph.graphoid import (
     edge_exclusivity,
     edge_representativity,
     node_exclusivity,
     node_representativity,
 )
-from repro.graph.layout import force_directed_layout, pca_layout
+from repro.graph.layout import Position
 from repro.graph.structure import TimeSeriesGraph
 from repro.utils.validation import check_labels, check_probability
 from repro.viz.svg import SVGCanvas
@@ -48,14 +47,13 @@ def render_graph(
     graph: TimeSeriesGraph,
     labels,
     *,
+    positions: Dict[int, Position],
     lambda_threshold: float = 0.5,
     gamma_threshold: float = 0.5,
-    layout: str = "force",
     width: int = 640,
     height: int = 480,
     selected_node: Optional[int] = None,
     title: str = "",
-    random_state=None,
 ) -> str:
     """Render the graph as SVG with λ/γ cluster colouring.
 
@@ -65,22 +63,17 @@ def render_graph(
         The transition graph to draw (usually the optimal-length graph).
     labels:
         Final cluster labels (used to compute representativity/exclusivity).
+    positions:
+        Node id -> ``(x, y)`` in the unit square, from one of the layouts of
+        :mod:`repro.graph.layout`; nodes without a position are not drawn.
     lambda_threshold, gamma_threshold:
         The colouring thresholds exposed as sliders in the Graph frame.
-    layout:
-        ``"force"`` (force-directed, default) or ``"pca"`` (embedding positions).
     selected_node:
         Node to highlight with a red ring (the node-inspector selection).
     """
     labels = check_labels(labels, n_samples=graph.n_series)
     lambda_threshold = check_probability(lambda_threshold, "lambda_threshold")
     gamma_threshold = check_probability(gamma_threshold, "gamma_threshold")
-    if layout == "force":
-        positions = force_directed_layout(graph, random_state=random_state)
-    elif layout == "pca":
-        positions = pca_layout(graph)
-    else:
-        raise VisualizationError(f"unknown layout {layout!r}; use 'force' or 'pca'")
 
     exclusivity = node_exclusivity(graph, labels)
     representativity = node_representativity(graph, labels)

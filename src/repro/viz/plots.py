@@ -9,6 +9,8 @@ scatter plots (PCA projections).
 
 from __future__ import annotations
 
+import struct
+import zlib
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -333,6 +335,28 @@ def _block_means(values: np.ndarray, target: int) -> np.ndarray:
     return output
 
 
+def _png(pixels: np.ndarray) -> bytes:
+    """An 8-bit RGB PNG of a ``(rows, columns, 3)`` uint8 array.
+
+    Built from the PNG specification (https://www.w3.org/TR/png/) with the
+    standard library: a signature, then IHDR, one IDAT holding every
+    scanline behind filter type 0 (none) as one zlib stream, and IEND, each
+    chunk closed by the CRC-32 of its type and data.
+    """
+    rows, columns, _ = pixels.shape
+    scanlines = np.zeros((rows, 1 + 3 * columns), dtype=np.uint8)
+    scanlines[:, 1:] = pixels.reshape(rows, 3 * columns)
+    chunks = (
+        (b"IHDR", struct.pack(">IIBBBBB", columns, rows, 8, 2, 0, 0, 0)),
+        (b"IDAT", zlib.compress(scanlines.tobytes())),
+        (b"IEND", b""),
+    )
+    return b"\x89PNG\r\n\x1a\n" + b"".join(
+        struct.pack(">I", len(data)) + kind + data + struct.pack(">I", zlib.crc32(kind + data))
+        for kind, data in chunks
+    )
+
+
 def heatmap(
     matrix,
     *,
@@ -346,37 +370,30 @@ def heatmap(
     """Heatmap of a matrix (consensus matrix, feature matrix).
 
     Matrices larger than ``max_cells`` along an axis are downsampled by block
-    averaging so the SVG stays small while preserving the visual structure.
+    averaging so the image stays small while preserving the visual structure.
 
-    The cells are drawn in bulk.  Block means are exact (see
-    :func:`_block_means`).  Each *distinct* normalised value goes through
-    :func:`sequential_color` once, and :meth:`SVGCanvas.rect_grid` formats
-    each column's x and each row's y once.  The SVG is byte-identical to
-    drawing every cell with its own :meth:`SVGCanvas.rect` call (the oracle
-    in ``tests/oracles/plots.py``).
+    The cells are one PNG image with one pixel per cell, stretched over the
+    plot box.  Block means are exact (see :func:`_block_means`), and each
+    *distinct* normalised value goes through :func:`sequential_color` once.
+    Every pixel has the colour the per-cell oracle in
+    ``tests/oracles/plots.py`` gives its cell, and the rest of the SVG
+    (frame, title, labels) equals the oracle's byte for byte.
     """
     array = check_array(matrix, name="matrix", ndim=2, allow_nan=False)
     array = _block_means(array, max_cells)
     minimum, maximum = float(array.min()), float(array.max())
     span = maximum - minimum if maximum > minimum else 1.0
     distinct, codes = np.unique((array - minimum) / span, return_inverse=True)
-    palette = np.array([sequential_color(value) for value in distinct.tolist()], dtype=object)
+    palette = np.frombuffer(
+        bytes.fromhex("".join(sequential_color(value)[1:] for value in distinct.tolist())),
+        dtype=np.uint8,
+    ).reshape(-1, 3)
 
     canvas = SVGCanvas(width, height, background=DEFAULT_THEME.background)
-    margins = (36.0, 14.0, 30.0, 40.0)
-    top, right, bottom, left = margins
+    top, right, bottom, left = (36.0, 14.0, 30.0, 40.0)
     plot_width = width - left - right
     plot_height = height - top - bottom
-    cell_width = plot_width / array.shape[1]
-    cell_height = plot_height / array.shape[0]
-    canvas.rect_grid(
-        [left + j * cell_width for j in range(array.shape[1])],
-        [top + i * cell_height for i in range(array.shape[0])],
-        cell_width + 0.5,
-        cell_height + 0.5,
-        palette[codes.reshape(array.shape)].tolist(),
-        stroke="none",
-    )
+    canvas.image(left, top, plot_width, plot_height, _png(palette[codes.reshape(array.shape)]))
     canvas.rect(left, top, plot_width, plot_height, fill="none", stroke="#555555")
     if title:
         canvas.text(width / 2, 20, title, size=DEFAULT_THEME.title_size, anchor="middle", bold=True)

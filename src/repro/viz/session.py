@@ -5,13 +5,15 @@ user picks a dataset from the sidebar: it fits k-Graph and the two reference
 baselines (k-Means, k-Shape), builds the quiz representations, and exposes
 the fitted objects to the frame builders.  The session caches everything so
 the dashboard/server can re-render frames with different widget values (λ, γ,
-selected node, measure) without recomputation.
+selected node, measure) without recomputation: that includes the HTML of the
+frames no widget changes and the graph frame's force layout.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Union
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -20,6 +22,7 @@ from repro.cluster.kmeans import KMeans
 from repro.cluster.kshape import KShape
 from repro.core.kgraph import KGraph
 from repro.exceptions import ValidationError
+from repro.graph.layout import Position, force_directed_layout
 from repro.interpret.quiz import Quiz, build_quiz
 from repro.interpret.representations import (
     centroid_representation,
@@ -31,6 +34,11 @@ from repro.utils.containers import TimeSeriesDataset
 from repro.utils.normalization import znormalize_dataset
 from repro.utils.rng import SeedSequencePool
 from repro.utils.validation import check_positive_int
+from repro.viz.frames import (
+    build_clustering_comparison_frame,
+    build_interpretability_frame,
+    build_under_the_hood_frame,
+)
 
 
 @dataclass
@@ -81,6 +89,18 @@ class GraphintSession:
     method_labels: Dict[str, np.ndarray] = field(init=False, default_factory=dict)
     quizzes: Dict[str, Quiz] = field(init=False, default_factory=dict)
     quiz_scores: Dict[str, float] = field(init=False, default_factory=dict)
+    # Parts of every page that depend on the fitted session alone, filled on
+    # first use.  Dashboard server threads share a session, so they are
+    # filled under the lock, each exactly once.
+    _static_frames: Optional[Tuple[Tuple[str, str], ...]] = field(
+        init=False, repr=False, compare=False, default=None
+    )
+    _layout: Optional[Dict[int, Position]] = field(
+        init=False, repr=False, compare=False, default=None
+    )
+    _parts_lock: threading.Lock = field(
+        init=False, repr=False, compare=False, default_factory=threading.Lock
+    )
 
     def __post_init__(self) -> None:
         if self.dataset.labels is None:
@@ -181,6 +201,39 @@ class GraphintSession:
             random_state=self._pool.next_seed(),
         )
         return self.quizzes
+
+    def graph_layout(self) -> Dict[int, Position]:
+        """Force-directed positions of the optimal graph's nodes.
+
+        Seeded by the session's ``random_state`` and computed once: the graph
+        frame draws the same graph on every page, whatever the widgets say.
+        """
+        self._check_fitted()
+        with self._parts_lock:
+            if self._layout is None:
+                self._layout = force_directed_layout(
+                    self.kgraph.result_.optimal_graph, random_state=self.random_state
+                )
+            return self._layout
+
+    def static_frames(self) -> Tuple[Tuple[str, str], ...]:
+        """``(frame id, HTML)`` of the frames no widget changes, in page order.
+
+        The clustering comparison, the interpretability test (quizzes are
+        built first if needed) and under the hood depend on the fitted
+        session alone, so each is rendered once per session.
+        """
+        self._check_fitted()
+        with self._parts_lock:
+            if self._static_frames is None:
+                self.build_quizzes()
+                frames = (
+                    build_clustering_comparison_frame(self.dataset, self.method_labels),
+                    build_interpretability_frame(self.quizzes, self.quiz_scores),
+                    build_under_the_hood_frame(self.kgraph),
+                )
+                self._static_frames = tuple((frame.frame_id, frame.to_html()) for frame in frames)
+            return self._static_frames
 
     def summary(self) -> Dict[str, object]:
         """Session-level summary (used by the dashboard header and tests)."""

@@ -2,12 +2,14 @@
 
 All Graphint plots are rendered to Scalable Vector Graphics strings that can
 be embedded directly in HTML.  The canvas exposes the handful of primitives
-the plot functions need (lines, polylines, rectangles, circles, text, paths)
-with data-space -> pixel-space mapping handled by the plot layer.
+the plot functions need (lines, polylines, rectangles, circles, text and
+embedded PNG images) with data-space -> pixel-space mapping handled by the
+plot layer.
 """
 
 from __future__ import annotations
 
+import base64
 import html
 from typing import List, Optional, Sequence, Tuple
 
@@ -22,9 +24,9 @@ def _fmt(value: float) -> str:
 class SVGCanvas:
     """An append-only SVG document of fixed pixel size.
 
-    Each element kind has one writer.  :meth:`rect` and :meth:`polyline`
-    draw one shape; :meth:`rect_grid` and :meth:`polylines` draw many with
-    the same markup, formatting shared coordinates once.
+    Each element kind has one writer.  :meth:`polyline` draws one line;
+    :meth:`polylines` draws many with the same markup, formatting the shared
+    x coordinates once.
 
     Parameters
     ----------
@@ -59,52 +61,26 @@ class SVGCanvas:
         tooltip: Optional[str] = None,
     ) -> None:
         """Draw a rectangle."""
-        self.rect_grid(
-            [x],
-            [y],
-            width,
-            height,
-            [[fill]],
-            stroke=stroke,
-            stroke_width=stroke_width,
-            opacity=opacity,
-            rx=rx,
-            tooltip=tooltip,
-        )
-
-    def rect_grid(
-        self,
-        xs: Sequence[float],
-        ys: Sequence[float],
-        width: float,
-        height: float,
-        fills: Sequence[Sequence[str]],
-        *,
-        stroke: str = "#000000",
-        stroke_width: float = 1.0,
-        opacity: float = 1.0,
-        rx: float = 0.0,
-        tooltip: Optional[str] = None,
-    ) -> None:
-        """Draw a grid of equal-size rectangles, row by row.
-
-        Cell ``(i, j)`` sits at ``(xs[j], ys[i])`` and is filled with
-        ``fills[i][j]``.  The markup equals one :meth:`rect` call per cell in
-        row-major order, but each coordinate is formatted once, so a heatmap
-        of tens of thousands of cells costs one string per cell.
-        """
         title = f"<title>{html.escape(tooltip)}</title>" if tooltip else ""
-        size = f'width="{_fmt(width)}" height="{_fmt(height)}" rx="{_fmt(rx)}" fill="'
-        style = (
-            f'" stroke="{stroke}" stroke-width="{_fmt(stroke_width)}" '
+        self._elements.append(
+            f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(width)}" height="{_fmt(height)}" '
+            f'rx="{_fmt(rx)}" fill="{fill}" stroke="{stroke}" stroke-width="{_fmt(stroke_width)}" '
             f'opacity="{_fmt(opacity)}">{title}</rect>'
         )
-        x_text = [_fmt(x) for x in xs]
-        for y, row in zip(ys, fills, strict=True):
-            head = f'" y="{_fmt(y)}" {size}'
-            self._elements.extend(
-                [f'<rect x="{x}{head}{fill}{style}' for x, fill in zip(x_text, row, strict=True)]
-            )
+
+    def image(self, x: float, y: float, width: float, height: float, png: bytes) -> None:
+        """Draw a PNG stretched over a box, each pixel a sharp-edged block.
+
+        The image is embedded as a ``data:`` URI, so the SVG stays
+        self-contained; ``preserveAspectRatio="none"`` fills the box exactly
+        and ``image-rendering: pixelated`` keeps browsers from blurring the
+        upscaled pixels.
+        """
+        uri = "data:image/png;base64," + base64.b64encode(png).decode("ascii")
+        self._elements.append(
+            f'<image x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(width)}" height="{_fmt(height)}" '
+            f'preserveAspectRatio="none" style="image-rendering: pixelated" href="{uri}"/>'
+        )
 
     def line(
         self,

@@ -1,11 +1,13 @@
 """Reference heatmap and series grid for :mod:`repro.viz.plots`.
 
-The library draws a heatmap's cells and a series grid's polylines in bulk:
-block means per column bin, one colour per distinct value, every coordinate
-formatted once.  These oracles draw the same plots one block, one cell and
-one point at a time through :meth:`SVGCanvas.rect` and
-:meth:`SVGCanvas.polyline`, and the equivalence tests require the two SVG
-strings to be equal byte for byte.
+The library draws a heatmap's cells as one PNG image (block means per
+column bin, one colour per distinct value) and a series grid's polylines in
+bulk (every coordinate formatted once).  These oracles draw the same plots
+one block, one cell and one point at a time through :meth:`SVGCanvas.rect`
+and :meth:`SVGCanvas.polyline`.  The equivalence tests require each pixel
+of the library's heatmap image to have its oracle cell's fill and the rest
+of the heatmap SVG to equal the oracle's byte for byte, and the two series
+grid SVG strings to be equal byte for byte.
 """
 
 from __future__ import annotations

@@ -52,6 +52,17 @@ class TestConfigRoundTrip:
         )
         assert KGraphConfig.from_json(config.to_json()) == config
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param('{"n_clusters": ' + "1" * 5001 + "}", id="digit-limit"),
+            pytest.param("[" * 100_000 + "]" * 100_000, id="deep-nesting"),
+        ],
+    )
+    def test_unparseable_json_is_a_config_error(self, text):
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            KGraphConfig.from_json(text)
+
     def test_to_dict_carries_every_field_and_version(self):
         payload = KGraphConfig().to_dict()
         assert payload["version"] == KGraphConfig.version
@@ -105,6 +116,9 @@ MALFORMED_FIELDS = [
     pytest.param("lengths", [float("inf")], "length must be an integer", id="inf"),
     pytest.param("lengths", [True], "length must be an integer", id="bool"),
     pytest.param("lambda_threshold", 10**400, "lambda_threshold must be a float", id="huge-int"),
+    pytest.param(
+        "lambda_threshold", 10**5000, "lambda_threshold must be a float", id="past-digit-limit"
+    ),
 ]
 
 

@@ -4,22 +4,30 @@ import hashlib
 import io
 import json
 import os
+import re
 import socket
 import subprocess
 import sys
 import textwrap
+import threading
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.datasets.catalogue import DatasetCatalogue, DatasetSpec
+from repro.datasets.catalogue import DatasetCatalogue, DatasetSpec, default_catalogue
 from repro.datasets.synthetic import make_cylinder_bell_funnel
 from repro.exceptions import ValidationError
 from repro.viz.cli import main as cli_main
 from repro.viz.dashboard import build_dashboard
 from repro.viz.server import DashboardApplication, serve_application
 from repro.viz.session import GraphintSession
+
+#: The two panels of a seeded page that print wall-clock seconds.
+WALL_CLOCK_PANELS = re.compile(
+    r'<div class="panel"><h3>Pipeline (stage breakdown|timings)</h3>.*?</div>'
+)
 
 
 def _small_catalogue() -> DatasetCatalogue:
@@ -140,6 +148,20 @@ class TestDashboard:
             digests.append(out.strip())
         assert digests[0] == digests[1]
 
+    def test_seeded_two_patterns_page_is_under_a_megabyte(self):
+        # 80 series x 128 points: the feature and consensus heatmaps were
+        # 2.9 MB of a 3.6 MB page when every cell was its own <rect>.
+        dataset = default_catalogue().get("two_patterns").generate(random_state=1)
+        page = build_dashboard(GraphintSession(dataset, n_lengths=4, random_state=1))
+        assert len(page.encode("utf-8")) < 1_000_000
+        for title in ("4.2 Feature matrix", "4.3 Consensus matrix"):
+            panel = re.search(
+                rf'<div class="panel"><h3>{re.escape(title)}</h3>.*?</div>', page, re.S
+            ).group(0)
+            # The background and the frame; the cells are one image.
+            assert (panel.count("<rect"), panel.count("<image")) == (2, 1), title
+        assert page.count("<rect") < 100
+
     def test_benchmark_frame_included_when_results_given(self, session):
         from tests.test_viz_frames import _fake_results
 
@@ -223,6 +245,77 @@ class TestServerRouting:
         first = application.session_for("cbf_small")
         second = application.session_for("cbf_small")
         assert first is second
+
+
+class TestConcurrentPages:
+    def test_threads_share_one_render_of_the_session_parts(self, monkeypatch):
+        # Handler threads of the dashboard server share a session.  Eight
+        # threads (more than the cores) ask a fresh application for eight
+        # different pages of one dataset at once, with the interpreter
+        # switching threads every 10 µs.  Each page must equal the page a
+        # serial session renders, and the frames no widget changes and the
+        # force layout must be built once for the session.
+        import repro.viz.session as session_module
+
+        serial = DashboardApplication(catalogue=_small_catalogue(), random_state=0, n_lengths=2)
+        nodes = serial.session_for("cbf_small").kgraph.result_.optimal_graph.nodes()
+        paths = [
+            f"/?dataset=cbf_small&lam={0.2 + 0.1 * i:.1f}&gam={0.8 - 0.05 * i:.2f}"
+            + (f"&node={nodes[i % len(nodes)]}" if i % 2 else "")
+            for i in range(8)
+        ]
+        expected = {path: serial.handle(path) for path in paths}
+
+        calls, calls_lock = Counter(), threading.Lock()
+        for name in (
+            "build_clustering_comparison_frame",
+            "build_interpretability_frame",
+            "build_under_the_hood_frame",
+            "force_directed_layout",
+        ):
+            def counted(*args, _name=name, _original=getattr(session_module, name), **kwargs):
+                with calls_lock:
+                    calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(session_module, name, counted)
+
+        application = DashboardApplication(
+            catalogue=_small_catalogue(), random_state=0, n_lengths=2
+        )
+        start = threading.Barrier(len(paths))
+        pages = {}
+
+        def request(path):
+            start.wait(timeout=60)
+            pages[path] = application.handle(path)
+
+        threads = [threading.Thread(target=request, args=(path,)) for path in paths]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+
+        assert set(pages) == set(paths)
+        for path in paths:
+            status, content_type, page = pages[path]
+            assert (status, content_type) == expected[path][:2] == (200, "text/html"), path
+            # Two fits: only their wall-clock panels may differ.
+            assert WALL_CLOCK_PANELS.subn("", page) == WALL_CLOCK_PANELS.subn(
+                "", expected[path][2]
+            ), path
+        assert calls == {
+            "build_clustering_comparison_frame": 1,
+            "build_interpretability_frame": 1,
+            "build_under_the_hood_frame": 1,
+            "force_directed_layout": 1,
+        }
 
 
 class TestHungUpClient:

@@ -409,6 +409,40 @@ class TestCorruptManifestRows:
             registry.fetch("cbf")
 
 
+#: JSON that the parser itself rejects, as ``fitted.n_series``: an integer
+#: literal past the interpreter's 4,300-digit limit, and arrays nested
+#: deeper than the parser can follow.
+UNPARSEABLE_LITERALS = [
+    pytest.param("1" * 5001, id="digit-limit"),
+    pytest.param("[" * 100_000 + "]" * 100_000, id="deep-nesting"),
+]
+
+
+def _write_literal_manifest(artifact_dir, literal):
+    manifest = read_manifest(artifact_dir)
+    manifest["fitted"]["n_series"] = "<literal>"
+    text = json.dumps(manifest).replace('"<literal>"', literal)
+    (artifact_dir / "manifest.json").write_text(text, encoding="utf-8")
+
+
+class TestUnparseableManifest:
+    """A manifest the JSON parser rejects is an ArtifactError, never a ValueError."""
+
+    @pytest.mark.parametrize("literal", UNPARSEABLE_LITERALS)
+    def test_load_model(self, artifact_dir, literal):
+        _write_literal_manifest(artifact_dir, literal)
+        with pytest.raises(ArtifactError, match="could not read manifest"):
+            load_model(artifact_dir)
+
+    @pytest.mark.parametrize("literal", UNPARSEABLE_LITERALS)
+    def test_registry_fetch(self, fitted_kgraph, tmp_path, literal):
+        registry = ModelRegistry(tmp_path / "registry")
+        record = registry.publish(fitted_kgraph, "cbf")
+        _write_literal_manifest(record.path, literal)
+        with pytest.raises(ArtifactError, match="could not read manifest"):
+            registry.fetch("cbf")
+
+
 _SAVE_SEEDED_MODEL = textwrap.dedent(
     """
     import sys

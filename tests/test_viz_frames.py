@@ -5,6 +5,7 @@ import pytest
 
 from repro.benchmark.runner import BenchmarkResult
 from repro.exceptions import VisualizationError
+from repro.graph.layout import force_directed_layout, pca_layout
 from repro.viz.frames import (
     build_benchmark_frame,
     build_clustering_comparison_frame,
@@ -65,10 +66,14 @@ class TestFrameBuildingBlocks:
             html_table([])
 
 
+def _force_layout(model):
+    return force_directed_layout(model.optimal_graph_, random_state=0)
+
+
 class TestGraphRender:
     def test_render_contains_all_nodes(self, fitted_kgraph):
         graph = fitted_kgraph.optimal_graph_
-        svg = render_graph(graph, fitted_kgraph.labels_, random_state=0)
+        svg = render_graph(graph, fitted_kgraph.labels_, positions=_force_layout(fitted_kgraph))
         assert svg.startswith("<svg")
         for node in graph.nodes():
             assert f"node {node} " in svg  # tooltip text per node
@@ -76,23 +81,21 @@ class TestGraphRender:
     def test_selected_node_ring(self, fitted_kgraph):
         graph = fitted_kgraph.optimal_graph_
         node = graph.nodes()[0]
-        svg = render_graph(graph, fitted_kgraph.labels_, selected_node=node, random_state=0)
+        svg = render_graph(
+            graph, fitted_kgraph.labels_, positions=_force_layout(fitted_kgraph), selected_node=node
+        )
         assert svg.count("#d62728") >= 1
 
     def test_pca_layout_option(self, fitted_kgraph):
-        svg = render_graph(
-            fitted_kgraph.optimal_graph_, fitted_kgraph.labels_, layout="pca"
-        )
+        graph = fitted_kgraph.optimal_graph_
+        svg = render_graph(graph, fitted_kgraph.labels_, positions=pca_layout(graph))
         assert svg.startswith("<svg")
-
-    def test_invalid_layout(self, fitted_kgraph):
-        with pytest.raises(VisualizationError):
-            render_graph(fitted_kgraph.optimal_graph_, fitted_kgraph.labels_, layout="3d")
 
     def test_thresholds_change_colouring(self, fitted_kgraph):
         graph = fitted_kgraph.optimal_graph_
-        loose = render_graph(graph, fitted_kgraph.labels_, lambda_threshold=0.0, gamma_threshold=0.0, random_state=0)
-        strict = render_graph(graph, fitted_kgraph.labels_, lambda_threshold=1.0, gamma_threshold=1.0, random_state=0)
+        positions = _force_layout(fitted_kgraph)
+        loose = render_graph(graph, fitted_kgraph.labels_, positions=positions, lambda_threshold=0.0, gamma_threshold=0.0)
+        strict = render_graph(graph, fitted_kgraph.labels_, positions=positions, lambda_threshold=1.0, gamma_threshold=1.0)
         # With impossible thresholds everything is neutral grey.
         assert strict.count("#c8c8c8") >= loose.count("#c8c8c8")
 
@@ -149,7 +152,9 @@ class TestBenchmarkFrame:
 
 class TestGraphFrame:
     def test_basic(self, fitted_kgraph, small_dataset):
-        frame = build_graph_frame(fitted_kgraph, small_dataset, random_state=0)
+        frame = build_graph_frame(
+            fitted_kgraph, small_dataset, positions=_force_layout(fitted_kgraph)
+        )
         html = frame.to_html()
         assert "k-Graph in action" in frame.title
         assert "exclusivity" in html
@@ -161,17 +166,19 @@ class TestGraphFrame:
         frame = build_graph_frame(
             fitted_kgraph,
             small_dataset,
+            positions=_force_layout(fitted_kgraph),
             lambda_threshold=0.3,
             gamma_threshold=0.4,
             selected_node=node,
-            random_state=0,
         )
         assert frame.metadata["lambda"] == pytest.approx(0.3)
         assert frame.metadata["selected_node"] == node
 
     def test_dataset_mismatch_rejected(self, fitted_kgraph, periodic_dataset):
         with pytest.raises(VisualizationError):
-            build_graph_frame(fitted_kgraph, periodic_dataset)
+            build_graph_frame(
+                fitted_kgraph, periodic_dataset, positions=_force_layout(fitted_kgraph)
+            )
 
 
 class TestInterpretabilityAndUnderTheHoodFrames:

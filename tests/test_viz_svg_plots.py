@@ -1,5 +1,10 @@
 """Unit tests for the SVG canvas and the plot functions."""
 
+import base64
+import re
+import struct
+import zlib
+
 import numpy as np
 import pytest
 from oracles.plots import downsample_reference, heatmap_reference, series_grid_reference
@@ -16,6 +21,7 @@ from repro.viz.plots import (
     scatter_plot,
     series_grid,
 )
+from repro.utils.validation import check_array
 from repro.viz.svg import SVGCanvas
 from repro.viz.theme import CLUSTER_PALETTE, color_for_cluster, diverging_color, sequential_color
 
@@ -180,14 +186,73 @@ _HEATMAP_CASES = {
 }
 
 
+_IMAGE = re.compile(
+    r'<image x="(?P<x>[^"]*)" y="(?P<y>[^"]*)" width="(?P<width>[^"]*)" '
+    r'height="(?P<height>[^"]*)" preserveAspectRatio="none" '
+    r'style="image-rendering: pixelated" href="data:image/png;base64,(?P<png>[A-Za-z0-9+/=]+)"/>'
+)
+_BOX = re.compile(r'<rect x="([^"]*)" y="([^"]*)" width="([^"]*)" height="([^"]*)" ')
+
+
+def _decode_png(data: bytes) -> np.ndarray:
+    """The (rows, columns, 3) pixels of an 8-bit RGB PNG, checking its chunks.
+
+    Requires the signature, chunks IHDR, IDAT, IEND with valid CRC-32s, and
+    filter type 0 on every scanline (the only filter the library writes).
+    """
+    assert data[:8] == b"\x89PNG\r\n\x1a\n"
+    chunks, offset = [], 8
+    while offset < len(data):
+        (length,) = struct.unpack(">I", data[offset: offset + 4])
+        kind = data[offset + 4: offset + 8]
+        body = data[offset + 8: offset + 8 + length]
+        (crc,) = struct.unpack(">I", data[offset + 8 + length: offset + 12 + length])
+        assert crc == zlib.crc32(kind + body), kind
+        chunks.append((kind, body))
+        offset += 12 + length
+    assert offset == len(data)
+    assert [kind for kind, _ in chunks] == [b"IHDR", b"IDAT", b"IEND"]
+    columns, rows, depth, color_type, *methods = struct.unpack(">IIBBBBB", chunks[0][1])
+    assert (depth, color_type, methods) == (8, 2, [0, 0, 0])  # 8-bit RGB, no interlace
+    scanlines = np.frombuffer(zlib.decompress(chunks[1][1]), dtype=np.uint8)
+    scanlines = scanlines.reshape(rows, 1 + 3 * columns)
+    assert not scanlines[:, 0].any()
+    return scanlines[:, 1:].reshape(rows, columns, 3)
+
+
+def _assert_heatmap_matches_oracle(matrix, **kwargs) -> None:
+    """The library's heatmap shows the oracle's per-cell colours, one pixel each.
+
+    The oracle draws one ``<rect>`` per cell; the library draws one
+    ``<image>`` in their place.  The PNG must hold one pixel per cell with
+    that cell's fill, the image must cover the plot frame, and every other
+    element (background, frame, title, labels) must equal the oracle's.
+    """
+    shape = downsample_reference(
+        check_array(matrix, name="matrix", ndim=2), kwargs.get("max_cells", 200)
+    ).shape
+    library = heatmap(matrix, **kwargs).split("\n")
+    oracle = heatmap_reference(matrix, **kwargs).split("\n")
+    cells = oracle[2: 2 + shape[0] * shape[1]]
+    assert library[:2] + library[3:] == oracle[:2] + oracle[2 + len(cells):]
+    image = _IMAGE.fullmatch(library[2])
+    assert image is not None, library[2][:200]
+    frame = _BOX.match(library[3]).groups()
+    assert (image["x"], image["y"], image["width"], image["height"]) == frame
+    fills = "".join(re.search(r'fill="#([0-9a-f]{6})"', cell).group(1) for cell in cells)
+    expected = np.frombuffer(bytes.fromhex(fills), dtype=np.uint8).reshape(*shape, 3)
+    pixels = _decode_png(base64.b64decode(image["png"], validate=True))
+    assert pixels.shape == expected.shape
+    assert np.array_equal(pixels, expected)
+
+
 class TestBulkPlotsMatchOracles:
-    """The bulk heatmap and series grid write the oracles' bytes exactly."""
+    """The bulk heatmap and series grid draw what the oracles draw."""
 
     @pytest.mark.parametrize("case", sorted(_HEATMAP_CASES))
     def test_heatmap(self, case):
         matrix = _HEATMAP_CASES[case](np.random.default_rng(17))
-        kwargs = {"title": case, "x_label": "features", "y_label": "series"}
-        assert heatmap(matrix, **kwargs) == heatmap_reference(matrix, **kwargs)
+        _assert_heatmap_matches_oracle(matrix, title=case, x_label="features", y_label="series")
 
     def test_block_means_are_exact(self):
         # A colour rarely moves with the last ulp of a mean, so the bytes
@@ -202,12 +267,12 @@ class TestBulkPlotsMatchOracles:
     def test_heatmap_two_dimensional_blocks(self):
         # 250 rows > max_cells, so blocks span several rows and columns.
         matrix = np.random.default_rng(3).normal(size=(250, 300))
-        assert heatmap(matrix, max_cells=50) == heatmap_reference(matrix, max_cells=50)
+        _assert_heatmap_matches_oracle(matrix, max_cells=50)
 
     def test_heatmap_transposed_input(self):
         # A Fortran-ordered view: block means must not depend on the layout.
         matrix = np.random.default_rng(5).normal(size=(450, 30)).T
-        assert heatmap(matrix) == heatmap_reference(matrix)
+        _assert_heatmap_matches_oracle(matrix)
 
     @pytest.mark.parametrize(
         "n_series, length, n_clusters, with_colors",
