@@ -18,16 +18,13 @@ compute the graphoids.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
-
-import numpy as np
+from typing import Dict, List, Sequence
 
 from repro.core.graph_clustering import GraphPartition
 from repro.exceptions import ValidationError
 from repro.graph.graphoid import interpretability_factor
 from repro.graph.structure import TimeSeriesGraph
 from repro.metrics.clustering import adjusted_rand_index
-from repro.parallel import ExecutionBackend, backend_scope
 from repro.utils.validation import check_labels
 
 
@@ -55,43 +52,17 @@ def consistency_score(final_labels, partition_labels) -> float:
     return float(max(value, 0.0))
 
 
-@dataclass(frozen=True)
-class _LengthScoreJob:
-    """Picklable payload for scoring one candidate length in a worker."""
-
-    length: int
-    graph: TimeSeriesGraph
-    partition_labels: np.ndarray
-    final_labels: np.ndarray
-
-
-def _score_one_length(job: _LengthScoreJob) -> LengthScore:
-    """Pure per-length scorer dispatched through an execution backend."""
-    consistency = consistency_score(job.final_labels, job.partition_labels)
-    # W_e is computed with the *final* labels, because the graphoids the
-    # analyst sees are defined with respect to the final clustering.
-    interpretability = interpretability_factor(job.graph, job.final_labels)
-    return LengthScore(
-        length=int(job.length),
-        consistency=consistency,
-        interpretability=interpretability,
-    )
-
-
 def interpretability_scores(
     graphs: Dict[int, TimeSeriesGraph],
     partitions: Sequence[GraphPartition],
     final_labels,
-    *,
-    backend: Union[None, str, ExecutionBackend] = None,
-    n_jobs: Optional[int] = None,
 ) -> List[LengthScore]:
     """Compute :class:`LengthScore` for every candidate length.
 
     ``graphs`` maps length -> graph; ``partitions`` carries the matching
-    per-length labels.  Both are produced by the k-Graph pipeline.  The
-    per-length scoring is independent across lengths and fans out through
-    ``backend`` (serial by default — see :mod:`repro.parallel`).
+    per-length labels.  Both are produced by the k-Graph pipeline.  Each
+    length costs one ARI and one bincount over the graph's node crossings,
+    so the lengths are scored in a plain loop in the calling process.
     """
     final_labels = check_labels(final_labels)
     by_length = {partition.length: partition for partition in partitions}
@@ -99,7 +70,7 @@ def interpretability_scores(
     if missing:
         raise ValidationError(f"no partition available for lengths {sorted(missing)}")
 
-    jobs: List[_LengthScoreJob] = []
+    scores: List[LengthScore] = []
     for length in sorted(graphs):
         partition = by_length[length]
         if partition.labels.shape[0] != final_labels.shape[0]:
@@ -107,18 +78,16 @@ def interpretability_scores(
                 f"partition for length {length} has {partition.labels.shape[0]} labels, "
                 f"expected {final_labels.shape[0]}"
             )
-        jobs.append(
-            _LengthScoreJob(
+        scores.append(
+            LengthScore(
                 length=int(length),
-                graph=graphs[length],
-                partition_labels=partition.labels,
-                final_labels=final_labels,
+                consistency=consistency_score(final_labels, partition.labels),
+                # W_e is computed with the *final* labels, because the graphoids
+                # the analyst sees are defined with respect to the final clustering.
+                interpretability=interpretability_factor(graphs[length], final_labels),
             )
         )
-
-    with backend_scope(backend, n_jobs) as resolved:
-        outcomes = resolved.map_jobs(_score_one_length, jobs)
-    return [outcome.unwrap() for outcome in outcomes]
+    return scores
 
 
 def select_optimal_length(scores: Sequence[LengthScore]) -> int:
@@ -137,9 +106,3 @@ def select_optimal_length(scores: Sequence[LengthScore]) -> int:
         best = ordered[0]
     return int(best.length)
 
-
-# Registered so distributed workers can score lengths by name (see
-# repro.distributed.registry).
-from repro.distributed.registry import register_worker_function  # noqa: E402
-
-register_worker_function(_score_one_length)

@@ -28,12 +28,7 @@ from repro.api.config import KGraphConfig
 from repro.core.graph_clustering import GraphPartition
 from repro.core.interpretability import LengthScore
 from repro.exceptions import NotFittedError, ValidationError
-from repro.graph.graphoid import (
-    Graphoid,
-    extract_gamma_graphoid,
-    extract_lambda_graphoid,
-    score_matrix,
-)
+from repro.graph.graphoid import Graphoid, cluster_graphoids, score_matrix
 from repro.graph.structure import TimeSeriesGraph
 from repro.parallel import ExecutionBackend, RetryPolicy, backend_scope
 from repro.utils.normalization import (
@@ -318,19 +313,21 @@ class KGraph:
     random_state:
         Seed or generator controlling every stochastic sub-step.
     backend, n_jobs:
-        Execution backend for the embarrassingly parallel pipeline stages
-        (per-length embedding and clustering, length scoring, graphoid
-        extraction).  Defaults to serial execution; ``n_jobs=4`` selects a
+        Execution backend for the two stages that fan out over the M
+        candidate lengths: per-length embedding and per-length graph
+        clustering.  Consensus, length selection and graphoid extraction
+        each work on one consensus labelling and run in the calling
+        process.  Defaults to serial execution; ``n_jobs=4`` selects a
         4-worker thread pool, ``backend="process"`` a process pool.  Results
         are bit-identical across backends for a fixed ``random_state`` —
         see :mod:`repro.parallel`.
     stage_backends:
-        Optional per-stage backend overrides, mapping a pipeline stage name
-        (``embed``, ``graph_cluster``, ``consensus``, ``length_selection``,
-        ``interpretability``) to a backend name or
+        Optional per-stage backend overrides, mapping ``embed`` or
+        ``graph_cluster`` to a backend name or
         :class:`~repro.parallel.ExecutionBackend` instance — e.g.
         ``{"embed": "thread"}`` runs only the per-length embedding fan-out
-        on a thread pool.  Stages without an override use ``backend``.
+        on a thread pool.  Stages without an override use ``backend``; any
+        other stage name is a :class:`~repro.exceptions.ValidationError`.
     stage_cache:
         Optional stage checkpoint store: a
         :class:`~repro.pipeline.StageCache` instance (share one across fits
@@ -431,11 +428,21 @@ class KGraph:
             self.config = candidate
         self.backend = backend
         self.n_jobs = n_jobs
-        if stage_backends is not None and not isinstance(stage_backends, dict):
-            raise ValidationError(
-                "stage_backends must be a dict mapping stage names to backends, "
-                f"got {type(stage_backends).__name__}"
-            )
+        if stage_backends is not None:
+            if not isinstance(stage_backends, dict):
+                raise ValidationError(
+                    "stage_backends must be a dict mapping stage names to backends, "
+                    f"got {type(stage_backends).__name__}"
+                )
+            # Imported lazily: the stages module imports this one's siblings.
+            from repro.pipeline.kgraph_stages import KGRAPH_FANOUT_STAGES
+
+            unknown = sorted(set(stage_backends) - set(KGRAPH_FANOUT_STAGES))
+            if unknown:
+                raise ValidationError(
+                    f"unknown stage names in stage_backends: {unknown}; only the "
+                    f"per-length stages take a backend: {list(KGRAPH_FANOUT_STAGES)}"
+                )
         self.stage_backends = stage_backends
         self.stage_cache = stage_cache
         if retry is not None and not isinstance(retry, RetryPolicy):
@@ -593,11 +600,12 @@ class KGraph:
         The fit is driven by the five-stage pipeline of
         :mod:`repro.pipeline.kgraph_stages` (embed -> graph_cluster ->
         consensus -> length_selection -> interpretability).  Each stage is
-        individually timeable, checkpointable (``stage_cache=``) and
-        dispatchable on its own backend (``stage_backends=``), and results
-        are bit-identical whichever backends run the stages and whichever
-        stages replay a checkpoint.  The per-stage ledger of what ran
-        versus what was replayed lands on :attr:`pipeline_report_`.
+        individually timeable and checkpointable (``stage_cache=``), the
+        two per-length fan-outs are dispatchable on their own backends
+        (``stage_backends=``), and results are bit-identical whichever
+        backends run the stages and whichever stages replay a checkpoint.
+        The per-stage ledger of what ran versus what was replayed lands on
+        :attr:`pipeline_report_`.
 
         The keyword-only arguments override the estimator's runtime knobs
         for this fit only (``None`` falls back to the instance values) —
@@ -637,18 +645,8 @@ class KGraph:
         cache,
         retry: Optional[RetryPolicy] = None,
     ) -> "KGraph":
-        from repro.pipeline import (
-            KGRAPH_STAGE_NAMES,
-            PipelineContext,
-            build_kgraph_pipeline,
-        )
+        from repro.pipeline import PipelineContext, build_kgraph_pipeline
 
-        unknown = sorted(set(stage_backends) - set(KGRAPH_STAGE_NAMES))
-        if unknown:
-            raise ValidationError(
-                f"unknown stage names in stage_backends: {unknown}; "
-                f"the k-Graph stages are {list(KGRAPH_STAGE_NAMES)}"
-            )
         lengths = self._resolve_lengths(array.shape[1])
         # Pre-spawn one child stream per length (plus one for the consensus
         # step), so the stages stay deterministic no matter which backend
@@ -813,19 +811,12 @@ class KGraph:
         self._check_fitted()
         lambda_threshold = check_probability(lambda_threshold, "lambda_threshold")
         gamma_threshold = check_probability(gamma_threshold, "gamma_threshold")
-        graph = self.result_.optimal_graph
-        labels = self.result_.labels
-        clusters = np.unique(labels)
-        return {
-            "lambda": {
-                int(c): extract_lambda_graphoid(graph, labels, int(c), lambda_threshold)
-                for c in clusters
-            },
-            "gamma": {
-                int(c): extract_gamma_graphoid(graph, labels, int(c), gamma_threshold)
-                for c in clusters
-            },
-        }
+        return cluster_graphoids(
+            self.result_.optimal_graph,
+            self.result_.labels,
+            lambda_threshold,
+            gamma_threshold,
+        )
 
     def node_statistics(self) -> Dict[int, Dict[str, Dict[int, float]]]:
         """Per-node representativity and exclusivity on the optimal graph.

@@ -41,7 +41,6 @@ _DEFAULT_MODULES = (
     "repro.distributed.functions",
     "repro.benchmark.runner",
     "repro.pipeline.kgraph_stages",
-    "repro.core.interpretability",
     "repro.metrics.distances",
 )
 

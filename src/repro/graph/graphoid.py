@@ -239,6 +239,28 @@ def extract_gamma_graphoid(
     return _threshold_graphoid(graph, labels, cluster, gamma_threshold, "gamma")
 
 
+def cluster_graphoids(
+    graph: TimeSeriesGraph, labels, lambda_threshold: float, gamma_threshold: float
+) -> Dict[str, Dict[int, Graphoid]]:
+    """The λ- and γ-graphoid of every cluster in ``labels``.
+
+    Returns ``{"lambda": {cluster: graphoid}, "gamma": {cluster: graphoid}}``,
+    with clusters in sorted order: the graphoids a k-Graph fit attaches to
+    its result, and those the Graph frame's sliders re-extract.
+    """
+    clusters = [int(cluster) for cluster in np.unique(labels)]
+    return {
+        "lambda": {
+            cluster: extract_lambda_graphoid(graph, labels, cluster, lambda_threshold)
+            for cluster in clusters
+        },
+        "gamma": {
+            cluster: extract_gamma_graphoid(graph, labels, cluster, gamma_threshold)
+            for cluster in clusters
+        },
+    }
+
+
 def interpretability_factor(graph: TimeSeriesGraph, labels) -> float:
     """W_e: average over clusters of the maximum node exclusivity.
 

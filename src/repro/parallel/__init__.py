@@ -6,8 +6,7 @@ The paper's pipeline is embarrassingly parallel in two places: the M
 per-length *graph embedding + graph clustering* stages of ``KGraph.fit``
 (Figure 1 builds M independent graphs before the consensus step), and the
 ``methods x datasets x runs`` grid of a :class:`~repro.benchmark.runner.BenchmarkRunner`
-campaign.  Both — plus graphoid extraction over clusters and the per-length
-interpretability scores — dispatch through one abstraction:
+campaign.  Both dispatch through one abstraction:
 
 :class:`ExecutionBackend`
     ``map_jobs(fn, jobs)`` applies ``fn`` to each job and returns one

@@ -14,9 +14,10 @@ orchestratable system:
   concrete stages plus :func:`build_kgraph_pipeline`.
 
 A re-run with one changed parameter re-executes only the stages whose
-key changed (and everything downstream); per-stage
-execution backends are selectable via ``stage_backends=`` /
-``--stage-backend`` (see :func:`stage_backend_scope`).
+key changed (and everything downstream).  Stages fan out through
+``ctx.dispatch``; the two k-Graph stages that do, ``embed`` and
+``graph_cluster``, take per-stage execution backends via
+``stage_backends=`` / ``--stage-backend`` (see :func:`stage_backend_scope`).
 """
 
 from repro.pipeline.cache import (
@@ -38,7 +39,6 @@ from repro.pipeline.kgraph_stages import (
     InterpretabilityStage,
     LengthSelectionStage,
     build_kgraph_pipeline,
-    kgraph_pipeline_config,
 )
 from repro.pipeline.runner import Pipeline, PipelineReport, StageRecord
 from repro.pipeline.stage import PipelineContext, Stage, stage_backend_scope
@@ -64,7 +64,6 @@ __all__ = [
     "StageRecord",
     "build_kgraph_pipeline",
     "fingerprint",
-    "kgraph_pipeline_config",
     "resolve_stage_cache",
     "stage_backend_scope",
 ]

@@ -8,6 +8,11 @@ depends only on the data, the length grid, the stride and the sector count,
 so sweeping ``feature_mode``, ``n_clusters`` or the graphoid thresholds
 replays the embedding checkpoints instead of rebuilding M graphs.
 
+Only ``embed`` and ``graph_cluster`` fan out, one job per length, through
+``ctx.dispatch`` (:data:`KGRAPH_FANOUT_STAGES`); ``consensus``,
+``length_selection`` and ``interpretability`` each work on one consensus
+labelling and run in the calling process.
+
 Determinism contract (bit-identity with the serial reference fit in
 ``tests/oracles/kgraph.py``): the driver pre-spawns one child generator per
 length plus one for the consensus step, exactly as the reference does.
@@ -34,11 +39,7 @@ from repro.core.interpretability import (
     select_optimal_length,
 )
 from repro.graph.embedding import GraphEmbedding
-from repro.graph.graphoid import (
-    Graphoid,
-    extract_gamma_graphoid,
-    extract_lambda_graphoid,
-)
+from repro.graph.graphoid import cluster_graphoids
 from repro.graph.structure import TimeSeriesGraph
 from repro.pipeline.runner import Pipeline
 from repro.pipeline.stage import PipelineContext, Stage
@@ -51,32 +52,6 @@ KGRAPH_SEED_INPUTS: Tuple[str, ...] = (
     "per_length_rngs",
     "consensus_rng",
 )
-
-
-def kgraph_pipeline_config(
-    *,
-    n_clusters: int,
-    stride: int,
-    n_sectors: int,
-    feature_mode: str,
-    lambda_threshold: float,
-    gamma_threshold: float,
-) -> Dict[str, object]:
-    """The flat config mapping the k-Graph stages draw their keys from.
-
-    A convenience wrapper over :meth:`KGraphConfig.stage_config` — the
-    parameters are validated by the typed config, so a caller building the
-    mapping by hand gets exactly the checks (and error messages) the
-    estimator constructor applies.
-    """
-    return KGraphConfig(
-        n_clusters=n_clusters,
-        stride=stride,
-        n_sectors=n_sectors,
-        feature_mode=feature_mode,
-        lambda_threshold=lambda_threshold,
-        gamma_threshold=gamma_threshold,
-    ).stage_config()
 
 
 # --------------------------------------------------------------------------- #
@@ -161,28 +136,6 @@ def _cluster_one_graph(job: _ClusterJob) -> _ClusterFit:
         timings=watch.totals(),
         counts=watch.counts(),
     )
-
-
-@dataclass(frozen=True)
-class _GraphoidJob:
-    """Picklable payload for extracting one cluster's graphoids."""
-
-    graph: TimeSeriesGraph
-    labels: np.ndarray
-    cluster: int
-    lambda_threshold: float
-    gamma_threshold: float
-
-
-def _extract_cluster_graphoids(job: _GraphoidJob) -> Tuple[int, Graphoid, Graphoid]:
-    """Extract the λ- and γ-graphoid of one cluster (deterministic)."""
-    lam = extract_lambda_graphoid(
-        job.graph, job.labels, job.cluster, job.lambda_threshold
-    )
-    gam = extract_gamma_graphoid(
-        job.graph, job.labels, job.cluster, job.gamma_threshold
-    )
-    return job.cluster, lam, gam
 
 
 # --------------------------------------------------------------------------- #
@@ -292,7 +245,6 @@ class LengthSelectionStage(Stage):
                 ctx.require("graphs"),
                 ctx.require("partitions"),
                 ctx.require("labels"),
-                backend=ctx.backend_for(self.name),
             )
             optimal_length = select_optimal_length(scores)
         return {"length_scores": scores, "optimal_length": optimal_length}
@@ -307,35 +259,21 @@ class InterpretabilityStage(Stage):
     config_keys = KGraphConfig.stage_config_keys("interpretability")
 
     def run(self, ctx: PipelineContext) -> Mapping[str, object]:
-        graphs = ctx.require("graphs")
-        labels = ctx.require("labels")
-        optimal_graph = graphs[ctx.require("optimal_length")]
+        optimal_graph = ctx.require("graphs")[ctx.require("optimal_length")]
         with ctx.watch.section("graphoid_extraction"):
-            clusters = [int(cluster) for cluster in np.unique(labels)]
-            jobs = [
-                _GraphoidJob(
-                    graph=optimal_graph,
-                    labels=labels,
-                    cluster=cluster,
-                    lambda_threshold=float(ctx.config["lambda_threshold"]),
-                    gamma_threshold=float(ctx.config["gamma_threshold"]),
-                )
-                for cluster in clusters
-            ]
-            lambda_graphoids: Dict[int, Graphoid] = {}
-            gamma_graphoids: Dict[int, Graphoid] = {}
-            for outcome in ctx.dispatch(self.name, _extract_cluster_graphoids, jobs):
-                cluster, lam, gam = outcome.unwrap()
-                lambda_graphoids[cluster] = lam
-                gamma_graphoids[cluster] = gam
+            graphoids = cluster_graphoids(
+                optimal_graph,
+                ctx.require("labels"),
+                float(ctx.config["lambda_threshold"]),
+                float(ctx.config["gamma_threshold"]),
+            )
         return {
-            "lambda_graphoids": lambda_graphoids,
-            "gamma_graphoids": gamma_graphoids,
+            "lambda_graphoids": graphoids["lambda"],
+            "gamma_graphoids": graphoids["gamma"],
         }
 
 
-#: Stage names in execution order — the CLI validates ``--stage-backend``
-#: keys against this tuple.
+#: Stage names in execution order.
 KGRAPH_STAGE_NAMES: Tuple[str, ...] = (
     EmbedStage.name,
     GraphClusterStage.name,
@@ -343,6 +281,11 @@ KGRAPH_STAGE_NAMES: Tuple[str, ...] = (
     LengthSelectionStage.name,
     InterpretabilityStage.name,
 )
+
+#: The stages that fan out over the M lengths, and so the only stages
+#: ``stage_backends=`` and ``--stage-backend`` accept; the other three work
+#: on one consensus labelling in the calling process.
+KGRAPH_FANOUT_STAGES: Tuple[str, ...] = (EmbedStage.name, GraphClusterStage.name)
 
 
 def build_kgraph_pipeline() -> Pipeline:
@@ -366,4 +309,3 @@ from repro.distributed.registry import register_worker_function  # noqa: E402
 
 register_worker_function(_embed_one_length)
 register_worker_function(_cluster_one_graph)
-register_worker_function(_extract_cluster_graphoids)

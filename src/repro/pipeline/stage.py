@@ -18,8 +18,9 @@ Design rules every stage must follow:
   it — equal keys must mean equal outputs.  Randomness must come from a
   generator passed *through the context*, never from global state, so the
   generator's stream position participates in the cache key.
-* Fan-outs inside a stage go through ``ctx.backend_for(self.name)`` so the
-  execution backend stays selectable per stage (``stage_backends=``).
+* Fan-outs inside a stage go through ``ctx.dispatch(self.name, fn, jobs)``,
+  so the execution backend stays selectable per stage (``stage_backends=``)
+  and the bytes a process pool ships are counted against the stage.
 * Worker-side timings are merged into ``ctx.watch`` — the pipeline adds its
   own ``stage:<name>`` wall-clock section around each run.
 """
@@ -97,20 +98,16 @@ class PipelineContext:
     fault_stats: Dict[str, Dict[str, int]] = field(default_factory=dict)
     plane_bytes: Dict[str, int] = field(default_factory=dict)
 
-    def backend_for(self, stage_name: str) -> ExecutionBackend:
-        """The backend a stage's fan-out must dispatch through."""
-        return self.stage_backends.get(stage_name, self.backend)
-
     def dispatch(self, stage_name: str, fn, jobs, *, on_result=None):
-        """Fan out through ``backend_for(stage_name)``, accounting transfer.
+        """``map_jobs`` on the stage's backend, accounting transfer.
 
-        The preferred form of ``backend_for(name).map_jobs(...)`` inside a
-        stage: identical semantics, plus the pickled payload volume of the
-        dispatch (measured by process backends on their cumulative
-        ``bytes_shipped`` counter) is attributed to ``stage_name`` so
-        reports can show what each stage actually shipped.
+        The backend is ``stage_backends[stage_name]`` when set, else
+        ``backend``.  The pickled payload volume of the dispatch (measured
+        by process backends on their cumulative ``bytes_shipped`` counter)
+        is attributed to ``stage_name`` so reports can show what each
+        stage actually shipped.
         """
-        backend = self.backend_for(stage_name)
+        backend = self.stage_backends.get(stage_name, self.backend)
         before = getattr(backend, "bytes_shipped", None)
         plane = getattr(backend, "data_plane", None)
         plane_before = (
@@ -161,7 +158,8 @@ class Stage(ABC):
     ----------------
     name:
         Unique stage identifier (also the ``stage:<name>`` timing section
-        and the ``--stage-backend <name>=...`` CLI key).
+        and, for a stage that fans out, the ``--stage-backend <name>=...``
+        CLI key).
     inputs / outputs:
         Context value names consumed / produced.  ``run`` must return a
         mapping with exactly the ``outputs`` keys.

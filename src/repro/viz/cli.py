@@ -20,9 +20,10 @@ Sub-commands:
   artifact into a registry
 * ``graphint pipeline run --dataset NAME --cache DIR`` — run the staged
   k-Graph pipeline with checkpointing; ``--resume`` replays unchanged
-  stages from the cache, ``--stage-backend embed=thread`` picks a backend
-  per stage, ``--cache-budget BYTES --cache-policy lru|lfu`` bound the
-  checkpoint directory
+  stages from the cache, ``--stage-backend embed=thread`` picks the backend
+  of one of the two stages that fan out over the lengths (``embed``,
+  ``graph_cluster``), ``--cache-budget BYTES --cache-policy lru|lfu`` bound
+  the checkpoint directory
 * ``graphint pipeline inspect --cache DIR`` — list the checkpoints of a
   pipeline cache directory
 * ``graphint estimators list`` — every estimator registry name (k-Graph
@@ -58,6 +59,7 @@ from repro.benchmark.store import load_results, save_results
 from repro.datasets.catalogue import default_catalogue
 from repro.exceptions import PipelineError, ValidationError
 from repro.metrics.clustering import adjusted_rand_index
+from repro.pipeline.kgraph_stages import KGRAPH_FANOUT_STAGES
 from repro.viz.dashboard import build_dashboard
 from repro.viz.session import GraphintSession
 
@@ -349,8 +351,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="STAGE=BACKEND",
         help="per-stage backend override, e.g. 'embed=thread' (repeatable); "
-        "stages: embed, graph_cluster, consensus, length_selection, "
-        "interpretability",
+        f"only the per-length stages take one: {', '.join(KGRAPH_FANOUT_STAGES)}",
     )
     _add_parallel_arguments(pipeline_run)
 
@@ -589,8 +590,6 @@ def _cmd_import_model(args: argparse.Namespace) -> int:
 
 def _parse_stage_backends(entries) -> dict:
     """Parse repeated ``--stage-backend STAGE=BACKEND`` options."""
-    from repro.pipeline import KGRAPH_STAGE_NAMES
-
     overrides = {}
     for entry in entries or []:
         stage, separator, backend = entry.partition("=")
@@ -600,10 +599,10 @@ def _parse_stage_backends(entries) -> dict:
             raise ValueError(
                 f"--stage-backend expects STAGE=BACKEND, got {entry!r}"
             )
-        if stage not in KGRAPH_STAGE_NAMES:
+        if stage not in KGRAPH_FANOUT_STAGES:
             raise ValueError(
-                f"unknown stage {stage!r} in --stage-backend; stages: "
-                f"{', '.join(KGRAPH_STAGE_NAMES)}"
+                f"unknown stage {stage!r} in --stage-backend; only the per-length "
+                f"stages take a backend: {', '.join(KGRAPH_FANOUT_STAGES)}"
             )
         overrides[stage] = backend
     return overrides

@@ -111,6 +111,7 @@ class TestInterpretabilityScores:
     def test_scores_for_fitted_model(self, fitted_kgraph):
         result = fitted_kgraph.result_
         scores = interpretability_scores(result.graphs, result.partitions, result.labels)
+        assert scores == result.length_scores
         assert len(scores) == len(result.graphs)
         for score in scores:
             assert 0.0 <= score.consistency <= 1.0

@@ -486,6 +486,16 @@ class TestCLI:
         )
         assert "unknown stage" in capsys.readouterr().err
         assert (
+            cli.main(
+                [
+                    "pipeline", "run", "--dataset", "cbf_small",
+                    "--stage-backend", "interpretability=thread",
+                ]
+            )
+            == 2
+        )
+        assert "unknown stage 'interpretability'" in capsys.readouterr().err
+        assert (
             cli.main(["pipeline", "run", "--dataset", "cbf_small", "--stage-backend", "embed"])
             == 2
         )

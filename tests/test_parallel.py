@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.benchmark.runner import BenchmarkRunner
-from repro.core.interpretability import interpretability_scores
 from repro.core.kgraph import KGraph
 from repro.datasets.catalogue import DatasetCatalogue, DatasetSpec
 from repro.datasets.synthetic import make_trend_classes, make_two_patterns
@@ -319,17 +318,6 @@ class TestKGraphParity:
         )
         assert all(value >= 0.0 for value in timings.values())
 
-    def test_interpretability_scores_backend_param(self, small_dataset, serial_fit):
-        result = serial_fit.result_
-        scores = interpretability_scores(
-            result.graphs,
-            result.partitions,
-            result.labels,
-            backend="thread",
-            n_jobs=2,
-        )
-        assert scores == result.length_scores
-
 
 class TestBenchmarkParity:
     @pytest.fixture(scope="class")
@@ -457,5 +445,5 @@ def test_custom_backend_instance_is_used(small_dataset):
         small_dataset.data
     )
     # per-length embedding + per-length clustering (separate pipeline
-    # stages) + interpretability scores + graphoid extraction
-    assert backend.calls == 4
+    # stages); the other three stages run in the calling process
+    assert backend.calls == 2

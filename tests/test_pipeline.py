@@ -304,7 +304,7 @@ class TestKGraphPipelineEquivalence:
             n_clusters=3,
             n_lengths=2,
             random_state=4,
-            stage_backends={"embed": "thread", "interpretability": "serial"},
+            stage_backends={"embed": "thread", "graph_cluster": "serial"},
             n_jobs=2,
         ).fit(small_dataset.data)
         reference = fit_reference(
@@ -313,9 +313,17 @@ class TestKGraphPipelineEquivalence:
         assert_fits_identical(fitted, reference)
 
     def test_unknown_stage_backend_rejected(self, small_dataset):
-        model = KGraph(n_clusters=3, stage_backends={"embedding": "thread"})
         with pytest.raises(ValidationError, match="unknown stage names"):
-            model.fit(small_dataset.data)
+            KGraph(n_clusters=3, stage_backends={"embedding": "thread"})
+
+    @pytest.mark.parametrize(
+        "stage", ["consensus", "length_selection", "interpretability"]
+    )
+    def test_stage_without_fanout_takes_no_backend(self, stage):
+        # Only embed and graph_cluster fan out; the check runs at
+        # construction, before any backend is resolved.
+        with pytest.raises(ValidationError, match=f"'{stage}'"):
+            KGraph(n_clusters=3, stage_backends={stage: "thread"})
 
     def test_report_and_stage_timings_populated(self, small_dataset):
         model = KGraph(n_clusters=3, n_lengths=2, random_state=0).fit(
@@ -494,6 +502,20 @@ class TestBytesShipped:
             assert model.pipeline_report_.stage_bytes_shipped[name] > 0
             assert summary["stage_bytes_shipped"][name] > 0
             assert by_name[name].as_dict()["bytes_shipped"] > 0
+
+    def test_stage_bytes_add_up_to_the_backend_counter(self, small_dataset):
+        backend = ProcessBackend(2)
+        try:
+            before = backend.bytes_shipped
+            model = KGraph(
+                n_clusters=3, n_lengths=2, random_state=11, backend=backend
+            ).fit(small_dataset.data)
+            shipped = backend.bytes_shipped - before
+        finally:
+            backend.close()
+        # Every byte the pool shipped during the fit is attributed to a stage.
+        assert shipped > 0
+        assert sum(model.result_.bytes_shipped.values()) == shipped
 
     def test_serial_backend_ships_nothing(self, small_dataset):
         model = KGraph(n_clusters=3, n_lengths=2, random_state=11).fit(
