@@ -105,4 +105,3 @@ def select_optimal_length(scores: Sequence[LengthScore]) -> int:
         ordered = sorted(scores, key=lambda s: (-s.interpretability, s.length))
         best = ordered[0]
     return int(best.length)
-

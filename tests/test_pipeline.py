@@ -312,7 +312,7 @@ class TestKGraphPipelineEquivalence:
         )
         assert_fits_identical(fitted, reference)
 
-    def test_unknown_stage_backend_rejected(self, small_dataset):
+    def test_unknown_stage_backend_rejected(self):
         with pytest.raises(ValidationError, match="unknown stage names"):
             KGraph(n_clusters=3, stage_backends={"embedding": "thread"})
 
