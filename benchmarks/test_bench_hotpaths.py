@@ -7,8 +7,9 @@ assignments), an anti-diagonal banded DTW, blockwise/batched
 ``pairwise_distances``, ``np.argpartition``-based ``knn_affinity``, a
 one-hot-GEMM consensus matrix and a whole-batch ``predict_with_state``.
 Each vectorized path retains its original implementation as a
-``*_reference`` twin, or as an oracle in ``tests/oracles/`` (graph
-embedding, batched prediction); this experiment
+``*_reference`` twin (DTW, pairwise distances), or as an oracle in
+``tests/oracles/`` (graph embedding, k-NN affinity, consensus matrix,
+batched prediction); this experiment
 
 * times each (reference, vectorized) pair on the benchmark config,
 * asserts the outputs are **bit-identical** (``np.array_equal`` / payload
@@ -36,14 +37,11 @@ import numpy as np
 import pytest
 
 from bench_utils import RESULTS_DIR, format_table, full_mode, report
-from repro.core.consensus import (
-    build_consensus_matrix,
-    build_consensus_matrix_reference,
-)
+from repro.core.consensus import build_consensus_matrix
 from repro.core.kgraph import KGraph, predict_with_state
 from repro.datasets.synthetic import make_cylinder_bell_funnel
 from repro.graph.embedding import GraphEmbedding
-from repro.linalg.kernels import knn_affinity, knn_affinity_reference
+from repro.linalg.kernels import knn_affinity
 from repro.metrics.distances import (
     dtw_distance,
     dtw_distance_reference,
@@ -54,8 +52,10 @@ from repro.pipeline import MemoryStageCache
 
 # The reference implementations that live with the tests.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from oracles.consensus import build_consensus_matrix_reference  # noqa: E402
 from oracles.embedding import record_graph, reference_inputs  # noqa: E402
 from oracles.graph import payload  # noqa: E402
+from oracles.kernels import knn_affinity_reference  # noqa: E402
 from oracles.predict import predict_with_state_reference  # noqa: E402
 
 SCHEMA_VERSION = 1

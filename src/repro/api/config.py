@@ -1,7 +1,7 @@
 """Typed, versioned estimator configs — the single source of parameter truth.
 
 Before this module, k-Graph's parameters were re-declared independently in
-``KGraph.__init__``, the CLI flags, ``run_kgraph_grid``, the serve manifest
+``KGraph.__init__``, the CLI flags, the k-Graph grid sweep, the serve manifest
 schema and each pipeline stage's ``config_keys``.  An
 :class:`EstimatorConfig` subclass replaces all of those declarations with
 one frozen dataclass per estimator family:

@@ -8,7 +8,7 @@ and provides the filtering + aggregation operations the GUI exposes
 box-plot summaries per method, mean-rank tables).
 """
 
-from repro.benchmark.runner import BenchmarkRunner, BenchmarkResult, run_benchmark
+from repro.benchmark.runner import BenchmarkRunner, BenchmarkResult
 from repro.benchmark.aggregate import (
     boxplot_summary,
     filter_results,
@@ -26,7 +26,6 @@ __all__ = [
     "load_results",
     "mean_rank_table",
     "results_to_rows",
-    "run_benchmark",
     "save_results",
     "summarize_by_method",
 ]

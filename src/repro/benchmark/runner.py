@@ -359,12 +359,6 @@ class BenchmarkRunner:
         self._seed_pool = SeedSequencePool(random_state)
 
     # ------------------------------------------------------------------ #
-    def run_single(
-        self, method_name: str, dataset: TimeSeriesDataset, random_state=None
-    ) -> BenchmarkResult:
-        """Run one method on one (already materialised) dataset."""
-        return run_single_benchmark(method_name, dataset, random_state=random_state)
-
     def _job_result(self, job: _CampaignJob, outcome) -> BenchmarkResult:
         """Turn a job outcome into a result, capturing job-level failures.
 
@@ -765,36 +759,6 @@ class BenchmarkRunner:
             )
         return [_result_for(by_index[index]) for index in range(len(jobs))]
 
-    def run_kgraph_grid(
-        self,
-        dataset: TimeSeriesDataset,
-        grid: Sequence[Dict[str, object]],
-        *,
-        base_params: Optional[Dict[str, object]] = None,
-        stage_cache=None,
-        cache_budget: Optional[int] = None,
-        cache_policy: str = "lru",
-        random_state=0,
-        progress: Optional[ProgressCallback] = None,
-    ) -> List[BenchmarkResult]:
-        """Sweep k-Graph parameter combinations (kept as a thin alias).
-
-        Subsumed by :meth:`run_estimator_grid` with ``name="kgraph"`` —
-        same shared-stage-cache reuse, same per-combination error
-        isolation, same result labels.
-        """
-        return self.run_estimator_grid(
-            dataset,
-            "kgraph",
-            grid,
-            base=base_params,
-            stage_cache=stage_cache,
-            cache_budget=cache_budget,
-            cache_policy=cache_policy,
-            random_state=random_state,
-            progress=progress,
-        )
-
     @staticmethod
     def _average(runs: List[BenchmarkResult]) -> BenchmarkResult:
         """Average measures/runtime over repeated runs of the same pair."""
@@ -817,18 +781,6 @@ class BenchmarkRunner:
             runtime_seconds=float(np.mean([run.runtime_seconds for run in successful])),
             error=None,
         )
-
-
-def run_benchmark(
-    methods: Optional[Sequence[str]] = None,
-    dataset_names: Optional[Sequence[str]] = None,
-    *,
-    n_runs: int = 1,
-    random_state=None,
-) -> List[BenchmarkResult]:
-    """Convenience one-call benchmark campaign."""
-    runner = BenchmarkRunner(methods, n_runs=n_runs, random_state=random_state)
-    return runner.run(dataset_names)
 
 
 # Register the campaign/grid job functions for distributed dispatch:

@@ -42,8 +42,7 @@ def build_consensus_matrix(partitions: Sequence[np.ndarray]) -> np.ndarray:
     # co-association accumulation into a single B @ B.T — entry (i, j)
     # counts the partitions agreeing on (i, j).  The 0/1 dot products are
     # exact integers in float64, so the result is bit-identical to the
-    # per-partition accumulation loop retained in
-    # :func:`build_consensus_matrix_reference`.
+    # per-partition accumulation loop in ``tests/oracles/consensus.py``.
     blocks = []
     for labels in cleaned:
         clusters, inverse = np.unique(labels, return_inverse=True)
@@ -52,34 +51,6 @@ def build_consensus_matrix(partitions: Sequence[np.ndarray]) -> np.ndarray:
         blocks.append(onehot)
     indicators = np.hstack(blocks)
     matrix = (indicators @ indicators.T) / len(cleaned)
-    np.fill_diagonal(matrix, 1.0)
-    return matrix
-
-
-def build_consensus_matrix_reference(partitions: Sequence[np.ndarray]) -> np.ndarray:
-    """Reference per-partition accumulation of the co-association matrix.
-
-    Retained as the implementation :func:`build_consensus_matrix` is
-    benchmarked and equivalence-tested against (E13).
-    """
-    if not partitions:
-        raise ValidationError("at least one partition is required")
-    cleaned: List[np.ndarray] = []
-    n_samples = None
-    for index, labels in enumerate(partitions):
-        labels = check_labels(labels, name=f"partitions[{index}]")
-        if n_samples is None:
-            n_samples = labels.shape[0]
-        elif labels.shape[0] != n_samples:
-            raise ValidationError(
-                f"partition {index} has {labels.shape[0]} samples, expected {n_samples}"
-            )
-        cleaned.append(labels)
-
-    matrix = np.zeros((n_samples, n_samples))
-    for labels in cleaned:
-        matrix += (labels[:, None] == labels[None, :]).astype(float)
-    matrix /= len(cleaned)
     np.fill_diagonal(matrix, 1.0)
     return matrix
 

@@ -15,8 +15,8 @@ explicit name)::
     @register_worker_function
     def my_job(payload): ...
 
-The library's own fan-out functions (campaign cells, pipeline stage jobs,
-pairwise strips, ...) self-register at import time;
+The library's own fan-out functions (campaign and grid cells, pipeline
+stage jobs, ...) self-register at import time;
 :func:`load_default_worker_functions` imports those modules so a freshly
 started worker resolves every in-tree fan-out out of the box.
 
@@ -41,7 +41,6 @@ _DEFAULT_MODULES = (
     "repro.distributed.functions",
     "repro.benchmark.runner",
     "repro.pipeline.kgraph_stages",
-    "repro.metrics.distances",
 )
 
 

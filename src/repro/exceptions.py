@@ -32,15 +32,6 @@ class NotFittedError(ReproError, RuntimeError):
     """Raised when a model method requiring a prior ``fit`` is called too early."""
 
 
-class ConvergenceWarningError(ReproError, RuntimeError):
-    """Raised when an iterative solver cannot make progress at all.
-
-    Most solvers in this library return their best effort instead of raising;
-    this error is reserved for situations where no usable result exists
-    (for example an empty eigen-decomposition).
-    """
-
-
 class DatasetError(ReproError, ValueError):
     """Raised when a dataset cannot be generated, loaded, or parsed."""
 

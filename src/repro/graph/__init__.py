@@ -15,13 +15,12 @@
 """
 
 from repro.graph.structure import TimeSeriesGraph
-from repro.graph.embedding import GraphEmbedding, build_graph
+from repro.graph.embedding import GraphEmbedding
 from repro.graph.graphoid import (
     Graphoid,
     edge_exclusivity,
     edge_representativity,
     extract_gamma_graphoid,
-    extract_graphoid,
     extract_lambda_graphoid,
     node_exclusivity,
     node_representativity,
@@ -32,12 +31,10 @@ __all__ = [
     "GraphEmbedding",
     "Graphoid",
     "TimeSeriesGraph",
-    "build_graph",
     "circular_layout",
     "edge_exclusivity",
     "edge_representativity",
     "extract_gamma_graphoid",
-    "extract_graphoid",
     "extract_lambda_graphoid",
     "force_directed_layout",
     "node_exclusivity",

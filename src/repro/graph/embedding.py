@@ -279,21 +279,3 @@ def _nearest_nodes(points: np.ndarray, node_positions: np.ndarray) -> np.ndarray
         distances += (block[:, 1, None] - node_positions[None, :, 1]) ** 2
         assignments[start : start + per_block] = np.argmin(distances, axis=1)
     return assignments
-
-
-def build_graph(
-    data,
-    length: int,
-    *,
-    stride: int = 1,
-    n_sectors: int = 24,
-    random_state=None,
-) -> TimeSeriesGraph:
-    """One-call helper: build the transition graph of ``data`` for ``length``."""
-    embedding = GraphEmbedding(
-        length,
-        stride=stride,
-        n_sectors=n_sectors,
-        random_state=random_state,
-    )
-    return embedding.fit(data)

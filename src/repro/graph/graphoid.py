@@ -170,33 +170,12 @@ class Graphoid:
         }
 
 
-def _cluster_group(labels: np.ndarray, cluster: int, missing: str) -> Tuple[np.ndarray, np.ndarray]:
+def _cluster_group(labels: np.ndarray, cluster: int) -> Tuple[np.ndarray, np.ndarray]:
     """Series groups (1 in ``cluster``, 0 elsewhere) and the two group sizes."""
     group = (labels == cluster).astype(np.intp)
     if not group.any():
-        raise ValidationError(f"cluster {cluster} {missing}")
+        raise ValidationError(f"cluster {cluster} not present in labels")
     return group, np.bincount(group, minlength=2)
-
-
-def extract_graphoid(graph: TimeSeriesGraph, labels, cluster: int) -> Graphoid:
-    """The plain Graphoid: every node/edge traversed by at least one member."""
-    labels = check_labels(labels, n_samples=graph.n_series)
-    group, sizes = _cluster_group(labels, cluster, "has no members")
-
-    def touched(edges: bool) -> list:
-        counts = _scores(_crossings(graph, edges), group, sizes, exclusivity=False)[1]
-        return _elements(graph, edges, np.flatnonzero(counts > 0))
-
-    nodes, edges = touched(edges=False), touched(edges=True)
-    return Graphoid(
-        cluster=int(cluster),
-        nodes=nodes,
-        edges=edges,
-        node_scores={node: 1.0 for node in nodes},
-        edge_scores={edge: 1.0 for edge in edges},
-        kind="graphoid",
-        threshold=0.0,
-    )
 
 
 def _threshold_graphoid(
@@ -204,7 +183,7 @@ def _threshold_graphoid(
 ) -> Graphoid:
     """The λ- or γ-graphoid of ``cluster``, scoring that cluster only."""
     labels = check_labels(labels, n_samples=graph.n_series)
-    group, sizes = _cluster_group(labels, cluster, "not present in labels")
+    group, sizes = _cluster_group(labels, cluster)
 
     def selected(edges: bool) -> Dict:
         scores = _scores(_crossings(graph, edges), group, sizes, kind == "gamma")[1]

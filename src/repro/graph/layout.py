@@ -48,14 +48,16 @@ def circular_layout(graph: TimeSeriesGraph) -> Dict[int, Position]:
 def force_directed_layout(
     graph: TimeSeriesGraph,
     *,
+    random_state,
     n_iterations: int = 100,
-    random_state=None,
 ) -> Dict[int, Position]:
     """Fruchterman-Reingold force-directed layout seeded from the PCA layout.
 
     Edge weights attract proportionally to ``log(1 + weight)`` so heavy
     transition edges pull their endpoints together without collapsing the
-    whole graph.
+    whole graph.  ``random_state`` seeds the jitter added to the start
+    positions; it has no default, so the same call always draws the same
+    layout.
     """
     n_iterations = check_positive_int(n_iterations, "n_iterations")
     rng = check_random_state(random_state)

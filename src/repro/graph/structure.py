@@ -297,22 +297,8 @@ class TimeSeriesGraph:
         return matrix
 
     # ------------------------------------------------------------------ #
-    # interop / summaries
+    # summaries
     # ------------------------------------------------------------------ #
-    def to_networkx(self):
-        """Convert to a :class:`networkx.DiGraph` with weights and attributes."""
-        import networkx as nx
-
-        graph = nx.DiGraph(length=self.length, n_series=self.n_series)
-        series_counts = np.diff(self.node_crossings.ptr).tolist()
-        for node_id, (position, weight, n_series) in enumerate(
-            zip(self.node_positions().values(), self.node_weights.tolist(), series_counts)
-        ):
-            graph.add_node(node_id, position=position, weight=weight, n_series=n_series)
-        for (source, target), weight in zip(self.edges(), self.edge_weights.tolist()):
-            graph.add_edge(source, target, weight=weight)
-        return graph
-
     def summary(self) -> Dict[str, object]:
         """JSON-serialisable summary for the Under-the-hood frame."""
         weights = self.node_weights

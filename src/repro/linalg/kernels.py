@@ -46,9 +46,10 @@ def knn_affinity(data, n_neighbors: int = 10, metric: str = "euclidean") -> np.n
     Neighbour selection is fully vectorised with ``np.argpartition``
     (O(n²) instead of the O(n² log n) argsort-per-row loop) and breaks
     distance ties deterministically by the smaller column index — the same
-    semantics as :func:`knn_affinity_reference`, which it is bit-identical
-    to: strictly-closer points are always neighbours, and points tied with
-    the k-th smallest distance fill the remaining slots in index order.
+    semantics as the stable argsort-per-row oracle in
+    ``tests/oracles/kernels.py``, which it is bit-identical to:
+    strictly-closer points are always neighbours, and points tied with the
+    k-th smallest distance fill the remaining slots in index order.
 
     .. note::
        The pre-vectorization implementation broke ties in ``np.argsort``
@@ -81,31 +82,4 @@ def knn_affinity(data, n_neighbors: int = 10, metric: str = "euclidean") -> np.n
     fill = tied & (tie_rank <= (n_neighbors - n_closer)[:, None])
     affinity = (closer | fill).astype(float)
     # Symmetrise: connect if either endpoint lists the other as a neighbour.
-    return np.maximum(affinity, affinity.T)
-
-
-def knn_affinity_reference(
-    data, n_neighbors: int = 10, metric: str = "euclidean"
-) -> np.ndarray:
-    """Reference argsort-per-row k-NN affinity (O(n² log n)).
-
-    Retained as the implementation :func:`knn_affinity` is benchmarked and
-    equivalence-tested against (E13).  Uses a stable sort with the column
-    index as tie-break so the selection is deterministic under distance
-    ties, matching the vectorised path exactly.
-    """
-    array = check_array(data, name="data", ndim=2)
-    n = array.shape[0]
-    if n_neighbors < 1:
-        raise ValidationError(f"n_neighbors must be >= 1, got {n_neighbors}")
-    n_neighbors = min(n_neighbors, n - 1)
-    if n_neighbors == 0:
-        return np.zeros((n, n))
-    distances = pairwise_distances(array, metric=metric)
-    affinity = np.zeros((n, n))
-    columns = np.arange(n)
-    for i in range(n):
-        order = np.lexsort((columns, distances[i]))
-        neighbours = [j for j in order if j != i][:n_neighbors]
-        affinity[i, neighbours] = 1.0
     return np.maximum(affinity, affinity.T)

@@ -9,8 +9,6 @@ from-scratch NumPy implementations:
 * :mod:`repro.metrics.clustering` — Rand index, adjusted Rand index, mutual
   information, NMI, AMI, homogeneity/completeness/V-measure, purity,
   Fowlkes-Mallows.
-* :mod:`repro.metrics.silhouette` — silhouette coefficient on arbitrary
-  distance matrices.
 """
 
 from repro.metrics.distances import (
@@ -35,7 +33,6 @@ from repro.metrics.clustering import (
     rand_index,
     v_measure_score,
 )
-from repro.metrics.silhouette import silhouette_samples, silhouette_score
 
 __all__ = [
     "adjusted_mutual_information",
@@ -55,35 +52,6 @@ __all__ = [
     "purity_score",
     "rand_index",
     "sbd_distance",
-    "silhouette_samples",
-    "silhouette_score",
     "v_measure_score",
     "znormalized_euclidean_distance",
 ]
-
-#: Names of the evaluation measures exposed in the Benchmark frame (Fig. 2).
-BENCHMARK_MEASURES = ("ari", "ri", "nmi", "ami")
-
-
-def evaluate_measure(name: str, labels_true, labels_pred) -> float:
-    """Evaluate one of the Benchmark-frame measures by name.
-
-    Parameters
-    ----------
-    name:
-        One of ``"ari"``, ``"ri"``, ``"nmi"``, ``"ami"`` (case-insensitive),
-        plus the extra aliases ``"purity"``, ``"vmeasure"`` and ``"fmi"``.
-    """
-    key = name.strip().lower()
-    mapping = {
-        "ari": adjusted_rand_index,
-        "ri": rand_index,
-        "nmi": normalized_mutual_information,
-        "ami": adjusted_mutual_information,
-        "purity": purity_score,
-        "vmeasure": v_measure_score,
-        "fmi": fowlkes_mallows_index,
-    }
-    if key not in mapping:
-        raise ValueError(f"unknown evaluation measure {name!r}; expected one of {sorted(mapping)}")
-    return mapping[key](labels_true, labels_pred)

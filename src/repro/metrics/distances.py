@@ -5,14 +5,14 @@ Implements the distances used across the paper's method population:
 * plain and z-normalised Euclidean distance (k-Means, feature spaces),
 * shape-based distance (SBD) built on the normalised cross-correlation,
   which is the core of k-Shape,
-* dynamic time warping with an optional Sakoe-Chiba band (used by the
-  DTW-based baselines and by the interpretability quiz's "hard" mode).
+* dynamic time warping with an optional Sakoe-Chiba band, reachable
+  through the ``metric=`` of the distance-matrix clusterers (k-Medoids,
+  DBSCAN, OPTICS, agglomerative).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -188,35 +188,6 @@ def dtw_distance_reference(a, b, window: Optional[int] = None) -> float:
     return float(np.sqrt(previous[m]))
 
 
-def dtw_path(a, b, window: Optional[int] = None) -> Tuple[float, list]:
-    """DTW distance plus the optimal warping path as a list of (i, j) pairs."""
-    x = check_array(a, name="a", ndim=1)
-    y = check_array(b, name="b", ndim=1)
-    n, m = x.shape[0], y.shape[0]
-    band = max(n, m) if window is None else max(int(window), abs(n - m))
-
-    acc = np.full((n + 1, m + 1), np.inf)
-    acc[0, 0] = 0.0
-    for i in range(1, n + 1):
-        for j in range(max(1, i - band), min(m, i + band) + 1):
-            cost = (x[i - 1] - y[j - 1]) ** 2
-            acc[i, j] = cost + min(acc[i - 1, j], acc[i, j - 1], acc[i - 1, j - 1])
-
-    path = []
-    i, j = n, m
-    while i > 0 and j > 0:
-        path.append((i - 1, j - 1))
-        step = int(np.argmin([acc[i - 1, j - 1], acc[i - 1, j], acc[i, j - 1]]))
-        if step == 0:
-            i, j = i - 1, j - 1
-        elif step == 1:
-            i -= 1
-        else:
-            j -= 1
-    path.reverse()
-    return float(np.sqrt(acc[n, m])), path
-
-
 _METRIC_FUNCTIONS: dict = {
     "euclidean": euclidean_distance,
     "zeuclidean": znormalized_euclidean_distance,
@@ -345,185 +316,12 @@ def _pairwise_euclidean_gram(array: np.ndarray) -> np.ndarray:
     return np.sqrt(dist2)
 
 
-@dataclass(frozen=True)
-class _PairwiseStripJob:
-    """One worker's contiguous row strip of a pairwise distance matrix."""
-
-    array: np.ndarray
-    metric: str
-    start: int
-    stop: int
-    exact: bool
-    block_size: Optional[int]
-    window: Optional[int]
-
-
-def _pairwise_euclidean_strip(
-    array: np.ndarray, start: int, stop: int, block_size: Optional[int]
-) -> np.ndarray:
-    """Rows ``[start, stop)`` of the direct-difference euclidean matrix.
-
-    Runs the per-row operations of :func:`_pairwise_euclidean_blocked`
-    verbatim — each output row is a pure function of that row and the full
-    array, so strip results are bit-identical to the serial kernel no
-    matter how the rows are partitioned across workers.
-    """
-    n, length = array.shape
-    rows = stop - start
-    if block_size is None:
-        block_size = _euclidean_block_rows(n, length)
-    block_size = min(block_size, rows)
-    out = np.empty((rows, n))
-    diff = np.empty((block_size, n, length))
-    for offset in range(0, rows, block_size):
-        limit = min(rows, offset + block_size)
-        window = diff[: limit - offset]
-        np.subtract(
-            array[start + offset : start + limit, None, :],
-            array[None, :, :],
-            out=window,
-        )
-        np.multiply(window, window, out=window)
-        np.sum(window, axis=-1, out=out[offset:limit])
-    np.sqrt(out, out=out)
-    return out
-
-
-def _pairwise_sbd_strip(array: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Upper-triangle rows ``[start, stop)`` of the SBD matrix.
-
-    Each entry ``(i, j > i)`` evaluates exactly the batched expression of
-    :func:`_pairwise_sbd` for that ``i`` (entries at and below the diagonal
-    stay zero); the coordinator mirrors the strip, reproducing the serial
-    kernel's symmetric write.
-    """
-    n, m = array.shape
-    strip = np.zeros((stop - start, n))
-    if n < 2:
-        return strip
-    size = 1 << int(np.ceil(np.log2(2 * m - 1))) if m > 1 else 1
-    transforms = np.fft.rfft(array, size, axis=1)
-    conjugates = np.conj(transforms)
-    norms = np.array([float(np.linalg.norm(row)) for row in array])
-    for i in range(start, min(stop, n - 1)):
-        cc = np.fft.irfft(transforms[i][None, :] * conjugates[i + 1 :], size, axis=1)
-        if m > 1:
-            cc = np.concatenate([cc[:, -(m - 1) :], cc[:, :m]], axis=1)
-        else:
-            cc = cc[:, :1]
-        best = cc.max(axis=1)
-        denom = norms[i] * norms[i + 1 :]
-        degenerate = denom < 1e-12
-        safe = np.where(degenerate, 1.0, denom)
-        strip[i - start, i + 1 :] = np.where(degenerate, 1.0, 1.0 - best / safe)
-    return strip
-
-
-def _pairwise_dtw_strip(
-    array: np.ndarray,
-    start: int,
-    stop: int,
-    window: Optional[int],
-    block_size: Optional[int],
-) -> np.ndarray:
-    """Upper-triangle rows ``[start, stop)`` of the DTW matrix.
-
-    :func:`_dtw_batch` computes every pair of its batch independently
-    (each batch row only ever reads its own slices), so partitioning the
-    upper-triangle pairs by matrix row yields values bit-identical to the
-    serial pair-blocked sweep.
-    """
-    n, m = array.shape
-    band = _dtw_band(m, m, window)
-    strip = np.zeros((stop - start, n))
-    ii, jj = np.triu_indices(n, k=1)
-    keep = (ii >= start) & (ii < stop)
-    ii, jj = ii[keep], jj[keep]
-    if ii.size == 0:
-        return strip
-    if block_size is None:
-        block_size = max(1, (2 * 1024 * 1024) // max(1, m + 1))
-    for offset in range(0, ii.size, block_size):
-        bi = ii[offset : offset + block_size]
-        bj = jj[offset : offset + block_size]
-        strip[bi - start, bj] = np.sqrt(_dtw_batch(array[bi], array[bj], band))
-    return strip
-
-
-def _pairwise_strip(job: _PairwiseStripJob) -> np.ndarray:
-    """Worker entry point: compute one row strip (runs in worker processes)."""
-    if job.metric == "euclidean":
-        if job.exact:
-            return _pairwise_euclidean_strip(
-                job.array, job.start, job.stop, job.block_size
-            )
-        squared = np.sum(job.array**2, axis=1)
-        gram = job.array[job.start : job.stop] @ job.array.T
-        dist2 = np.maximum(
-            squared[job.start : job.stop, None] + squared[None, :] - 2.0 * gram, 0.0
-        )
-        return np.sqrt(dist2)
-    if job.metric == "sbd":
-        return _pairwise_sbd_strip(job.array, job.start, job.stop)
-    if job.metric == "dtw":
-        return _pairwise_dtw_strip(
-            job.array, job.start, job.stop, job.window, job.block_size
-        )
-    raise ValidationError(f"metric {job.metric!r} has no strip kernel")
-
-
-def _pairwise_distances_fanout(
-    array: np.ndarray,
-    metric: str,
-    backend,
-    *,
-    exact: bool,
-    block_size: Optional[int],
-    window: Optional[int],
-) -> np.ndarray:
-    """Row-strip fan-out of a pairwise matrix over an execution backend.
-
-    The rows are split into contiguous strips (a few per worker so the
-    triangular metrics balance), each worker computes its strip with the
-    serial kernels' per-row expressions, and the coordinator assembles —
-    mirroring the triangular strips — so the result is bit-identical to
-    the serial path for ``exact`` euclidean, zeuclidean, SBD and DTW.
-    On a :class:`~repro.parallel.ThreadBackend` the strips share the
-    caller's array; a process pool pickles it into every strip job.
-    """
-    n = array.shape[0]
-    n_workers = getattr(backend, "n_workers", None) or 1
-    strips = min(n, max(1, int(n_workers)) * 2)
-    bounds = np.linspace(0, n, strips + 1).astype(int)
-    jobs = [
-        _PairwiseStripJob(
-            array=array,
-            metric=metric,
-            start=int(lo),
-            stop=int(hi),
-            exact=exact,
-            block_size=block_size,
-            window=window,
-        )
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-        if hi > lo
-    ]
-    matrix = np.zeros((n, n))
-    triangular = metric in ("sbd", "dtw")
-    for job, outcome in zip(jobs, backend.map_jobs(_pairwise_strip, jobs)):
-        matrix[job.start : job.stop] = outcome.unwrap()
-    if triangular:
-        matrix += matrix.T
-    return matrix
-
-
 def pairwise_distances(
     data,
     metric: str = "euclidean",
     *,
     block_size: Optional[int] = None,
     exact: bool = False,
-    backend=None,
     **metric_kwargs,
 ) -> np.ndarray:
     """Symmetric pairwise distance matrix for the rows of ``data``.
@@ -540,56 +338,19 @@ def pairwise_distances(
     metrics, pairs for DTW) and is chosen automatically when ``None``.
     Unknown metric keyword arguments fall back to the reference per-pair
     loop.
-
-    ``backend`` fans the matrix out as contiguous row strips over an
-    :class:`~repro.parallel.ExecutionBackend` (instance or spec name,
-    resolved for this call).  Strip workers run the serial kernels' exact
-    per-row expressions, so the assembled matrix is bit-identical to the
-    serial path for every metric except the gram-formulation euclidean
-    default (whose GEMM blocking is shape-dependent; combine with
-    ``exact=True`` when exactness matters).  Metrics that fall back to the
-    reference loop ignore ``backend``.
     """
     array = check_array(data, name="data", ndim=2, min_rows=1)
     key = metric.strip().lower() if isinstance(metric, str) else metric
-    fanout = None
-    if backend is not None:
-        from repro.parallel import backend_scope
-
-        def fanout(strip_array, strip_metric, **strip_kwargs):
-            with backend_scope(backend) as resolved:
-                return _pairwise_distances_fanout(
-                    strip_array, strip_metric, resolved, **strip_kwargs
-                )
-
     if key == "euclidean" and not metric_kwargs:
-        if fanout is not None:
-            return fanout(
-                array, "euclidean", exact=exact, block_size=block_size, window=None
-            )
         if exact:
             return _pairwise_euclidean_blocked(array, block_size)
         return _pairwise_euclidean_gram(array)
     if key == "zeuclidean" and not metric_kwargs:
         normalized = np.vstack([znormalize(row) for row in array])
-        if fanout is not None:
-            return fanout(
-                normalized, "euclidean", exact=True, block_size=block_size, window=None
-            )
         return _pairwise_euclidean_blocked(normalized, block_size)
     if key == "sbd" and not metric_kwargs:
-        if fanout is not None:
-            return fanout(array, "sbd", exact=False, block_size=None, window=None)
         return _pairwise_sbd(array)
     if key == "dtw" and set(metric_kwargs) <= {"window"}:
-        if fanout is not None:
-            return fanout(
-                array,
-                "dtw",
-                exact=False,
-                block_size=block_size,
-                window=metric_kwargs.get("window"),
-            )
         return _pairwise_dtw(array, metric_kwargs.get("window"), block_size)
     return pairwise_distances_reference(array, metric, **metric_kwargs)
 
@@ -617,10 +378,3 @@ def pairwise_distances_reference(
                 value = value[0]
             matrix[i, j] = matrix[j, i] = value
     return matrix
-
-
-# Registered so distributed workers can compute pairwise strips by name
-# (see repro.distributed.registry).
-from repro.distributed.registry import register_worker_function  # noqa: E402
-
-register_worker_function(_pairwise_strip)

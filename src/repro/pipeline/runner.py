@@ -96,37 +96,14 @@ class PipelineReport:
         return {record.name: int(record.bytes_shipped) for record in self.records}
 
     @property
-    def stage_fault_stats(self) -> Dict[str, Dict[str, int]]:
-        """Mapping stage name -> its attempts/timeouts/pool_rebuilds counters."""
-        return {
-            record.name: {
-                "attempts": int(record.attempts),
-                "timeouts": int(record.timeouts),
-                "pool_rebuilds": int(record.pool_rebuilds),
-            }
-            for record in self.records
-        }
-
-    @property
     def total_attempts(self) -> int:
         """Job dispatches consumed across every stage of the run."""
         return sum(int(record.attempts) for record in self.records)
 
     @property
-    def total_timeouts(self) -> int:
-        """Jobs whose final outcome timed out, across every stage."""
-        return sum(int(record.timeouts) for record in self.records)
-
-    @property
     def total_pool_rebuilds(self) -> int:
         """Worker pools rebuilt after breakage/hangs, across every stage."""
         return sum(int(record.pool_rebuilds) for record in self.records)
-
-    def record_for(self, name: str) -> StageRecord:
-        for record in self.records:
-            if record.name == name:
-                return record
-        raise PipelineError(f"no stage named {name!r} in this report")
 
     def as_dict(self) -> Dict[str, object]:
         """JSON-serialisable form (embedded in the model-artifact manifest)."""

@@ -14,15 +14,8 @@ from repro.utils.validation import (
     check_time_series_dataset,
 )
 from repro.utils.containers import TimeSeriesDataset
-from repro.utils.normalization import (
-    minmax_scale,
-    paa,
-    resample_length,
-    znormalize,
-    znormalize_dataset,
-)
+from repro.utils.normalization import znormalize, znormalize_dataset
 from repro.utils.windows import (
-    pad_series,
     sliding_window_matrix,
     subsequence_count,
     subsequences_of_dataset,
@@ -41,10 +34,6 @@ __all__ = [
     "check_random_state",
     "check_time_series_dataset",
     "format_duration",
-    "minmax_scale",
-    "paa",
-    "pad_series",
-    "resample_length",
     "sliding_window_matrix",
     "spawn_rng",
     "subsequence_count",

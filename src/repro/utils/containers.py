@@ -8,7 +8,7 @@ Benchmark frame of Graphint filters datasets by this metadata).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional
 
 import numpy as np
 
@@ -122,15 +122,6 @@ class TimeSeriesDataset:
         labels = self.labels[indices] if self.labels is not None else None
         return replace(self, data=data, labels=labels)
 
-    def series_of_class(self, class_label: int) -> np.ndarray:
-        """Return the stacked series belonging to ``class_label``."""
-        if self.labels is None:
-            raise ValidationError("dataset has no labels")
-        mask = self.labels == class_label
-        if not np.any(mask):
-            raise ValidationError(f"no series with class label {class_label}")
-        return self.data[mask]
-
     def summary(self) -> Dict[str, object]:
         """Return a JSON-serialisable description used by the GUI and catalogue."""
         return {
@@ -142,34 +133,3 @@ class TimeSeriesDataset:
             "class_counts": self.class_counts(),
             "metadata": dict(self.metadata),
         }
-
-    def train_test_split(
-        self, test_fraction: float = 0.3, random_state=None
-    ) -> Tuple["TimeSeriesDataset", "TimeSeriesDataset"]:
-        """Split the dataset into train/test parts, stratified when labelled."""
-        from repro.utils.validation import check_probability, check_random_state
-
-        test_fraction = check_probability(test_fraction, "test_fraction", inclusive=False)
-        rng = check_random_state(random_state)
-        n_test = max(1, int(round(self.n_series * test_fraction)))
-        n_test = min(n_test, self.n_series - 1)
-
-        if self.labels is not None:
-            test_indices = []
-            for label in np.unique(self.labels):
-                members = np.flatnonzero(self.labels == label)
-                permuted = rng.permutation(members)
-                take = max(1, int(round(members.size * test_fraction)))
-                take = min(take, members.size - 1) if members.size > 1 else 0
-                test_indices.extend(permuted[:take].tolist())
-            test_indices = np.asarray(sorted(set(test_indices)), dtype=int)
-            if test_indices.size == 0:
-                test_indices = rng.permutation(self.n_series)[:n_test]
-        else:
-            test_indices = rng.permutation(self.n_series)[:n_test]
-
-        mask = np.zeros(self.n_series, dtype=bool)
-        mask[test_indices] = True
-        if mask.all() or not mask.any():
-            raise ValidationError("train/test split produced an empty side")
-        return self.subset(~mask), self.subset(mask)

@@ -55,22 +55,6 @@ def sliding_window_matrix(series, window: int, stride: int = 1) -> np.ndarray:
     return view.copy()
 
 
-def pad_series(series, target_length: int, mode: str = "edge") -> np.ndarray:
-    """Pad ``series`` on the right up to ``target_length`` points."""
-    array = check_array(series, name="series", ndim=1, min_rows=1)
-    target_length = check_positive_int(target_length, "target_length")
-    if target_length <= array.shape[0]:
-        return array[:target_length].copy()
-    pad = target_length - array.shape[0]
-    if mode not in {"edge", "zero", "wrap"}:
-        raise ValidationError(f"unknown padding mode {mode!r}")
-    if mode == "zero":
-        return np.concatenate([array, np.zeros(pad)])
-    if mode == "wrap":
-        return np.concatenate([array, np.resize(array, pad)])
-    return np.concatenate([array, np.full(pad, array[-1])])
-
-
 def subsequences_of_dataset(
     data, window: int, stride: int = 1
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -4,8 +4,8 @@ The original demo is a Streamlit + Plotly web application.  Neither is
 available in this environment, so the tool is re-implemented as:
 
 * :mod:`repro.viz.svg` / :mod:`repro.viz.plots` — an SVG drawing substrate
-  and the plot types the frames need (line, scatter, box plot, heatmap,
-  histogram, bar chart),
+  and the plot types the frames need (line, series grid, box plot,
+  heatmap, bar chart, curve comparison),
 * :mod:`repro.viz.graph_render` — graph drawing with λ/γ colouring,
 * :mod:`repro.viz.frames` — one builder per GUI frame (clustering
   comparison, benchmark, graph, interpretability test, under the hood),
@@ -21,9 +21,7 @@ from repro.viz.plots import (
     bar_chart,
     box_plot,
     heatmap,
-    histogram,
     line_plot,
-    scatter_plot,
     series_grid,
 )
 from repro.viz.graph_render import render_graph
@@ -39,9 +37,7 @@ __all__ = [
     "build_dashboard",
     "color_for_cluster",
     "heatmap",
-    "histogram",
     "line_plot",
     "render_graph",
-    "scatter_plot",
     "series_grid",
 ]

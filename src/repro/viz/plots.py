@@ -3,15 +3,15 @@
 Each function returns a complete ``<svg>`` element.  The plots cover what
 the five frames need: time series line plots (clustering comparison),
 multi-series grids, box plots (benchmark frame), heatmaps (feature and
-consensus matrices), histograms/bars (node exclusivity/representativity) and
-scatter plots (PCA projections).
+consensus matrices), bar charts (node exclusivity/representativity) and
+curve comparisons (W_c / W_e against the subsequence length).
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -222,37 +222,6 @@ def series_grid(
     return canvas.to_svg()
 
 
-def scatter_plot(
-    points,
-    *,
-    labels: Optional[Sequence[int]] = None,
-    extra_points: Optional[Sequence[Tuple[float, float]]] = None,
-    width: int = 460,
-    height: int = 300,
-    title: str = "",
-    x_label: str = "PC 1",
-    y_label: str = "PC 2",
-) -> str:
-    """2-D scatter plot (PCA projection of subsequences), optional node markers."""
-    array = check_array(points, name="points", ndim=2)
-    if array.shape[1] < 2:
-        raise VisualizationError("scatter_plot needs 2-D points")
-    canvas = SVGCanvas(width, height, background=DEFAULT_THEME.background)
-    axes = _Axes(
-        canvas,
-        (float(array[:, 0].min()), float(array[:, 0].max())),
-        (float(array[:, 1].min()), float(array[:, 1].max())),
-    )
-    axes.draw_frame(x_label, y_label, title)
-    for index in range(array.shape[0]):
-        color = color_for_cluster(labels[index]) if labels is not None else "#4e79a7"
-        canvas.circle(axes.x(array[index, 0]), axes.y(array[index, 1]), 1.6, fill=color, opacity=0.5)
-    if extra_points:
-        for x_value, y_value in extra_points:
-            canvas.circle(axes.x(x_value), axes.y(y_value), 5.0, fill="#d62728", opacity=0.9)
-    return canvas.to_svg()
-
-
 def box_plot(
     groups: Dict[str, Sequence[float]],
     *,
@@ -443,34 +412,6 @@ def bar_chart(
             size=9,
             anchor="middle",
             fill="#333333",
-        )
-    return canvas.to_svg()
-
-
-def histogram(
-    values,
-    *,
-    n_bins: int = 20,
-    width: int = 420,
-    height: int = 220,
-    title: str = "",
-    x_label: str = "",
-) -> str:
-    """Histogram of a 1-D sample (score distributions in the quiz frame)."""
-    array = check_array(values, name="values", ndim=1, min_rows=1)
-    counts, edges = np.histogram(array, bins=int(n_bins))
-    canvas = SVGCanvas(width, height, background=DEFAULT_THEME.background)
-    axes = _Axes(canvas, (float(edges[0]), float(edges[-1])), (0, float(max(counts.max(), 1))))
-    axes.draw_frame(x_label, "count", title)
-    for i, count in enumerate(counts):
-        canvas.rect(
-            axes.x(edges[i]),
-            axes.y(count),
-            max(axes.x(edges[i + 1]) - axes.x(edges[i]) - 1.0, 0.5),
-            axes.y(0) - axes.y(count),
-            fill="#4e79a7",
-            opacity=0.8,
-            stroke="none",
         )
     return canvas.to_svg()
 

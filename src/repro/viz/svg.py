@@ -210,10 +210,6 @@ class SVGCanvas:
             hy = y2 - head_size * math.sin(angle + offset)
             self.line(x2, y2, hx, hy, stroke=stroke, stroke_width=stroke_width, opacity=opacity)
 
-    def group_raw(self, svg_fragment: str) -> None:
-        """Append a pre-rendered SVG fragment (used to nest plots)."""
-        self._elements.append(svg_fragment)
-
     # ------------------------------------------------------------------ #
     def to_svg(self) -> str:
         """Serialise the canvas to a standalone ``<svg>`` element."""

@@ -40,21 +40,6 @@ def sequential_color(value: float) -> str:
     return f"#{red:02x}{green:02x}{blue:02x}"
 
 
-def diverging_color(value: float) -> str:
-    """Map a value in [-1, 1] to a red-white-blue diverging colour (hex)."""
-    value = min(max(float(value), -1.0), 1.0)
-    if value >= 0:
-        red = int(247 + (33 - 247) * value)
-        green = int(247 + (102 - 247) * value)
-        blue = int(247 + (172 - 247) * value)
-    else:
-        value = -value
-        red = int(247 + (178 - 247) * value)
-        green = int(247 + (24 - 247) * value)
-        blue = int(247 + (43 - 247) * value)
-    return f"#{red:02x}{green:02x}{blue:02x}"
-
-
 @dataclass(frozen=True)
 class Theme:
     """Sizing and typography defaults for the frames."""

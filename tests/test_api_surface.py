@@ -4,10 +4,14 @@
 :mod:`repro.api` and the estimator registry.  A PR that adds, renames or
 removes a public name (or a registered estimator) must update the snapshot
 in the same change — the failure message below says exactly how — so the
-public contract never drifts by accident.
+public contract never drifts by accident.  Every name any ``repro`` module
+lists in ``__all__`` must also resolve, so a deletion cannot leave a stale
+export behind.
 """
 
+import importlib
 import json
+import pkgutil
 from pathlib import Path
 
 SNAPSHOT_PATH = Path(__file__).parent / "data" / "api_surface.json"
@@ -47,6 +51,23 @@ def test_every_exported_name_resolves():
 
     for name in repro.api.__all__:
         assert getattr(repro.api, name) is not None
+
+
+def test_every_module_export_resolves():
+    # A deletion that leaves its name in some __all__ breaks
+    # ``from module import *`` without failing any direct import.
+    import repro
+
+    names = ["repro"] + [
+        info.name for info in pkgutil.walk_packages(repro.__path__, prefix="repro.")
+    ]
+    stale = []
+    for module_name in names:
+        module = importlib.import_module(module_name)
+        for name in getattr(module, "__all__", ()):
+            if not hasattr(module, name):
+                stale.append(f"{module_name}.{name}")
+    assert stale == []
 
 
 def test_top_level_package_reexports_api_names():

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.metrics import evaluate_measure
 from repro.metrics.clustering import (
     adjusted_mutual_information,
     adjusted_rand_index,
@@ -140,9 +139,3 @@ class TestOtherMeasures:
     def test_clustering_report_keys(self):
         report = clustering_report(TRUE, BAD)
         assert set(report) == {"ari", "ri", "nmi", "ami", "purity", "vmeasure", "fmi"}
-
-    def test_evaluate_measure_dispatch(self):
-        assert evaluate_measure("ARI", TRUE, PERFECT) == pytest.approx(1.0)
-        assert evaluate_measure("nmi", TRUE, PERFECT) == pytest.approx(1.0)
-        with pytest.raises(ValueError):
-            evaluate_measure("accuracy", TRUE, PERFECT)

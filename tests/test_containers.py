@@ -44,19 +44,6 @@ class TestClassAccessors:
     def test_class_counts(self, dataset):
         assert dataset.class_counts() == {0: 3, 1: 3, 2: 2}
 
-    def test_series_of_class(self, dataset):
-        block = dataset.series_of_class(2)
-        assert block.shape == (2, 5)
-
-    def test_series_of_missing_class(self, dataset):
-        with pytest.raises(ValidationError):
-            dataset.series_of_class(9)
-
-    def test_series_of_class_requires_labels(self):
-        unlabelled = TimeSeriesDataset(data=np.zeros((3, 6)))
-        with pytest.raises(ValidationError):
-            unlabelled.series_of_class(0)
-
 
 class TestTransformations:
     def test_with_labels(self, dataset):
@@ -87,24 +74,3 @@ class TestTransformations:
 
         text = json.dumps(dataset.summary())
         assert "toy" in text
-
-
-class TestTrainTestSplit:
-    def test_split_sizes(self, dataset):
-        train, test = dataset.train_test_split(test_fraction=0.25, random_state=0)
-        assert train.n_series + test.n_series == dataset.n_series
-        assert test.n_series >= 1
-        assert train.n_series >= 1
-
-    def test_split_stratified_keeps_classes(self, dataset):
-        train, test = dataset.train_test_split(test_fraction=0.3, random_state=0)
-        assert set(np.unique(train.labels)) == {0, 1, 2}
-
-    def test_split_deterministic(self, dataset):
-        first = dataset.train_test_split(test_fraction=0.3, random_state=5)
-        second = dataset.train_test_split(test_fraction=0.3, random_state=5)
-        assert np.array_equal(first[1].data, second[1].data)
-
-    def test_invalid_fraction(self, dataset):
-        with pytest.raises(ValidationError):
-            dataset.train_test_split(test_fraction=1.0)

@@ -13,14 +13,14 @@ from repro.core.interpretability import (
     select_optimal_length,
 )
 from repro.exceptions import ValidationError
-from repro.graph.embedding import build_graph
+from repro.graph.embedding import GraphEmbedding
 from repro.metrics.clustering import adjusted_rand_index
 
 
 class TestClusterGraph:
     @pytest.fixture(scope="class")
     def graph(self, small_dataset):
-        return build_graph(small_dataset.data, length=16, random_state=0)
+        return GraphEmbedding(16, random_state=0).fit(small_dataset.data)
 
     def test_partition_properties(self, graph, small_dataset):
         partition = cluster_graph(graph, 3, random_state=0)

@@ -79,7 +79,7 @@ class TestSyntheticGenerators:
     def test_noise_only_has_no_structure(self):
         dataset = make_noise_only(n_series=30, length=64, random_state=0)
         # Labels are random: the per-class means must be statistically identical.
-        means = [dataset.series_of_class(c).mean() for c in range(dataset.n_classes)]
+        means = [dataset.data[dataset.labels == c].mean() for c in range(dataset.n_classes)]
         assert abs(means[0] - means[1]) < 0.5
 
     def test_too_few_series_rejected(self):
@@ -191,7 +191,8 @@ class TestUCRFormat:
         assert adjusted_rand_index(loaded.labels, small_dataset.labels) == pytest.approx(1.0)
 
     def test_train_test_concatenation(self, tmp_path, small_dataset):
-        train, test = small_dataset.train_test_split(0.3, random_state=0)
+        held_out = np.arange(small_dataset.n_series) % 3 == 0
+        train, test = small_dataset.subset(~held_out), small_dataset.subset(held_out)
         train_path = save_ucr_dataset(train, tmp_path / "d_TRAIN.tsv")
         test_path = save_ucr_dataset(test, tmp_path / "d_TEST.tsv")
         combined = load_ucr_dataset(train_path, test_path=test_path)

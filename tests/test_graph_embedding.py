@@ -8,7 +8,7 @@ import pytest
 import repro.utils.windows as windows_module
 from repro.datasets.synthetic import make_cylinder_bell_funnel
 from repro.exceptions import GraphConstructionError, ValidationError
-from repro.graph.embedding import GraphEmbedding, build_graph
+from repro.graph.embedding import GraphEmbedding
 from repro.graph.structure import TimeSeriesGraph
 from repro.linalg.pca import PCA
 from repro.utils.normalization import znormalize_dataset
@@ -20,47 +20,47 @@ from oracles.graph import assert_graphs_identical, assert_matches_oracle
 
 class TestGraphEmbedding:
     def test_basic_properties(self, small_dataset):
-        graph = build_graph(small_dataset.data, length=16, random_state=0)
+        graph = GraphEmbedding(16, random_state=0).fit(small_dataset.data)
         assert graph.length == 16
         assert graph.n_series == small_dataset.n_series
         assert graph.n_nodes >= 2
         assert graph.n_edges >= 1
 
     def test_every_series_has_a_trajectory(self, small_dataset):
-        graph = build_graph(small_dataset.data, length=16, random_state=0)
+        graph = GraphEmbedding(16, random_state=0).fit(small_dataset.data)
         expected_length = subsequence_count(small_dataset.length, 16)
         for series_index in range(small_dataset.n_series):
             trajectory = graph.trajectory(series_index)
             assert len(trajectory) == expected_length
 
     def test_total_visits_equals_total_subsequences(self, small_dataset):
-        graph = build_graph(small_dataset.data, length=16, random_state=0)
+        graph = GraphEmbedding(16, random_state=0).fit(small_dataset.data)
         expected = small_dataset.n_series * subsequence_count(small_dataset.length, 16)
         total_visits = sum(graph.node_weight(node) for node in graph.nodes())
         assert total_visits == expected
 
     def test_total_transitions(self, small_dataset):
-        graph = build_graph(small_dataset.data, length=16, random_state=0)
+        graph = GraphEmbedding(16, random_state=0).fit(small_dataset.data)
         per_series = subsequence_count(small_dataset.length, 16) - 1
         expected = small_dataset.n_series * per_series
         total = sum(graph.edge_weight(edge) for edge in graph.edges())
         assert total == expected
 
     def test_stride_reduces_graph_weight(self, small_dataset):
-        dense = build_graph(small_dataset.data, length=16, random_state=0)
+        dense = GraphEmbedding(16, random_state=0).fit(small_dataset.data)
         strided = GraphEmbedding(16, stride=4, random_state=0).fit(small_dataset.data)
         dense_weight = sum(dense.node_weight(n) for n in dense.nodes())
         strided_weight = sum(strided.node_weight(n) for n in strided.nodes())
         assert strided_weight < dense_weight
 
     def test_node_patterns_have_window_length(self, small_dataset):
-        graph = build_graph(small_dataset.data, length=12, random_state=0)
+        graph = GraphEmbedding(12, random_state=0).fit(small_dataset.data)
         for node in graph.nodes():
             assert graph.node_pattern(node).shape == (12,)
 
     def test_deterministic(self, small_dataset):
-        a = build_graph(small_dataset.data, length=16, random_state=3)
-        b = build_graph(small_dataset.data, length=16, random_state=3)
+        a = GraphEmbedding(16, random_state=3).fit(small_dataset.data)
+        b = GraphEmbedding(16, random_state=3).fit(small_dataset.data)
         assert a.n_nodes == b.n_nodes
         assert a.edges() == b.edges()
         assert np.array_equal(a.node_feature_matrix(), b.node_feature_matrix())
@@ -72,7 +72,7 @@ class TestGraphEmbedding:
 
     def test_window_too_long_rejected(self, small_dataset):
         with pytest.raises(GraphConstructionError):
-            build_graph(small_dataset.data, length=small_dataset.length)
+            GraphEmbedding(small_dataset.length).fit(small_dataset.data)
 
     def test_invalid_prominence(self):
         with pytest.raises(GraphConstructionError):
@@ -80,14 +80,14 @@ class TestGraphEmbedding:
 
     def test_constant_dataset_still_builds(self):
         data = np.tile(np.linspace(0, 1, 64), (6, 1))
-        graph = build_graph(data, length=8, random_state=0)
+        graph = GraphEmbedding(8, random_state=0).fit(data)
         assert graph.n_nodes >= 1
 
     def test_different_classes_use_different_regions(self, small_dataset):
         # Series from different classes should not have identical node usage
         # patterns: the normalised node feature rows must differ across classes
         # more than within (on average).
-        graph = build_graph(small_dataset.data, length=16, random_state=0)
+        graph = GraphEmbedding(16, random_state=0).fit(small_dataset.data)
         features = graph.node_feature_matrix()
         labels = small_dataset.labels
         within, across = [], []

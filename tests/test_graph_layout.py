@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.graph.embedding import build_graph
+from repro.graph.embedding import GraphEmbedding
 from repro.graph.layout import circular_layout, force_directed_layout, pca_layout
 
 
@@ -12,7 +12,7 @@ def embedded_graph(request):
     from repro.datasets.synthetic import make_cylinder_bell_funnel
 
     dataset = make_cylinder_bell_funnel(n_series=18, length=64, noise=0.2, random_state=0)
-    return build_graph(dataset.data, length=12, random_state=0)
+    return GraphEmbedding(12, random_state=0).fit(dataset.data)
 
 
 def _assert_unit_square(positions):
@@ -56,5 +56,5 @@ class TestLayouts:
         from repro.graph.structure import TimeSeriesGraph
 
         graph = TimeSeriesGraph(4, [(0.3, 0.7)], np.zeros((1, 4)), [[0]])
-        assert force_directed_layout(graph) == {0: (0.5, 0.5)}
+        assert force_directed_layout(graph, random_state=0) == {0: (0.5, 0.5)}
         assert pca_layout(graph)[0] is not None

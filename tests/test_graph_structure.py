@@ -129,13 +129,6 @@ class TestMatrices:
 
 
 class TestInterop:
-    def test_to_networkx(self, toy_graph):
-        nx_graph = toy_graph.to_networkx()
-        assert nx_graph.number_of_nodes() == 3
-        assert nx_graph.number_of_edges() == 4
-        assert nx_graph.nodes[1]["n_series"] == 2
-        assert nx_graph.edges[(1, 2)]["weight"] == 1
-
     def test_summary_serialisable(self, toy_graph):
         import json
 

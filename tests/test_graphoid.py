@@ -8,7 +8,6 @@ from repro.graph.graphoid import (
     edge_exclusivity,
     edge_representativity,
     extract_gamma_graphoid,
-    extract_graphoid,
     extract_lambda_graphoid,
     interpretability_factor,
     node_exclusivity,
@@ -84,13 +83,6 @@ class TestEdgeScores:
 
 
 class TestGraphoidExtraction:
-    def test_plain_graphoid_contains_everything_touched(self, labelled_graph):
-        graph, labels = labelled_graph
-        graphoid = extract_graphoid(graph, labels, 0)
-        assert set(graphoid.nodes) == {0, 1}
-        assert set(graphoid.edges) == {(0, 1)}
-        assert not graphoid.is_empty()
-
     def test_lambda_graphoid_thresholding(self, labelled_graph):
         graph, labels = labelled_graph
         strict = extract_lambda_graphoid(graph, labels, 0, 1.0)
@@ -118,8 +110,6 @@ class TestGraphoidExtraction:
         graph, labels = labelled_graph
         with pytest.raises(ValidationError):
             extract_gamma_graphoid(graph, labels, 7, 0.5)
-        with pytest.raises(ValidationError):
-            extract_graphoid(graph, labels, 7)
 
     def test_invalid_threshold(self, labelled_graph):
         graph, labels = labelled_graph

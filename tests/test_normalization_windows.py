@@ -6,17 +6,12 @@ import pytest
 from repro.exceptions import ValidationError
 from repro.utils.normalization import (
     apply_znormalization,
-    minmax_scale,
-    paa,
-    resample_dataset,
-    resample_length,
     znormalization_stats,
     znormalize,
     znormalize_dataset,
 )
 from repro.utils.windows import (
     length_grid,
-    pad_series,
     sliding_window_matrix,
     subsequence_count,
     subsequences_of_dataset,
@@ -62,51 +57,6 @@ class TestZNormalize:
         rebuilt = apply_znormalization(data[rows].copy(), means[rows], scales[rows])
         assert np.array_equal(rebuilt, znormalize_dataset(data)[rows])
         assert np.array_equal(rebuilt, znormalize_dataset(data[rows]))
-
-
-class TestMinMaxAndPaa:
-    def test_minmax_range(self, rng):
-        scaled = minmax_scale(rng.normal(size=50), (0.0, 1.0))
-        assert scaled.min() == pytest.approx(0.0)
-        assert scaled.max() == pytest.approx(1.0)
-
-    def test_minmax_constant(self):
-        scaled = minmax_scale(np.full(5, 2.0), (0.0, 1.0))
-        assert np.all(scaled == 0.5)
-
-    def test_minmax_invalid_range(self):
-        with pytest.raises(ValidationError):
-            minmax_scale(np.arange(5.0), (1.0, 0.0))
-
-    def test_paa_reduces_length(self):
-        series = np.arange(100, dtype=float)
-        reduced = paa(series, 10)
-        assert reduced.shape == (10,)
-        assert reduced[0] == pytest.approx(np.mean(np.arange(10)))
-
-    def test_paa_longer_than_series_returns_copy(self):
-        series = np.arange(5, dtype=float)
-        assert np.array_equal(paa(series, 10), series)
-
-
-class TestResample:
-    def test_resample_preserves_endpoints(self):
-        series = np.linspace(0.0, 1.0, 10)
-        resampled = resample_length(series, 25)
-        assert resampled.shape == (25,)
-        assert resampled[0] == pytest.approx(series[0])
-        assert resampled[-1] == pytest.approx(series[-1])
-
-    def test_resample_same_length_is_copy(self):
-        series = np.arange(10, dtype=float)
-        out = resample_length(series, 10)
-        assert np.array_equal(out, series)
-        assert out is not series
-
-    def test_resample_dataset(self):
-        data = np.tile(np.arange(10.0), (3, 1))
-        out = resample_dataset(data, 20)
-        assert out.shape == (3, 20)
 
 
 class TestSlidingWindows:
@@ -190,22 +140,6 @@ class TestSlidingWindows:
 
 
 class TestPadAndLengthGrid:
-    def test_pad_edge(self):
-        padded = pad_series(np.array([1.0, 2.0]), 5)
-        assert padded.tolist() == [1.0, 2.0, 2.0, 2.0, 2.0]
-
-    def test_pad_zero(self):
-        padded = pad_series(np.array([1.0, 2.0]), 4, mode="zero")
-        assert padded.tolist() == [1.0, 2.0, 0.0, 0.0]
-
-    def test_pad_truncates(self):
-        padded = pad_series(np.arange(10.0), 4)
-        assert padded.shape == (4,)
-
-    def test_pad_unknown_mode(self):
-        with pytest.raises(ValidationError):
-            pad_series(np.arange(4.0), 8, mode="mirror")
-
     def test_length_grid_properties(self):
         grid = length_grid(128, 4)
         assert len(grid) <= 4

@@ -535,10 +535,11 @@ class TestBytesShipped:
 class TestBenchmarkGrid:
     def test_grid_reuses_embedding_across_combinations(self, small_dataset):
         runner = BenchmarkRunner(["kgraph"])
-        results = runner.run_kgraph_grid(
+        results = runner.run_estimator_grid(
             small_dataset,
+            "kgraph",
             [{}, {"feature_mode": "nodes"}, {"feature_mode": "edges"}],
-            base_params={"n_lengths": 2},
+            base={"n_lengths": 2},
             random_state=0,
         )
         assert [result.error for result in results] == [None, None, None]
@@ -562,10 +563,11 @@ class TestBenchmarkGrid:
 
     def test_grid_isolates_failing_combination(self, small_dataset):
         runner = BenchmarkRunner(["kgraph"])
-        results = runner.run_kgraph_grid(
+        results = runner.run_estimator_grid(
             small_dataset,
+            "kgraph",
             [{"feature_mode": "magic"}, {}],
-            base_params={"n_lengths": 2},
+            base={"n_lengths": 2},
             random_state=0,
         )
         assert results[0].failed and "feature_mode" in results[0].error
@@ -576,4 +578,4 @@ class TestBenchmarkGrid:
 
         runner = BenchmarkRunner(["kgraph"])
         with pytest.raises(BenchmarkError):
-            runner.run_kgraph_grid(small_dataset, [])
+            runner.run_estimator_grid(small_dataset, "kgraph", [])

@@ -1,8 +1,10 @@
 """Bit-identical equivalence of the vectorized hot paths vs their references.
 
 Every hot path vectorized for E13 keeps its original implementation as a
-reference: a ``*_reference`` twin in the library, or an oracle in
-``tests/oracles/`` (graph embedding and the dict graph, batched prediction).
+reference: a ``*_reference`` twin in the library (DTW and pairwise
+distances, which fall back to it), or an oracle in ``tests/oracles/`` (graph
+embedding and the dict graph, k-NN affinity, consensus matrix, batched
+prediction).
 These tests assert the two produce
 *bit-identical* outputs (``np.array_equal``, payload equality — not approx)
 on random and adversarial inputs: distance ties, single-node graphs,
@@ -16,15 +18,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.core.consensus import (
-    build_consensus_matrix,
-    build_consensus_matrix_reference,
-)
+from repro.core.consensus import build_consensus_matrix
 from repro.core.kgraph import KGraph, PredictionState, predict_with_state
 from repro.datasets import generate_dataset
 from repro.graph.embedding import GraphEmbedding
 from repro.graph.structure import TimeSeriesGraph
-from repro.linalg.kernels import knn_affinity, knn_affinity_reference
+from repro.linalg.kernels import knn_affinity
 from repro.metrics.distances import (
     dtw_distance,
     dtw_distance_reference,
@@ -32,8 +31,10 @@ from repro.metrics.distances import (
     pairwise_distances_reference,
 )
 
+from oracles.consensus import build_consensus_matrix_reference
 from oracles.embedding import embedding_graph_reference
 from oracles.graph import assert_matches_oracle, record_trajectories
+from oracles.kernels import knn_affinity_reference
 from oracles.predict import predict_with_state_reference
 
 METRICS = ("euclidean", "zeuclidean", "sbd", "dtw")

@@ -16,14 +16,12 @@ from repro.viz.plots import (
     box_plot,
     curve_comparison,
     heatmap,
-    histogram,
     line_plot,
-    scatter_plot,
     series_grid,
 )
 from repro.utils.validation import check_array
 from repro.viz.svg import SVGCanvas
-from repro.viz.theme import CLUSTER_PALETTE, color_for_cluster, diverging_color, sequential_color
+from repro.viz.theme import CLUSTER_PALETTE, color_for_cluster, sequential_color
 
 
 def _is_svg(text: str) -> bool:
@@ -72,10 +70,6 @@ class TestTheme:
             color = sequential_color(value)
             assert color.startswith("#") and len(color) == 7
 
-    def test_diverging_color_range(self):
-        assert diverging_color(-1.0) != diverging_color(1.0)
-        assert diverging_color(0.0).startswith("#")
-
 
 class TestPlots:
     def test_line_plot(self, rng):
@@ -103,15 +97,6 @@ class TestPlots:
         with pytest.raises(VisualizationError):
             series_grid(small_dataset.data, small_dataset.labels[:-1])
 
-    def test_scatter_plot_with_extras(self, blob_data):
-        points, labels = blob_data
-        svg = scatter_plot(points, labels=labels, extra_points=[(0.0, 0.0)])
-        assert _is_svg(svg)
-
-    def test_scatter_needs_2d(self):
-        with pytest.raises(VisualizationError):
-            scatter_plot(np.zeros((5, 1)))
-
     def test_box_plot(self, rng):
         groups = {f"method_{i}": rng.normal(0.5, 0.1, 20).tolist() for i in range(4)}
         svg = box_plot(groups, title="ARI", highlight="method_2")
@@ -138,10 +123,6 @@ class TestPlots:
     def test_bar_chart_empty(self):
         with pytest.raises(VisualizationError):
             bar_chart({})
-
-    def test_histogram(self, rng):
-        svg = histogram(rng.normal(size=300), n_bins=15, title="scores")
-        assert _is_svg(svg)
 
     def test_curve_comparison_with_marker(self):
         svg = curve_comparison(
