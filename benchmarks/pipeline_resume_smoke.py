@@ -78,7 +78,7 @@ def _fits_identical(a: KGraph, b: KGraph) -> bool:
         and ours.length_scores == theirs.length_scores
         and all(
             np.array_equal(p.labels, q.labels)
-            and np.array_equal(p.feature_matrix, q.feature_matrix)
+            and p.inertia == q.inertia
             for p, q in zip(ours.partitions, theirs.partitions)
         )
         and all(

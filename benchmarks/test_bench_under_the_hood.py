@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from bench_utils import bench_catalogue, format_table, report
+from repro.core.graph_clustering import graph_features
 from repro.core.kgraph import KGraph
 
 DATASETS = ("cylinder_bell_funnel", "seasonal_mixture", "random_walk_regimes")
@@ -42,8 +43,7 @@ def _run_under_the_hood():
                 }
             )
 
-        partition = result.partition_for(result.optimal_length)
-        features = partition.feature_matrix
+        features = graph_features(result.optimal_graph, model.feature_mode)
         labels = result.labels
         consensus = result.consensus_matrix
         same = labels[:, None] == labels[None, :]

@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import KGraph, generate_dataset
+from repro.core import graph_features
 from repro.metrics import adjusted_rand_index
 
 
@@ -38,8 +39,9 @@ def main() -> None:
     print("\n--- step (c): graph clustering (one partition per length) ---")
     for partition in result.partitions:
         ari = adjusted_rand_index(dataset.labels, partition.labels)
+        features = graph_features(result.graphs[partition.length], model.feature_mode)
         print(f"  length {partition.length:>3}: feature matrix "
-              f"{partition.feature_matrix.shape[0]}x{partition.feature_matrix.shape[1]}, "
+              f"{features.shape[0]}x{features.shape[1]}, "
               f"ARI vs truth = {ari:.3f}")
 
     print("\n--- step (d): consensus clustering ---")

@@ -643,6 +643,7 @@ class BenchmarkRunner:
                         spec.make_config(**_combo_params(combo)),
                         backend=backend,
                         stage_cache=cache,
+                        retry=self.retry,
                     )
                     labels = estimator.fit_predict(dataset.data)
                     result.runtime_seconds = time.perf_counter() - start

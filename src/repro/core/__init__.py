@@ -12,7 +12,7 @@
 """
 
 from repro.core.consensus import build_consensus_matrix, consensus_clustering
-from repro.core.graph_clustering import GraphPartition, cluster_graph
+from repro.core.graph_clustering import GraphPartition, cluster_graph, graph_features
 from repro.core.interpretability import (
     LengthScore,
     consistency_score,
@@ -30,6 +30,7 @@ __all__ = [
     "cluster_graph",
     "consensus_clustering",
     "consistency_score",
+    "graph_features",
     "interpretability_scores",
     "select_optimal_length",
 ]

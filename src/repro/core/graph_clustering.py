@@ -10,7 +10,6 @@ partition L_ℓ.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -24,38 +23,41 @@ from repro.utils.validation import check_positive_int
 class GraphPartition:
     """The outcome of clustering one graph G_ℓ.
 
+    The feature matrix that was clustered is not kept: it is
+    ``graph_features(graph, feature_mode)`` of the graph of the same length.
+
     Attributes
     ----------
     length:
         Subsequence length ℓ of the graph.
     labels:
         Partition L_ℓ of the time series.
-    feature_matrix:
-        The matrix F_{D,ℓ} that was clustered (n_series x (n_nodes + n_edges)).
     inertia:
         k-Means inertia of the partition (used as a diagnostic in the
         Under-the-hood frame).
-    n_nodes, n_edges:
-        Size of the graph the features came from.
     """
 
     length: int
     labels: np.ndarray
-    feature_matrix: np.ndarray
     inertia: float
-    n_nodes: int
-    n_edges: int
 
-    def summary(self) -> dict:
-        """JSON-serialisable description for the Under-the-hood frame."""
-        return {
-            "length": self.length,
-            "n_clusters": int(np.unique(self.labels).size),
-            "n_nodes": self.n_nodes,
-            "n_edges": self.n_edges,
-            "n_features": int(self.feature_matrix.shape[1]),
-            "inertia": float(self.inertia),
-        }
+
+def graph_features(graph: TimeSeriesGraph, feature_mode: str) -> np.ndarray:
+    """The feature matrix F_{D,ℓ} that ``feature_mode`` selects from ``graph``.
+
+    ``"both"`` (paper default) gives the n_series x (n_nodes + n_edges)
+    node and edge matrix, ``"nodes"`` or ``"edges"`` one half of it — the
+    ablation benchmark compares these.
+    """
+    if feature_mode == "nodes":
+        return graph.node_feature_matrix()
+    if feature_mode == "edges":
+        return graph.edge_feature_matrix()
+    if feature_mode == "both":
+        return graph.feature_matrix()
+    raise ValidationError(
+        f"feature_mode must be 'both', 'nodes' or 'edges', got {feature_mode!r}"
+    )
 
 
 def cluster_graph(
@@ -75,28 +77,16 @@ def cluster_graph(
     n_clusters:
         Number of clusters ``k``.
     feature_mode:
-        ``"both"`` (paper default), ``"nodes"`` or ``"edges"`` — the ablation
-        benchmark compares these.
+        The features to cluster (see :func:`graph_features`).
     n_init, random_state:
         Passed to the underlying k-Means.
     """
     n_clusters = check_positive_int(n_clusters, "n_clusters")
-    if feature_mode not in {"both", "nodes", "edges"}:
-        raise ValidationError(
-            f"feature_mode must be 'both', 'nodes' or 'edges', got {feature_mode!r}"
-        )
+    features = graph_features(graph, feature_mode)
     if n_clusters > graph.n_series:
         raise ValidationError(
             f"n_clusters ({n_clusters}) cannot exceed the number of series ({graph.n_series})"
         )
-
-    if feature_mode == "nodes":
-        features = graph.node_feature_matrix()
-    elif feature_mode == "edges":
-        features = graph.edge_feature_matrix()
-    else:
-        features = graph.feature_matrix()
-
     if features.shape[1] == 0:
         raise ValidationError(
             f"graph for length {graph.length} produced an empty feature matrix"
@@ -111,8 +101,5 @@ def cluster_graph(
     return GraphPartition(
         length=graph.length,
         labels=labels,
-        feature_matrix=features,
         inertia=float(kmeans.inertia_),
-        n_nodes=graph.n_nodes,
-        n_edges=graph.n_edges,
     )

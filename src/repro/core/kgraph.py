@@ -59,7 +59,7 @@ class KGraphResult:
     graphs:
         Mapping length ℓ -> transition graph G_ℓ.
     partitions:
-        Per-length partitions (labels L_ℓ plus the feature matrices).
+        Per-length partitions (labels L_ℓ and k-Means inertia).
     consensus_matrix:
         Co-association matrix M_C used by the consensus step.
     length_scores:

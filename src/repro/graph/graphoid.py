@@ -26,7 +26,7 @@ scorings, not k².
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Tuple
 
 import numpy as np
@@ -131,18 +131,18 @@ class Graphoid:
         The score (representativity or exclusivity, depending on the kind)
         of every *selected* node/edge.
     kind:
-        ``"graphoid"``, ``"lambda"`` or ``"gamma"``.
+        ``"lambda"`` or ``"gamma"``.
     threshold:
-        The λ or γ value used for the selection (0.0 for the plain graphoid).
+        The λ or γ value used for the selection.
     """
 
     cluster: int
-    nodes: List[int] = field(default_factory=list)
-    edges: List[Edge] = field(default_factory=list)
-    node_scores: Dict[int, float] = field(default_factory=dict)
-    edge_scores: Dict[Edge, float] = field(default_factory=dict)
-    kind: str = "graphoid"
-    threshold: float = 0.0
+    nodes: List[int]
+    edges: List[Edge]
+    node_scores: Dict[int, float]
+    edge_scores: Dict[Edge, float]
+    kind: str
+    threshold: float
 
     @property
     def n_nodes(self) -> int:

@@ -1028,10 +1028,11 @@ def resolve_backend(
     * everything else (the default) is :class:`SerialBackend`.
 
     ``retry`` installs a :class:`~repro.parallel.retry.RetryPolicy` as the
-    resolved backend's instance default.  ``fallback`` names one or more
-    further backends to demote to (a :class:`FallbackBackend` chain of
-    ``backend`` followed by the fallbacks); pool exhaustion then degrades
-    the fan-out instead of failing it, with bit-identical results.
+    instance default of a backend built here; a caller's instance is never
+    changed.  ``fallback`` names one or more further backends to demote to
+    (a :class:`FallbackBackend` chain of ``backend`` followed by the
+    fallbacks); pool exhaustion then degrades the fan-out instead of
+    failing it, with bit-identical results.
     """
     if retry is not None and not isinstance(retry, RetryPolicy):
         raise ValidationError(
@@ -1089,7 +1090,7 @@ def resolve_backend(
         raise ValidationError(
             f"backend must be None, a name, or an ExecutionBackend, got {type(backend).__name__}"
         )
-    if retry is not None:
+    if retry is not None and resolved is not backend:
         resolved.retry = retry
     return resolved
 

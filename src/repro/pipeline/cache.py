@@ -225,12 +225,12 @@ class DiskStageCache(StageCache):
     payload that is ignored (and overwritten) rather than a half-readable
     checkpoint.
 
-    Economics: ``budget_bytes`` caps the cache's on-disk footprint.  Every
-    ``put`` first commits the new entry, then evicts committed entries in
-    ``policy`` order (``"lru"`` — least recently *used*, ``"lfu"`` — least
-    frequently used) until the total fits, so the cache never exceeds its
-    budget after any put — a full UCR sweep can share one bounded
-    directory.  Sizes, hit counts and recency live in a persisted
+    Economics: ``budget_bytes`` caps the cache's on-disk footprint.  Opening
+    the cache, and every ``put`` after committing its entry, evicts committed
+    entries in ``policy`` order (``"lru"`` — least recently *used*,
+    ``"lfu"`` — least frequently used) until the total fits, so the cache
+    never exceeds its budget once open — a full UCR sweep can share one
+    bounded directory.  Sizes, hit counts and recency live in a persisted
     ``_index.json`` ledger (written atomically, like every other file
     here); a corrupt or missing index is rebuilt from the meta records, it
     can never poison correctness because ``get`` trusts only the payload +
@@ -275,6 +275,9 @@ class DiskStageCache(StageCache):
             (int(record.get("access", 0)) for record in self._index.values()),
             default=0,
         )
+        # A resumed run that replays every stage never puts: shrink now.
+        if budget_bytes is not None and self._evict_to_locked(budget_bytes):
+            self._save_index()
 
     # ------------------------------------------------------------------ #
     def _payload_path(self, key: str) -> Path:
@@ -475,10 +478,9 @@ class DiskStageCache(StageCache):
     def evict_to(self, budget: int) -> int:
         """Evict entries in policy order until the total fits ``budget``.
 
-        Returns the number of entries removed.  ``put`` calls this
-        automatically when the cache has a ``budget_bytes``; calling it
-        directly shrinks an unbounded cache on demand (the CLI's
-        ``--cache-budget`` on an existing directory does exactly that).
+        Returns the number of entries removed.  A cache with a
+        ``budget_bytes`` evicts to it when it opens and after every
+        ``put``; calling this directly shrinks a cache on demand.
         """
         if int(budget) < 0:
             raise PipelineError(f"budget must be >= 0, got {budget}")

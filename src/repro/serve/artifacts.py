@@ -1,20 +1,26 @@
 """Versioned on-disk artifacts for fitted, servable estimators.
 
-An artifact (format v4) is a directory with two files:
+An artifact (format v5) is a directory with two files:
 
 * ``manifest.json`` — schema version, the estimator's registry name and
   typed config payload, fit metadata, per-length scores/partition
   diagnostics, graphoids, timings, and free-form user metadata.
   Everything a registry needs to *describe* the model without touching
   the heavy payloads.
-* ``arrays.npz``    — every numeric array, stored losslessly so
-  ``load_model(save_model(m)).predict(X)`` is bit-identical to
-  ``m.predict(X)``.  For k-Graph: labels, consensus matrix, per-length
-  partition labels and feature matrices, and the three arrays that
+* ``arrays.npz``    — the numeric arrays that determine the fitted model,
+  stored losslessly so ``load_model(save_model(m)).predict(X)`` is
+  bit-identical to ``m.predict(X)``.  For k-Graph: labels, per-length
+  partition labels (``partition_{ℓ}_labels``), and the three arrays that
   determine each per-length :class:`~repro.graph.structure.TimeSeriesGraph`
   (``graph_{ℓ}_positions``, ``graph_{ℓ}_patterns`` and
   ``graph_{ℓ}_trajectories``); for baseline estimators: labels, centroids
   and cluster ids.
+
+Arrays derived from these are not stored.  :func:`load_model` rebuilds the
+consensus matrix M_C from the partition labels, for every format version;
+the ``consensus_matrix`` and ``partition_{ℓ}_features`` arrays that formats
+v1–v4 also hold are never read (each feature matrix F_{D,ℓ} is
+:func:`~repro.core.graph_clustering.graph_features` of its graph).
 
 Formats v1–v3 also held ``graphs.json``, the structural part of every graph
 as JSON.  They still load: each graph is rebuilt through the same
@@ -41,6 +47,7 @@ import numpy as np
 
 from repro import __version__ as _library_version
 from repro.api.config import KGraphConfig
+from repro.core.consensus import build_consensus_matrix
 from repro.core.graph_clustering import GraphPartition
 from repro.core.interpretability import LengthScore
 from repro.core.kgraph import KGraph, KGraphResult
@@ -53,6 +60,7 @@ from repro.exceptions import (
 from repro.graph.graphoid import Graphoid
 from repro.graph.structure import TimeSeriesGraph
 from repro.utils.schema import check_schema_version
+from repro.utils.validation import check_labels
 
 ARTIFACT_FORMAT = "repro-model"
 #: Format names of artifacts written by earlier releases; readers accept
@@ -67,8 +75,9 @@ LEGACY_ARTIFACT_FORMATS = frozenset({"kgraph-model"})
 #: can be exported and served.  Readers accept v1/v2 artifacts unchanged —
 #: they are k-Graph by definition, reconstructed from the legacy ``params``
 #: block (a version-1 config payload).  v4 stores each graph as arrays in
-#: ``arrays.npz`` and writes no ``graphs.json``.
-ARTIFACT_SCHEMA_VERSION = 4
+#: ``arrays.npz`` and writes no ``graphs.json``.  v5 stores no derived array:
+#: no ``consensus_matrix`` and no ``partition_{ℓ}_features``.
+ARTIFACT_SCHEMA_VERSION = 5
 
 MANIFEST_FILE = "manifest.json"
 ARRAYS_FILE = "arrays.npz"
@@ -158,7 +167,7 @@ _FITTED_FIELDS = {
     "optimal_length": int,
     "lengths": lambda lengths: [int(length) for length in lengths],
 }
-_PARTITION_FIELDS = {"length": int, "inertia": float, "n_nodes": int, "n_edges": int}
+_PARTITION_FIELDS = {"length": int, "inertia": float}
 _LENGTH_SCORE_FIELDS = {"length": int, "consistency": float, "interpretability": float}
 _GRAPHOID_FIELDS = {
     "cluster": int,
@@ -322,23 +331,20 @@ def _save_kgraph_model(
     result = model.result_
     path = _prepare_artifact_dir(path)
 
-    arrays: Dict[str, np.ndarray] = {
-        "labels": result.labels,
-        "consensus_matrix": result.consensus_matrix,
-    }
+    arrays: Dict[str, np.ndarray] = {"labels": result.labels}
     for length, graph in sorted(result.graphs.items()):
         for part in _GRAPH_ARRAYS:
             arrays[f"graph_{length}_{part}"] = getattr(graph, part)
     partition_rows: List[Dict[str, object]] = []
     for partition in result.partitions:
         arrays[f"partition_{partition.length}_labels"] = partition.labels
-        arrays[f"partition_{partition.length}_features"] = partition.feature_matrix
+        graph = result.graphs[partition.length]
         partition_rows.append(
             {
                 "length": int(partition.length),
                 "inertia": float(partition.inertia),
-                "n_nodes": int(partition.n_nodes),
-                "n_edges": int(partition.n_edges),
+                "n_nodes": int(graph.n_nodes),
+                "n_edges": int(graph.n_edges),
             }
         )
 
@@ -534,7 +540,7 @@ def _graph(path: Path, length: int, parts: Dict[str, object], source: str) -> Ti
 def _array_graphs(
     path: Path, fitted: Dict[str, object], arrays: Dict[str, np.ndarray]
 ) -> Dict[int, TimeSeriesGraph]:
-    """The graphs of a v4 artifact, from its ``graph_{ℓ}_*`` arrays."""
+    """The graphs of a v4+ artifact, from its ``graph_{ℓ}_*`` arrays."""
     n_series = fitted["n_series"]
     graphs: Dict[int, TimeSeriesGraph] = {}
     for length in fitted["lengths"]:
@@ -594,11 +600,8 @@ def _load_kgraph_model(
             raise ArtifactError(
                 f"artifact {path} manifest is missing required field {required!r}"
             )
-    for required in ("labels", "consensus_matrix"):
-        if required not in arrays:
-            raise ArtifactError(
-                f"artifact {path} arrays are missing entry {required!r}"
-            )
+    if "labels" not in arrays:
+        raise ArtifactError(f"artifact {path} arrays are missing entry 'labels'")
     model = _kgraph_from_manifest(path, manifest)
 
     fitted = _read_row(path, "fitted", manifest["fitted"], _FITTED_FIELDS)
@@ -620,17 +623,17 @@ def _load_kgraph_model(
     for index, row in enumerate(rows):
         length = row["length"]
         check_length(f"partitions[{index}].length", length)
-        labels_key = f"partition_{length}_labels"
-        features_key = f"partition_{length}_features"
-        if labels_key not in arrays or features_key not in arrays:
-            raise ArtifactError(
-                f"artifact {path} misses partition payloads for length {length}"
-            )
-        partitions.append(
-            GraphPartition(
-                labels=arrays[labels_key], feature_matrix=arrays[features_key], **row
-            )
-        )
+        key = f"partition_{length}_labels"
+        if key not in arrays:
+            raise ArtifactError(f"artifact {path} misses partition array {key!r}")
+        try:
+            # Checked here, not by build_consensus_matrix, to name the array.
+            check_labels(arrays[key], name=key, n_samples=fitted["n_series"])
+        except ValidationError as exc:
+            raise ArtifactError(f"artifact {path} holds corrupt partition labels: {exc}") from exc
+        partitions.append(GraphPartition(labels=arrays[key], **row))
+    if not partitions:
+        raise ArtifactError(f"artifact {path} manifest field partitions is empty")
 
     graphoid_rows = manifest.get("graphoids", {})
     if not isinstance(graphoid_rows, dict):
@@ -661,7 +664,9 @@ def _load_kgraph_model(
         labels=arrays["labels"],
         graphs=graphs,
         partitions=partitions,
-        consensus_matrix=arrays["consensus_matrix"],
+        consensus_matrix=build_consensus_matrix(
+            [partition.labels for partition in partitions]
+        ),
         length_scores=[LengthScore(**row) for row in length_scores],
         optimal_length=fitted["optimal_length"],
         lambda_graphoids=graphoids["lambda"],

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.graph_clustering import graph_features
 from repro.core.kgraph import KGraph
 from repro.exceptions import VisualizationError
 from repro.viz.frames.base import Frame, Panel, html_table
@@ -65,21 +66,20 @@ def build_under_the_hood_frame(model: KGraph) -> Frame:
     )
 
     # 4.2 feature matrix of the selected graph.
-    partition = result.partition_for(result.optimal_length)
+    features = graph_features(result.optimal_graph, model.feature_mode)
     order = np.argsort(result.labels, kind="stable")
     frame.add_panel(
         Panel(
             title="4.2 Feature matrix",
             svg=heatmap(
-                partition.feature_matrix[order],
+                features[order],
                 title=f"feature matrix F (ℓ = {result.optimal_length})",
                 x_label="graph nodes and edges",
                 y_label="time series (sorted by final cluster)",
             ),
             caption=(
-                f"{partition.feature_matrix.shape[0]} series x "
-                f"{partition.feature_matrix.shape[1]} node/edge features; rows sorted by "
-                "the final k-Graph labels."
+                f"{features.shape[0]} series x {features.shape[1]} node/edge "
+                "features; rows sorted by the final k-Graph labels."
             ),
         )
     )

@@ -94,6 +94,20 @@ class TestBudgetEnforcement:
         with pytest.raises(PipelineError):
             cache.evict_to(-1)
 
+    def test_reopening_with_a_smaller_budget_evicts_before_any_put(self, tmp_path):
+        unbounded = DiskStageCache(tmp_path)
+        for index in range(5):
+            _put(unbounded, f"key{index}", n_bytes=10_000)
+        budget = unbounded.total_bytes() // 3
+        # A resumed run that replays every stage only reads; the directory
+        # must still be within the new budget.
+        reopened = DiskStageCache(tmp_path, budget_bytes=budget)
+        assert reopened.total_bytes() <= budget
+        assert _disk_footprint(tmp_path) <= budget
+        assert reopened.counters.evictions >= 1
+        assert reopened.get("key4") is not None  # LRU keeps the newest
+        assert reopened.get("key0") is None
+
     def test_stats_reports_occupancy_and_counters(self, tmp_path):
         cache = DiskStageCache(tmp_path, budget_bytes=50_000, policy="lfu")
         _put(cache, "k")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core.consensus import build_consensus_matrix, consensus_clustering
-from repro.core.graph_clustering import cluster_graph
+from repro.core.graph_clustering import cluster_graph, graph_features
 from repro.core.interpretability import (
     LengthScore,
     consistency_score,
@@ -27,8 +27,9 @@ class TestClusterGraph:
         assert partition.labels.shape == (small_dataset.n_series,)
         assert np.unique(partition.labels).size == 3
         assert partition.length == 16
-        assert partition.feature_matrix.shape[0] == small_dataset.n_series
-        assert partition.feature_matrix.shape[1] == graph.n_nodes + graph.n_edges
+        features = graph_features(graph, "both")
+        assert features.shape[0] == small_dataset.n_series
+        assert features.shape[1] == graph.n_nodes + graph.n_edges
         assert partition.inertia >= 0
 
     def test_partition_beats_chance(self, graph, small_dataset):
@@ -36,15 +37,8 @@ class TestClusterGraph:
         assert adjusted_rand_index(small_dataset.labels, partition.labels) > 0.3
 
     def test_feature_modes(self, graph):
-        nodes_only = cluster_graph(graph, 3, feature_mode="nodes", random_state=0)
-        edges_only = cluster_graph(graph, 3, feature_mode="edges", random_state=0)
-        assert nodes_only.feature_matrix.shape[1] == graph.n_nodes
-        assert edges_only.feature_matrix.shape[1] == graph.n_edges
-
-    def test_summary(self, graph):
-        summary = cluster_graph(graph, 3, random_state=0).summary()
-        assert summary["length"] == 16
-        assert summary["n_clusters"] == 3
+        assert graph_features(graph, "nodes").shape[1] == graph.n_nodes
+        assert graph_features(graph, "edges").shape[1] == graph.n_edges
 
     def test_invalid_feature_mode(self, graph):
         with pytest.raises(ValidationError):

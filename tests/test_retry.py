@@ -24,6 +24,7 @@ from repro.parallel import (
     RetryPolicy,
     SerialBackend,
     WorkerPoolExhausted,
+    backend_scope,
     resolve_backend,
 )
 
@@ -334,6 +335,57 @@ class TestGridSweepBackend:
         # the runner's policy.
         assert len(policies) >= len(results)
         assert all(seen is policy for seen in policies)
+
+
+class _PolicySpy(SerialBackend):
+    """A serial backend that records the policy each ``map_jobs`` call runs under."""
+
+    def __init__(self):
+        super().__init__()
+        self.policies = []
+
+    def map_jobs(self, fn, jobs, *, on_result=None, retry=None):
+        self.policies.append(self._effective_retry(retry))
+        return super().map_jobs(fn, jobs, on_result=on_result, retry=retry)
+
+
+class TestCallerBackendKeepsItsPolicy:
+    """A scope's retry policy never stays on a backend the caller passed in."""
+
+    def test_backend_scope(self):
+        backend = SerialBackend()
+        with backend_scope(backend, retry=RetryPolicy(max_attempts=3)) as resolved:
+            assert resolved is backend
+        assert backend.retry is None
+
+    def test_kgraph_fit(self, small_dataset):
+        from repro.core.kgraph import KGraph
+
+        backend = _PolicySpy()
+        policy = RetryPolicy(max_attempts=3)
+        KGraph(n_clusters=3, n_lengths=2, random_state=0, retry=policy).fit(
+            small_dataset.data, backend=backend
+        )
+        assert backend.retry is None
+        assert backend.policies and all(seen is policy for seen in backend.policies)
+
+    def test_grid_runs_every_dispatch_under_the_runner_policy(self, small_dataset):
+        from repro.benchmark.runner import BenchmarkRunner
+
+        backend = _PolicySpy()
+        policy = RetryPolicy(max_attempts=2)
+        runner = BenchmarkRunner(["kgraph"], backend=backend, retry=policy)
+        results = runner.run_estimator_grid(
+            small_dataset,
+            "kgraph",
+            {"n_clusters": [2, 3]},
+            base={"n_lengths": 2},
+            random_state=0,
+        )
+        assert [result.error for result in results] == [None, None]
+        assert backend.retry is None
+        assert len(backend.policies) >= len(results)
+        assert all(seen is policy for seen in backend.policies)
 
 
 class TestResolveBackendIntegration:

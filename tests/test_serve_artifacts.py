@@ -105,10 +105,17 @@ class TestRoundTrip:
         for original, restored in zip(fitted_kgraph.result_.partitions, loaded.result_.partitions):
             assert restored.length == original.length
             assert np.array_equal(restored.labels, original.labels)
-            assert np.array_equal(restored.feature_matrix, original.feature_matrix)
             assert restored.inertia == original.inertia
         for original, restored in zip(fitted_kgraph.length_scores_, loaded.length_scores_):
             assert restored == original
+        # Format v5 stores no derived array: the consensus matrix is rebuilt
+        # from the partition labels, bit for bit.
+        consensus = loaded.consensus_matrix_
+        assert consensus.dtype == fitted_kgraph.consensus_matrix_.dtype
+        assert consensus.tobytes() == fitted_kgraph.consensus_matrix_.tobytes()
+        stored = _read_arrays(artifact_dir)
+        assert "consensus_matrix" not in stored
+        assert not [name for name in stored if name.endswith("_features")]
 
     @pytest.mark.parametrize("kind", ["lambda", "gamma"])
     def test_graphoids_round_trip_for_every_kind(self, fitted_kgraph, artifact_dir, kind):
@@ -342,6 +349,35 @@ class TestCorruptGraphArrays:
             registry.fetch("cbf")
 
 
+class TestCorruptPartitionLabels:
+    """Partition labels the consensus step rejects are an ArtifactError naming the array."""
+
+    CASES = {
+        "two-dimensional": lambda labels: labels[:, None],
+        "too-few-rows": lambda labels: labels[:-1],
+        "empty": lambda labels: labels[:0],
+        "non-finite": lambda labels: np.where(labels == labels[0], np.nan, labels),
+        "fractional": lambda labels: labels + 0.5,
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_load_model_names_the_array(self, fitted_kgraph, artifact_dir, case):
+        key = f"partition_{fitted_kgraph.optimal_length_}_labels"
+        arrays = _read_arrays(artifact_dir)
+        arrays[key] = self.CASES[case](arrays[key])
+        _write_arrays(artifact_dir, arrays)
+        with pytest.raises(ArtifactError, match=key):
+            load_model(artifact_dir)
+
+    def test_missing_array_is_named(self, fitted_kgraph, artifact_dir):
+        key = f"partition_{fitted_kgraph.optimal_length_}_labels"
+        arrays = _read_arrays(artifact_dir)
+        del arrays[key]
+        _write_arrays(artifact_dir, arrays)
+        with pytest.raises(ArtifactError, match=key):
+            load_model(artifact_dir)
+
+
 def _drop_a_partition_graph(manifest, model):
     """Drop a non-selected length from ``fitted.lengths``; its partition stays."""
     dropped = next(length for length in model.result_.graphs if length != model.optimal_length_)
@@ -381,6 +417,7 @@ MANIFEST_CASES = [
         lambda m, _: m["fitted"].update(optimal_length=9999), r"fitted\.optimal_length", id="optimal-length"
     ),
     pytest.param(_drop_a_partition_graph, r"partitions\[\d\]\.length", id="partition-without-graph"),
+    pytest.param(lambda m, _: m.__setitem__("partitions", []), r"field partitions", id="partitions-empty"),
     pytest.param(lambda m, _: m["config"].update(lengths=[2.5]), r"k-Graph config", id="config-lengths"),
 ]
 

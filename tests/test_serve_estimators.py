@@ -1,10 +1,10 @@
-"""Serving any registered estimator: manifest schema v4 + back-compat fixtures.
+"""Serving any registered estimator: manifest schema v5 + back-compat fixtures.
 
 Covers the estimator-generic artifact format (a non-KGraph estimator
 round-trips through ``save_model`` / ``load_model`` / the registry /
 ``POST /predict``) and proves backwards compatibility by loading the
-*committed* schema v1/v2 artifacts under ``tests/fixtures/`` — real files
-written by the earlier format, not same-process round-trips.
+*committed* schema v1, v2 and v4 artifacts under ``tests/fixtures/`` — real
+files written by the earlier formats, not same-process round-trips.
 """
 
 import json
@@ -15,6 +15,7 @@ import pytest
 
 from repro.api import BaselineConfig, default_registry
 from repro.baselines.estimator import BaselineEstimator
+from repro.core.graph_clustering import graph_features
 from repro.core.kgraph import KGraph
 from repro.datasets.synthetic import make_cylinder_bell_funnel
 from repro.exceptions import ArtifactError, NotFittedError
@@ -52,7 +53,7 @@ class TestEstimatorArtifactRoundTrip:
         path = save_model(fitted_kmeans, tmp_path / "km", dataset="cbf")
         manifest = read_manifest(path)
         assert manifest["format"] == ARTIFACT_FORMAT
-        assert manifest["schema_version"] == ARTIFACT_SCHEMA_VERSION == 4
+        assert manifest["schema_version"] == ARTIFACT_SCHEMA_VERSION == 5
         assert manifest["estimator"] == "kmeans"
         assert manifest["config_version"] == BaselineConfig.version
         assert BaselineConfig.from_dict(manifest["config"]) == fitted_kmeans.get_config()
@@ -120,7 +121,7 @@ class TestEstimatorArtifactRoundTrip:
 
 
 class TestCommittedFixturesStillLoad:
-    """The committed v1/v2 artifacts are the backwards-compatibility proof."""
+    """The committed v1, v2 and v4 artifacts are the backwards-compatibility proof."""
 
     @pytest.fixture(scope="class")
     def fixture_series(self):
@@ -130,13 +131,12 @@ class TestCommittedFixturesStillLoad:
 
     @pytest.mark.parametrize(
         ("directory", "schema_version"),
-        [("artifact_v1", 1), ("artifact_v2", 2)],
+        [("artifact_v1", 1), ("artifact_v2", 2), ("artifact_v4", 4)],
     )
     def test_fixture_loads_and_predicts(self, directory, schema_version, fixture_series):
         path = FIXTURES / directory
         manifest = read_manifest(path)
         assert manifest["schema_version"] == schema_version
-        assert manifest["format"] == "kgraph-model"  # legacy format name
         loaded = load_model(path)
         assert isinstance(loaded, KGraph)
         # The legacy flat params block round-trips through the version-1
@@ -145,6 +145,12 @@ class TestCommittedFixturesStillLoad:
         predictions = loaded.predict(fixture_series)
         assert predictions.shape == (fixture_series.shape[0],)
         assert set(predictions.tolist()) <= set(loaded.labels_.tolist())
+
+    @pytest.mark.parametrize("directory", ["artifact_v1", "artifact_v2"])
+    def test_legacy_fixture_graphs_match_graphs_json(self, directory):
+        path = FIXTURES / directory
+        assert read_manifest(path)["format"] == "kgraph-model"  # legacy format name
+        loaded = load_model(path)
         # Loading reads only positions and trajectories from graphs.json and
         # derives the rest; the derived edges, weights and series counts
         # must equal what the earlier format stored.
@@ -152,6 +158,29 @@ class TestCommittedFixturesStillLoad:
         assert sorted(loaded.result_.graphs) == sorted(entry["length"] for entry in stored)
         for entry in stored:
             assert payload(loaded.result_.graphs[entry["length"]]) == entry
+
+    @pytest.mark.parametrize("directory", ["artifact_v1", "artifact_v2", "artifact_v4"])
+    def test_stored_derived_arrays_equal_the_rebuilt_ones(self, directory):
+        # Formats v1-v4 also stored the consensus matrix and each partition's
+        # feature matrix.  Loading never reads them; what it rebuilds in
+        # their place must equal them, bit for bit.
+        path = FIXTURES / directory
+        loaded = load_model(path)
+        result = loaded.result_
+        with np.load(path / "arrays.npz") as stored:
+            rebuilt = {"consensus_matrix": result.consensus_matrix}
+            for partition in result.partitions:
+                rebuilt[f"partition_{partition.length}_features"] = graph_features(
+                    result.graphs[partition.length], loaded.feature_mode
+                )
+            assert sorted(rebuilt) == sorted(
+                name for name in stored.files
+                if name == "consensus_matrix" or name.endswith("_features")
+            )
+            for name, array in rebuilt.items():
+                expected = stored[name]
+                assert (array.dtype, array.shape) == (expected.dtype, expected.shape), name
+                assert array.tobytes() == expected.tobytes(), name
 
     def test_v1_fixture_has_no_pipeline_provenance(self):
         loaded = load_model(FIXTURES / "artifact_v1")
